@@ -21,8 +21,15 @@
 //! per-subscription buffer (oldest dropped first past
 //! [`BrokerConfig::max_pending`]), and the event loop never blocks on any one
 //! session's socket.
+//!
+//! # One encoding per publication
+//!
+//! A queued delivery is a `(publisher, pub_seq, body)` record whose body is
+//! the event's JSON, encoded at most once per [`Broker::pump`] and shared by
+//! every subscription and session the publication reaches in that turn;
+//! [`wire::write_deliver`] splices it into each session's output buffer.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use dps::{DpsConfig, DpsError, DpsNetwork};
 use dps_content::{SharedEvent, SharedFilter};
@@ -30,7 +37,7 @@ use dps_overlay::PubId;
 use dps_sim::NodeId;
 
 use crate::transport::{Connection, Listener};
-use crate::wire::{self, Frame, FrameReader, PubRef, WireError, PROTOCOL_VERSION};
+use crate::wire::{self, EventBody, Frame, FrameReader, PubRef, WireError, PROTOCOL_VERSION};
 
 /// Tuning knobs for a [`Broker`].
 #[derive(Debug, Clone)]
@@ -70,11 +77,21 @@ impl Default for BrokerConfig {
     }
 }
 
+/// A matched delivery waiting for credit: everything a `Deliver` frame holds
+/// besides the subscription id, with the event already encoded.
+struct PendingDeliver {
+    publisher: u64,
+    pub_seq: u32,
+    body: EventBody,
+}
+
 struct SubState {
     overlay: dps::SubId,
     filter: SharedFilter,
     credit: u32,
-    pending: VecDeque<Frame>,
+    pending: VecDeque<PendingDeliver>,
+    /// Deliveries dropped off the front of `pending`; logged when the
+    /// subscription ends.
     dropped: u64,
 }
 
@@ -113,6 +130,10 @@ pub struct Broker {
     next_session: u64,
     cfg: BrokerConfig,
     drain_buf: Vec<(PubId, SharedEvent)>,
+    /// Encoded events of the publications fanned out so far in this `pump`;
+    /// cleared at the end of every turn (queued deliveries keep their own
+    /// reference).
+    bodies: HashMap<PubId, EventBody>,
     log: Option<LogSink>,
 }
 
@@ -130,6 +151,7 @@ impl Broker {
             next_session: 1,
             cfg,
             drain_buf: Vec::new(),
+            bodies: HashMap::new(),
             log: None,
         }
     }
@@ -142,6 +164,15 @@ impl Broker {
     fn log(&mut self, line: &str) {
         if let Some(f) = &mut self.log {
             f(line);
+        }
+    }
+
+    /// Reports what drop-oldest cost a subscription, once, as it ends.
+    fn log_dropped(&mut self, id: u64, sub: u64, dropped: u64) {
+        if dropped > 0 {
+            self.log(&format!(
+                "session {id}: sub {sub}: dropped {dropped} deliveries"
+            ));
         }
     }
 
@@ -174,6 +205,7 @@ impl Broker {
         for id in &ids {
             self.fan_out(*id);
         }
+        self.bodies.clear();
         self.flush_and_reap();
         Ok(applied)
     }
@@ -351,10 +383,11 @@ impl Broker {
                     Some(overlay) => {
                         let out = self.net.try_unsubscribe(node, overlay);
                         let s = self.sessions.get_mut(&id).expect("session exists");
-                        s.subs.remove(&sub);
+                        let ended = s.subs.remove(&sub).expect("looked up above");
                         if s.subs.is_empty() {
                             self.net.sink().unwatch(node);
                         }
+                        self.log_dropped(id, sub, ended.dropped);
                         match out {
                             Ok(()) => {
                                 let s = self.sessions.get_mut(&id).expect("session exists");
@@ -430,11 +463,13 @@ impl Broker {
     fn teardown(&mut self, id: u64) {
         let s = self.sessions.get_mut(&id).expect("session exists");
         let node = s.node.take();
-        let subs: Vec<dps::SubId> = s.subs.values().map(|st| st.overlay).collect();
-        s.subs.clear();
+        let subs = std::mem::take(&mut s.subs);
+        for (sub, st) in &subs {
+            self.log_dropped(id, *sub, st.dropped);
+        }
         if let Some(node) = node {
-            for overlay in subs {
-                let _ = self.net.try_unsubscribe(node, overlay);
+            for st in subs.values() {
+                let _ = self.net.try_unsubscribe(node, st.overlay);
             }
             self.net.sink().unwatch(node);
             // Retire the node: the overlay heals around it, and the oracle
@@ -453,13 +488,19 @@ impl Broker {
         self.drain_buf.clear();
         self.net.sink().drain_deliveries(node, &mut self.drain_buf);
         for (pid, event) in self.drain_buf.drain(..) {
-            for (cid, st) in s.subs.iter_mut() {
+            // Looked up (or encoded) at the first match only: each further
+            // matching subscription costs a reference and a queue slot.
+            let mut body: Option<EventBody> = None;
+            for st in s.subs.values_mut() {
                 if st.filter.matches(&event) {
-                    st.pending.push_back(Frame::Deliver {
-                        sub: *cid,
+                    let body = body.get_or_insert_with(|| {
+                        let shared = self.bodies.entry(pid);
+                        shared.or_insert_with(|| EventBody::encode(&event)).clone()
+                    });
+                    st.pending.push_back(PendingDeliver {
                         publisher: pid.0.index() as u64,
                         pub_seq: pid.1,
-                        event: event.clone(),
+                        body: body.clone(),
                     });
                     if st.pending.len() > self.cfg.max_pending {
                         st.pending.pop_front();
@@ -468,20 +509,19 @@ impl Broker {
                 }
             }
         }
-        let mut emitted: Vec<Frame> = Vec::new();
-        let mut out_len = s.out.len();
-        for st in s.subs.values_mut() {
-            while st.credit > 0 && !st.pending.is_empty() && out_len < self.cfg.max_outbuf {
-                let f = st.pending.pop_front().expect("non-empty");
-                // Frame overhead is dominated by the event body; an estimate
-                // is enough for the high-water mark.
-                out_len += 64 + f.approx_len();
+        for (cid, st) in s.subs.iter_mut() {
+            while st.credit > 0 && s.out.len() < self.cfg.max_outbuf {
+                let Some(d) = st.pending.pop_front() else {
+                    break;
+                };
+                if wire::write_deliver(&mut s.out, *cid, d.publisher, d.pub_seq, &d.body).is_err() {
+                    // Only an over-sized frame can fail here; as in `queue`,
+                    // the session is dropped.
+                    s.dead = true;
+                    return;
+                }
                 st.credit -= 1;
-                emitted.push(f);
             }
-        }
-        for f in emitted {
-            s.queue(&f);
         }
     }
 
@@ -517,18 +557,6 @@ impl Broker {
             self.teardown(id);
             self.sessions.remove(&id);
             self.log(&format!("session {id}: gone"));
-        }
-    }
-}
-
-impl Frame {
-    /// Rough encoded size, used only for the output high-water mark.
-    fn approx_len(&self) -> usize {
-        match self {
-            Frame::Deliver { event, .. } | Frame::Publish { event, .. } => {
-                event.to_string().len() * 2
-            }
-            _ => 64,
         }
     }
 }

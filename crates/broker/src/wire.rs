@@ -2,12 +2,21 @@
 //!
 //! Every message on a broker connection is one **frame**: a 4-byte big-endian
 //! length prefix followed by that many bytes of JSON encoding one [`Frame`]
-//! value (externally tagged, e.g. `{"Publish": {...}}`). The prefix counts the
+//! value (externally tagged, e.g. `{"Publish":{...}}`). The prefix counts the
 //! JSON body only. Frames larger than [`MAX_FRAME`] are rejected *before* any
 //! allocation sized by the prefix, so a hostile length cannot OOM the peer.
+//! Senders write compact JSON; receivers accept any JSON whitespace.
+//!
+//! A broker fans one publication out to many subscriptions, so the `event`
+//! member of its `Deliver` frames is encoded once ([`EventBody`]) and
+//! [`write_deliver`] splices those shared bytes into each frame.
 //!
 //! The full grammar, version rules and credit/close semantics are documented
 //! in `docs/protocol.md` at the repository root.
+
+use std::collections::VecDeque;
+use std::io::Write;
+use std::sync::Arc;
 
 use dps_content::{SharedEvent, SharedFilter};
 use serde::{Deserialize, Serialize};
@@ -179,6 +188,69 @@ pub fn encode(frame: &Frame) -> Result<Vec<u8>, WireError> {
     out.extend_from_slice(&(body.len() as u32).to_be_bytes());
     out.extend_from_slice(body.as_bytes());
     Ok(out)
+}
+
+/// The JSON encoding of one event, as it appears in the `event` member of a
+/// `Deliver` frame. Cloning shares the bytes, so every frame carrying the same
+/// publication is cut from one encoding.
+#[derive(Debug, Clone)]
+pub struct EventBody(Arc<str>);
+
+impl EventBody {
+    /// Encodes `event` (the one encoding of its fan-out).
+    pub fn encode(event: &SharedEvent) -> Self {
+        let json = serde_json::to_string(event).expect("vendored serialization is infallible");
+        EventBody(json.into())
+    }
+
+    /// The encoded JSON.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// What a `Deliver` body holds besides its three numbers and the event.
+const DELIVER_FIXED: usize = r#"{"Deliver":{"sub":,"publisher":,"pub_seq":,"event":}}"#.len();
+
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends one `Deliver` frame (prefix + body) to `out`, byte for byte what
+/// [`encode`] produces for `Frame::Deliver` with the event `body` encodes.
+///
+/// Fails with [`WireError::FrameTooLarge`] — leaving `out` untouched — if the
+/// frame body would exceed [`MAX_FRAME`].
+pub fn write_deliver(
+    out: &mut VecDeque<u8>,
+    sub: u64,
+    publisher: u64,
+    pub_seq: u32,
+    body: &EventBody,
+) -> Result<(), WireError> {
+    let len = DELIVER_FIXED
+        + decimal_len(sub)
+        + decimal_len(publisher)
+        + decimal_len(u64::from(pub_seq))
+        + body.0.len();
+    if len > MAX_FRAME as usize {
+        return Err(WireError::FrameTooLarge {
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+            max: MAX_FRAME,
+        });
+    }
+    let start = out.len();
+    out.reserve(4 + len);
+    out.extend((len as u32).to_be_bytes());
+    write!(
+        out,
+        r#"{{"Deliver":{{"sub":{sub},"publisher":{publisher},"pub_seq":{pub_seq},"event":"#
+    )
+    .expect("writing to a VecDeque cannot fail");
+    out.extend(body.0.as_bytes());
+    out.extend(b"}}");
+    debug_assert_eq!(out.len() - start, 4 + len, "the prefix counts the body");
+    Ok(())
 }
 
 /// Decodes the first complete frame of `buf`, returning it and the number of

@@ -3,8 +3,12 @@
 //! [`Broker::pump`] calls, so every run is fully deterministic — the final
 //! test pins that determinism down to the exact bytes each client receives.
 
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+
 use dps_broker::wire::{encode, Frame, FrameReader, PROTOCOL_VERSION};
-use dps_broker::{Broker, BrokerConfig, ChannelTransport, Connection, Transport};
+use dps_broker::{Broker, BrokerConfig, ChannelTransport, Connection, Listener, Transport};
 use dps_content::Event;
 
 /// A wire-level test client: frames out, frames (and raw bytes) in.
@@ -163,10 +167,90 @@ fn end_to_end_delivery_over_channels() {
     assert_eq!(broker.network().delivered_ratio(), 1.0);
 }
 
+/// Hands the first accepted connection a write side the test can shut: while
+/// `stall` is set its `send` reports a full window, as the socket of a peer
+/// that never reads does.
+struct StallFirst {
+    inner: Box<dyn Listener>,
+    stall: Arc<AtomicBool>,
+    accepted: usize,
+}
+
+struct Gated {
+    inner: Box<dyn Connection>,
+    stall: Arc<AtomicBool>,
+}
+
+impl Listener for StallFirst {
+    fn accept(&mut self) -> io::Result<Option<Box<dyn Connection>>> {
+        let Some(inner) = self.inner.accept()? else {
+            return Ok(None);
+        };
+        self.accepted += 1;
+        Ok(Some(if self.accepted == 1 {
+            Box::new(Gated {
+                inner,
+                stall: self.stall.clone(),
+            })
+        } else {
+            inner
+        }))
+    }
+
+    fn local_addr(&self) -> String {
+        self.inner.local_addr()
+    }
+}
+
+impl Connection for Gated {
+    fn send(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.stall.load(Ordering::SeqCst) {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        self.inner.send(buf)
+    }
+
+    fn recv(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.recv(buf)
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown()
+    }
+}
+
+/// The `load` values a client received on subscription `sub`, in order.
+fn loads(c: &TestClient, sub: u64) -> Vec<u64> {
+    c.deliveries()
+        .into_iter()
+        .filter(|(s, _)| *s == sub)
+        .map(|(_, e)| e.strip_prefix("load = ").unwrap().parse().unwrap())
+        .collect()
+}
+
 #[test]
 fn stalled_subscriber_does_not_stall_the_broker_or_other_sessions() {
+    const PUBS: u64 = 10_000;
+    let cfg = BrokerConfig {
+        seed: 11,
+        ..BrokerConfig::default()
+    };
+    let (max_pending, max_outbuf) = (cfg.max_pending as u64, cfg.max_outbuf);
     let t = ChannelTransport::new();
-    let mut broker = broker_on(&t, "hub", 11);
+    let stall = Arc::new(AtomicBool::new(false));
+    let mut broker = Broker::new(
+        cfg,
+        Box::new(StallFirst {
+            inner: t.listen("hub").expect("fresh address"),
+            stall: stall.clone(),
+            accepted: 0,
+        }),
+    );
+    let log = Arc::new(Mutex::new(Vec::<String>::new()));
+    let sink = log.clone();
+    broker.set_log(Box::new(move |line| {
+        sink.lock().unwrap().push(line.to_string())
+    }));
     let mut stalled = TestClient::connect(&t, "hub");
     let mut healthy = TestClient::connect(&t, "hub");
     let mut pubc = TestClient::connect(&t, "hub");
@@ -176,13 +260,17 @@ fn stalled_subscriber_does_not_stall_the_broker_or_other_sessions() {
     settle(&mut broker, &mut [&mut stalled, &mut healthy, &mut pubc], 3);
 
     let filter = || "load > 0".parse::<dps::Filter>().unwrap();
-    // The stalled session grants a window of 2 and never replenishes.
-    stalled.send(&Frame::Subscribe {
-        seq: 1,
-        sub: 1,
-        filter: filter().into(),
-        credit: 2,
-    });
+    // The stalled session stalls both ways: subscription 1 grants a window of
+    // 2 and never replenishes; subscription 2 grants an ample window, but the
+    // session stops reading its socket.
+    for (sub, credit) in [(1, 2), (2, 1 << 30)] {
+        stalled.send(&Frame::Subscribe {
+            seq: sub,
+            sub,
+            filter: filter().into(),
+            credit,
+        });
+    }
     healthy.send(&Frame::Subscribe {
         seq: 1,
         sub: 1,
@@ -194,42 +282,99 @@ fn stalled_subscriber_does_not_stall_the_broker_or_other_sessions() {
         &mut [&mut stalled, &mut healthy, &mut pubc],
         60,
     );
+    assert_eq!(stalled.acks().len(), 2, "both subscriptions are acked");
+    stall.store(true, Ordering::SeqCst);
 
-    for seq in 0..12u64 {
+    for seq in 0..PUBS {
         pubc.send(&Frame::Publish {
             seq,
             event: ev(&format!("load = {}", seq + 1)).into(),
         });
-        settle(
-            &mut broker,
-            &mut [&mut stalled, &mut healthy, &mut pubc],
-            20,
-        );
+        turn(&mut broker, &mut [&mut stalled, &mut healthy, &mut pubc]);
     }
+    settle(
+        &mut broker,
+        &mut [&mut stalled, &mut healthy, &mut pubc],
+        20,
+    );
 
-    assert_eq!(pubc.acks().len(), 12, "the broker never stopped acking");
+    let all: Vec<u64> = (1..=PUBS).collect();
     assert_eq!(
-        healthy.deliveries().len(),
-        12,
+        pubc.acks().len() as u64,
+        PUBS,
+        "the broker never stopped acking"
+    );
+    assert_eq!(
+        loads(&healthy, 1),
+        all,
         "the healthy session got everything"
     );
-    assert_eq!(
-        stalled.deliveries().len(),
-        2,
-        "the stalled session got exactly its credit window"
+    assert!(
+        stalled.deliveries().is_empty(),
+        "nothing reaches a socket that is not read"
     );
 
-    // Granting credit later releases the queued (bounded) backlog.
-    stalled.send(&Frame::Credit { sub: 1, more: 100 });
+    // The session starts reading again: one flush hands over everything the
+    // broker held for it, which is the output cap plus at most the frame that
+    // crossed it.
+    let before = stalled.received_bytes.len();
+    stall.store(false, Ordering::SeqCst);
+    turn(&mut broker, &mut [&mut stalled, &mut healthy, &mut pubc]);
+    let held = stalled.received_bytes.len() - before;
+    let longest = stalled
+        .frames
+        .iter()
+        .map(|f| encode(f).unwrap().len())
+        .max()
+        .unwrap();
+    assert!(
+        (max_outbuf..=max_outbuf + longest).contains(&held),
+        "out buffer held {held} bytes; cap {max_outbuf}, longest frame {longest}"
+    );
+    assert_eq!(
+        loads(&stalled, 1),
+        [1, 2],
+        "the first subscription got exactly its credit window"
+    );
+    let early = loads(&stalled, 2);
+    assert_eq!(early, all[..early.len()], "emitted until the cap, in order");
+
+    // Each queue kept the newest `max_pending` deliveries and dropped the
+    // rest: the ample window releases them now that the buffer has room, the
+    // small one once credit arrives.
+    let newest = &all[(PUBS - max_pending) as usize..];
+    stalled.send(&Frame::Credit {
+        sub: 1,
+        more: 1 << 20,
+    });
     settle(
         &mut broker,
         &mut [&mut stalled, &mut healthy, &mut pubc],
         10,
     );
+    assert_eq!(loads(&stalled, 2), [&early[..], newest].concat());
+    assert_eq!(loads(&stalled, 1), [&[1, 2][..], newest].concat());
+
+    // What was dropped is reported when a subscription ends, by either road.
+    stalled.send(&Frame::Unsubscribe { seq: 3, sub: 1 });
+    stalled.send(&Frame::Close {
+        reason: "done".into(),
+    });
+    settle(&mut broker, &mut [&mut stalled, &mut healthy, &mut pubc], 5);
+    let log = log.lock().unwrap();
+    let dropped: Vec<&String> = log.iter().filter(|l| l.contains("dropped")).collect();
     assert_eq!(
-        stalled.deliveries().len(),
-        12,
-        "credit releases the queued deliveries"
+        dropped,
+        [
+            &format!(
+                "session 1: sub 1: dropped {} deliveries",
+                PUBS - 2 - max_pending
+            ),
+            &format!(
+                "session 1: sub 2: dropped {} deliveries",
+                PUBS - early.len() as u64 - max_pending
+            ),
+        ]
     );
 }
 
