@@ -26,7 +26,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use dps_content::{match_mode, Event, Filter, FilterIndex, MatchMode, MatchScratch, SharedEvent};
+use dps_content::{Event, Filter, FilterIndex, MatchScratch, SharedEvent};
 use dps_overlay::{CountingSink, PubId, StatsSink};
 use dps_sim::{Context, Message, MsgClass, NodeId, Process, Sim};
 use rand::Rng;
@@ -77,11 +77,7 @@ impl FloodNode {
             return;
         }
         self.sink.on_contact(msg.id, self.id, ctx.now());
-        let matched = match match_mode() {
-            MatchMode::Scan => self.subs.entries().any(|(_, f)| f.matches(&msg.event)),
-            MatchMode::Index => self.subs.any_match(&msg.event, &mut self.scratch),
-        };
-        if matched {
+        if self.subs.any_match(&msg.event, &mut self.scratch) {
             self.sink.on_notify(msg.id, self.id, ctx.now());
             self.sink.on_deliver(msg.id, self.id, &msg.event, ctx.now());
         }

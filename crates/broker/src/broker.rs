@@ -31,13 +31,13 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use dps::{DpsConfig, DpsError, DpsNetwork};
+use dps::{DpsConfig, DpsNetwork};
 use dps_content::{SharedEvent, SharedFilter};
 use dps_overlay::PubId;
 use dps_sim::NodeId;
 
-use crate::transport::{Connection, Listener};
-use crate::wire::{self, EventBody, Frame, FrameReader, PubRef, WireError, PROTOCOL_VERSION};
+use crate::transport::Listener;
+use crate::wire::{self, EventBody, Fill, Frame, Link, PubRef, WireError, PROTOCOL_VERSION};
 
 /// Tuning knobs for a [`Broker`].
 #[derive(Debug, Clone)]
@@ -96,9 +96,7 @@ struct SubState {
 }
 
 struct SessionState {
-    conn: Box<dyn Connection>,
-    reader: FrameReader,
-    out: VecDeque<u8>,
+    link: Link,
     /// Set once the session's `Hello` is accepted.
     node: Option<NodeId>,
     subs: BTreeMap<u64, SubState>,
@@ -110,12 +108,9 @@ struct SessionState {
 
 impl SessionState {
     fn queue(&mut self, frame: &Frame) {
-        match wire::encode(frame) {
-            Ok(bytes) => self.out.extend(bytes),
-            // Only an over-sized frame can fail here; drop the session rather
-            // than send it a half-encoded stream.
-            Err(_) => self.dead = true,
-        }
+        // Only an over-sized frame can fail here; drop the session rather
+        // than send it a half-encoded stream.
+        self.dead |= self.link.queue(frame).is_err();
     }
 }
 
@@ -229,9 +224,7 @@ impl Broker {
             self.sessions.insert(
                 id,
                 SessionState {
-                    conn,
-                    reader: FrameReader::new(),
-                    out: VecDeque::new(),
+                    link: Link::new(conn),
                     node: None,
                     subs: BTreeMap::new(),
                     closing: false,
@@ -246,35 +239,19 @@ impl Broker {
     /// Drains one session's socket and applies every complete frame.
     fn read_session(&mut self, id: u64) -> usize {
         let mut applied = 0;
-        let mut eof = false;
-        let mut buf = [0u8; 4096];
-        {
-            let s = self.sessions.get_mut(&id).expect("session exists");
-            if s.closing || s.dead {
-                return 0;
-            }
-            loop {
-                match s.conn.recv(&mut buf) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => s.reader.feed(&buf[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        s.dead = true;
-                        break;
-                    }
-                }
-            }
+        let s = self.sessions.get_mut(&id).expect("session exists");
+        if s.closing || s.dead {
+            return 0;
         }
+        let fill = s.link.fill();
+        s.dead = matches!(fill, Fill::Failed(_));
         loop {
             let next = {
                 let s = self.sessions.get_mut(&id).expect("session exists");
                 if s.closing || s.dead {
                     return applied;
                 }
-                s.reader.next_frame()
+                s.link.next_frame()
             };
             match next {
                 Ok(Some(frame)) => {
@@ -290,12 +267,8 @@ impl Broker {
                 }
             }
         }
-        if eof {
-            let leftovers = {
-                let s = self.sessions.get_mut(&id).expect("session exists");
-                s.reader.finish().err()
-            };
-            if let Some(e) = leftovers {
+        if matches!(fill, Fill::Eof) {
+            if let Err(e) = self.sessions[&id].link.finish() {
                 self.log(&format!("session {id}: EOF mid-frame: {e}"));
             } else {
                 self.log(&format!("session {id}: EOF"));
@@ -510,11 +483,12 @@ impl Broker {
             }
         }
         for (cid, st) in s.subs.iter_mut() {
-            while st.credit > 0 && s.out.len() < self.cfg.max_outbuf {
+            while st.credit > 0 && s.link.out.len() < self.cfg.max_outbuf {
                 let Some(d) = st.pending.pop_front() else {
                     break;
                 };
-                if wire::write_deliver(&mut s.out, *cid, d.publisher, d.pub_seq, &d.body).is_err() {
+                let out = &mut s.link.out;
+                if wire::write_deliver(out, *cid, d.publisher, d.pub_seq, &d.body).is_err() {
                     // Only an over-sized frame can fail here; as in `queue`,
                     // the session is dropped.
                     s.dead = true;
@@ -533,22 +507,10 @@ impl Broker {
                 done.push(*id);
                 continue;
             }
-            while !s.out.is_empty() {
-                let (head, _) = s.out.as_slices();
-                match s.conn.send(head) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        s.out.drain(..n);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        s.dead = true;
-                        break;
-                    }
-                }
-            }
-            if s.closing && s.out.is_empty() {
-                s.conn.shutdown();
+            if s.link.flush().is_err() {
+                s.dead = true;
+            } else if s.closing && s.link.out.is_empty() {
+                s.link.shutdown();
                 done.push(*id);
             }
         }
@@ -567,14 +529,5 @@ impl std::fmt::Debug for Broker {
             .field("addr", &self.listener.local_addr())
             .field("sessions", &self.sessions.len())
             .finish()
-    }
-}
-
-/// Convenience for error mapping at call sites that cross from wire to API.
-pub fn wire_to_dps(e: WireError) -> DpsError {
-    match e {
-        WireError::Io(m) => DpsError::Transport(m),
-        WireError::Closed => DpsError::SessionClosed,
-        other => DpsError::Protocol(other.to_string()),
     }
 }

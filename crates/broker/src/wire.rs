@@ -21,6 +21,8 @@ use std::sync::Arc;
 use dps_content::{SharedEvent, SharedFilter};
 use serde::{Deserialize, Serialize};
 
+use crate::transport::Connection;
+
 /// Protocol revision spoken by this build. A broker rejects a `Hello` carrying
 /// any other version with a `Close` frame naming both sides' versions.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -119,8 +121,6 @@ pub enum Frame {
 /// code can tell a hostile prefix from a short read from garbage JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The underlying transport failed.
-    Io(String),
     /// The length prefix exceeds [`MAX_FRAME`] (or an encoded body would).
     FrameTooLarge {
         /// The offending length.
@@ -144,14 +144,11 @@ pub enum WireError {
         /// Our [`PROTOCOL_VERSION`].
         ours: u32,
     },
-    /// The connection is closed.
-    Closed,
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Io(e) => write!(f, "transport error: {e}"),
             WireError::FrameTooLarge { len, max } => {
                 write!(f, "frame of {len} bytes exceeds the {max}-byte cap")
             }
@@ -165,7 +162,6 @@ impl std::fmt::Display for WireError {
                     "protocol version mismatch: peer speaks v{theirs}, this build v{ours}"
                 )
             }
-            WireError::Closed => write!(f, "connection closed"),
         }
     }
 }
@@ -334,6 +330,86 @@ impl FrameReader {
             have: rest.len(),
             need,
         })
+    }
+}
+
+/// Where [`Link::fill`] stopped reading.
+pub enum Fill {
+    /// Everything that has arrived is buffered; the peer may send more.
+    Open,
+    /// The peer closed its side: no more bytes will ever come.
+    Eof,
+    /// The transport failed.
+    Failed(std::io::Error),
+}
+
+/// One end of a framed connection: the byte stream, a [`FrameReader`] for
+/// what arrives and the encoded bytes waiting to leave. No call blocks.
+pub struct Link {
+    conn: Box<dyn Connection>,
+    reader: FrameReader,
+    /// Encoded frames the transport has not taken yet ([`write_deliver`]
+    /// appends here; its length is what an output cap is checked against).
+    pub out: VecDeque<u8>,
+}
+
+impl Link {
+    /// A link over `conn` with nothing buffered either way.
+    pub fn new(conn: Box<dyn Connection>) -> Self {
+        Link {
+            conn,
+            reader: FrameReader::new(),
+            out: VecDeque::new(),
+        }
+    }
+
+    /// Encodes `frame` onto the output buffer (sent by [`Link::flush`]).
+    pub fn queue(&mut self, frame: &Frame) -> Result<(), WireError> {
+        self.out.extend(encode(frame)?);
+        Ok(())
+    }
+
+    /// Reads every byte the transport has into the frame reader.
+    pub fn fill(&mut self) -> Fill {
+        let mut buf = [0u8; 4096];
+        loop {
+            match self.conn.recv(&mut buf) {
+                Ok(0) => return Fill::Eof,
+                Ok(n) => self.reader.feed(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Fill::Open,
+                Err(e) => return Fill::Failed(e),
+            }
+        }
+    }
+
+    /// Writes as much buffered output as the transport takes right now; what
+    /// is left stays in [`Link::out`].
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        while !self.out.is_empty() {
+            match self.conn.send(self.out.as_slices().0) {
+                Ok(0) => break,
+                Ok(n) => drop(self.out.drain(..n)),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// The next complete frame read so far ([`FrameReader::next_frame`]).
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        self.reader.next_frame()
+    }
+
+    /// After [`Fill::Eof`]: whether the peer stopped mid-frame
+    /// ([`FrameReader::finish`]).
+    pub fn finish(&self) -> Result<(), WireError> {
+        self.reader.finish()
+    }
+
+    /// Closes the write side of the connection.
+    pub fn shutdown(&mut self) {
+        self.conn.shutdown();
     }
 }
 

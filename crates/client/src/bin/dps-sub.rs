@@ -18,7 +18,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: dps-sub --socket PATH --filter FILTER [--count N] \
-         [--duration-ms D] [--credit C] [--no-auto-credit] [--timeout-ms T]"
+         [--duration-ms D] [--credit C] [--timeout-ms T]"
     );
     std::process::exit(2);
 }
@@ -58,7 +58,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage("--credit must be an integer"))
             }
-            "--no-auto-credit" => opts.auto_credit = false,
             "--timeout-ms" => {
                 timeout = Duration::from_millis(
                     val("--timeout-ms")

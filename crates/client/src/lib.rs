@@ -14,7 +14,7 @@
 //! # Credit
 //!
 //! Each subscription starts with a credit window ([`SubscribeOptions`]) and
-//! the subscriber replenishes it automatically as deliveries are consumed
+//! the subscriber replenishes it as deliveries are consumed
 //! (`recv`/`drain`), in half-window batches. Stop consuming and the broker
 //! stops sending after at most a window's worth — backpressure without any
 //! broker-side blocking.
@@ -28,8 +28,8 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use dps::{Delivery, DpsError};
-use dps_broker::wire::{self, Frame, FrameReader, PubRef, PROTOCOL_VERSION};
-use dps_broker::{Connection, Transport};
+use dps_broker::wire::{Fill, Frame, Link, PubRef, WireError, PROTOCOL_VERSION};
+use dps_broker::Transport;
 use dps_content::{SharedEvent, SharedFilter};
 
 /// Default per-subscription credit window.
@@ -38,39 +38,40 @@ pub const DEFAULT_CREDIT: u32 = 64;
 /// Per-subscription knobs for [`Session::subscriber`].
 #[derive(Debug, Clone, Copy)]
 pub struct SubscribeOptions {
-    /// Initial credit window granted to the broker.
+    /// Credit window granted to the broker, replenished in half-window
+    /// batches as deliveries are consumed.
     pub credit: u32,
-    /// Automatically grant more credit as deliveries are consumed.
-    pub auto_credit: bool,
 }
 
 impl Default for SubscribeOptions {
     fn default() -> Self {
         SubscribeOptions {
             credit: DEFAULT_CREDIT,
-            auto_credit: true,
         }
     }
 }
 
 struct SubInbox {
     queue: VecDeque<Delivery>,
-    /// Deliveries consumed since the last `Credit` frame (auto-credit).
+    /// The subscription's credit window.
+    credit: u32,
+    /// Deliveries consumed since the last `Credit` frame.
     consumed: u32,
     open: bool,
 }
 
+fn wire_to_dps(e: WireError) -> DpsError {
+    DpsError::Protocol(e.to_string())
+}
+
 struct Inner {
-    conn: Box<dyn Connection>,
-    reader: FrameReader,
-    out: VecDeque<u8>,
+    link: Link,
     session: Option<u64>,
     next_seq: u64,
     next_sub: u64,
     /// Acks routed back by request seq.
     acks: HashMap<u64, Result<Option<PubRef>, String>>,
     subs: HashMap<u64, Rc<RefCell<SubInbox>>>,
-    opts: HashMap<u64, SubscribeOptions>,
     open: bool,
     /// Set when the broker sent `Close` (its reason) or the link died.
     closed_reason: Option<String>,
@@ -78,9 +79,7 @@ struct Inner {
 
 impl Inner {
     fn queue(&mut self, frame: &Frame) -> Result<(), DpsError> {
-        let bytes = wire::encode(frame).map_err(|e| DpsError::Protocol(e.to_string()))?;
-        self.out.extend(bytes);
-        Ok(())
+        self.link.queue(frame).map_err(wire_to_dps)
     }
 
     /// Non-blocking progress: flush pending output, read frames, route them.
@@ -88,47 +87,29 @@ impl Inner {
         if self.closed_reason.is_some() {
             return Ok(());
         }
-        while !self.out.is_empty() {
-            let (head, _) = self.out.as_slices();
-            match self.conn.send(head) {
-                Ok(0) => break,
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    self.closed_reason = Some(format!("send failed: {e}"));
-                    return Ok(());
-                }
-            }
-        }
-        let mut buf = [0u8; 4096];
+        let sent = self.link.flush();
+        let fill = self.link.fill();
+        // Route what the peer already sent before judging the link: a broker
+        // that refuses the session writes `Close` and hangs up, and its
+        // stated reason must win over the failed send or the EOF that follow.
         loop {
-            match self.conn.recv(&mut buf) {
-                Ok(0) => {
-                    if self.closed_reason.is_none() {
-                        self.closed_reason = Some("broker closed the connection".into());
-                    }
-                    break;
-                }
-                Ok(n) => self.reader.feed(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    self.closed_reason = Some(format!("recv failed: {e}"));
-                    break;
-                }
-            }
-        }
-        loop {
-            match self.reader.next_frame() {
+            match self.link.next_frame() {
                 Ok(Some(frame)) => self.route(frame),
                 Ok(None) => break,
                 Err(e) => {
-                    let e = dps_broker::broker::wire_to_dps(e);
+                    let e = wire_to_dps(e);
                     self.closed_reason = Some(e.to_string());
                     return Err(e);
                 }
             }
+        }
+        if self.closed_reason.is_none() {
+            self.closed_reason = match (sent, fill) {
+                (Err(e), _) => Some(format!("send failed: {e}")),
+                (_, Fill::Failed(e)) => Some(format!("recv failed: {e}")),
+                (_, Fill::Eof) => Some("broker closed the connection".into()),
+                (Ok(()), Fill::Open) => None,
+            };
         }
         Ok(())
     }
@@ -237,15 +218,12 @@ impl Session {
             .connect(addr)
             .map_err(|e| DpsError::Transport(format!("connect to {addr}: {e}")))?;
         let mut inner = Inner {
-            conn,
-            reader: FrameReader::new(),
-            out: VecDeque::new(),
+            link: Link::new(conn),
             session: None,
             next_seq: 1,
             next_sub: 1,
             acks: HashMap::new(),
             subs: HashMap::new(),
-            opts: HashMap::new(),
             open: true,
             closed_reason: None,
         };
@@ -291,7 +269,7 @@ impl Session {
         self.subscriber_with(filter, SubscribeOptions::default())
     }
 
-    /// Subscribes with explicit credit options.
+    /// Subscribes with an explicit credit window.
     pub fn subscriber_with(
         &self,
         filter: impl Into<SharedFilter>,
@@ -313,11 +291,11 @@ impl Session {
         inner.wait_ack(seq, self.timeout)?;
         let inbox = Rc::new(RefCell::new(SubInbox {
             queue: VecDeque::new(),
+            credit: opts.credit,
             consumed: 0,
             open: true,
         }));
         inner.subs.insert(sub, inbox.clone());
-        inner.opts.insert(sub, opts);
         Ok(Subscriber {
             inner: self.inner.clone(),
             inbox,
@@ -349,7 +327,7 @@ impl Session {
                 i.closed_reason.as_ref().map(|_| ())
             });
         }
-        inner.conn.shutdown();
+        inner.link.shutdown();
         Ok(())
     }
 }
@@ -408,16 +386,12 @@ impl Subscriber {
         &self.filter
     }
 
-    /// Replenishes broker credit if auto-credit is on and half the window has
-    /// been consumed.
+    /// Replenishes broker credit once half the window has been consumed.
     fn replenish(&self, inner: &mut Inner) {
-        let opts = inner.opts.get(&self.sub).copied().unwrap_or_default();
-        if !opts.auto_credit {
-            return;
-        }
-        let consumed = self.inbox.borrow().consumed;
-        if consumed >= opts.credit.max(2) / 2 {
-            self.inbox.borrow_mut().consumed = 0;
+        let mut inbox = self.inbox.borrow_mut();
+        let consumed = inbox.consumed;
+        if consumed >= inbox.credit.max(2) / 2 {
+            inbox.consumed = 0;
             let _ = inner.queue(&Frame::Credit {
                 sub: self.sub,
                 more: consumed,
@@ -475,16 +449,6 @@ impl Subscriber {
         out
     }
 
-    /// Grants the broker `more` additional deliveries (manual credit mode).
-    pub fn grant(&self, more: u32) -> Result<(), DpsError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.check_open()?;
-        inner.queue(&Frame::Credit {
-            sub: self.sub,
-            more,
-        })
-    }
-
     /// Cancels this subscription (the session stays open).
     pub fn close(self) -> Result<(), DpsError> {
         let mut inner = self.inner.borrow_mut();
@@ -498,7 +462,6 @@ impl Subscriber {
         inner.queue(&Frame::Unsubscribe { seq, sub: self.sub })?;
         inner.wait_ack(seq, self.timeout)?;
         inner.subs.remove(&self.sub);
-        inner.opts.remove(&self.sub);
         Ok(())
     }
 }

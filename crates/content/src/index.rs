@@ -42,62 +42,14 @@
 //! inserted twice — by insertion slot), whatever the internal hash-map or
 //! posting order is; every consumer therefore observes the same result
 //! sequence across runs, shards and threads. The index is differential-tested
-//! against the linear scan under proptest (`tests/index_differential.rs`) and
-//! cross-checked in CI by running the scenario matrix under both
-//! [`MatchMode`]s and comparing row JSON byte-for-byte.
+//! against the linear scan under proptest (`tests/index_differential.rs`),
+//! which is the scan's only remaining job: the index is the one runtime
+//! matcher.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::{AttrName, Event, Filter, Op, SharedFilter, Value};
-
-/// Which matcher the delivery paths use: the linear scan oracle or the
-/// counting-algorithm [`FilterIndex`]. Selected process-wide by the
-/// `DPS_MATCH` environment variable (see [`match_mode`]) so CI can prove the
-/// two produce byte-identical scenario rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchMode {
-    /// Match by scanning every filter (`Filter::matches`) — the reference
-    /// semantics.
-    Scan,
-    /// Match through the [`FilterIndex`] (the default).
-    Index,
-}
-
-impl MatchMode {
-    /// Parses a `DPS_MATCH` value. `None` or the empty string mean the
-    /// default ([`MatchMode::Index`]); anything other than `scan` / `index`
-    /// is an error naming the offending value — a typo must abort the run,
-    /// not silently fall back.
-    pub fn parse(raw: Option<&str>) -> Result<Self, String> {
-        match raw {
-            None | Some("") => Ok(MatchMode::Index),
-            Some("scan") => Ok(MatchMode::Scan),
-            Some("index") => Ok(MatchMode::Index),
-            Some(other) => Err(format!(
-                "invalid DPS_MATCH value {other:?}: expected \"scan\" or \"index\""
-            )),
-        }
-    }
-}
-
-/// The process-wide [`MatchMode`], read once from the `DPS_MATCH` environment
-/// variable (default: [`MatchMode::Index`]).
-///
-/// # Panics
-///
-/// Panics on an invalid `DPS_MATCH` value (strict, like `DPS_SCALE` /
-/// `DPS_SHARDS`: a typo aborts instead of silently mismeasuring).
-pub fn match_mode() -> MatchMode {
-    static MODE: OnceLock<MatchMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        let raw = std::env::var("DPS_MATCH").ok();
-        match MatchMode::parse(raw.as_deref()) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    })
-}
 
 /// Slot id: dense index into the slot table (reused after removals).
 type SlotId = u32;
@@ -619,7 +571,8 @@ impl<H: Copy + Ord> FilterIndex<H> {
     }
 
     /// Iterates over every `(handle, filter)` entry in handle order (the
-    /// linear-scan view of the index; also the `DPS_MATCH=scan` path).
+    /// linear-scan view of the index, which the differential tests scan as
+    /// the oracle).
     pub fn entries(&self) -> impl Iterator<Item = (H, &Filter)> + '_ {
         self.handles.iter().flat_map(move |(h, slots)| {
             slots.iter().filter_map(move |s| {
@@ -1260,15 +1213,5 @@ mod tests {
         }
         assert!(idx.is_empty());
         assert!(idx.matching(&e).is_empty());
-    }
-
-    #[test]
-    fn match_mode_parses_strictly() {
-        assert_eq!(MatchMode::parse(None), Ok(MatchMode::Index));
-        assert_eq!(MatchMode::parse(Some("")), Ok(MatchMode::Index));
-        assert_eq!(MatchMode::parse(Some("scan")), Ok(MatchMode::Scan));
-        assert_eq!(MatchMode::parse(Some("index")), Ok(MatchMode::Index));
-        let err = MatchMode::parse(Some("indx")).unwrap_err();
-        assert!(err.contains("indx"), "{err}");
     }
 }

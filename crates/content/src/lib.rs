@@ -54,7 +54,7 @@ pub mod strategies;
 pub use attr::{AttrName, AttrType, Value};
 pub use event::Event;
 pub use filter::Filter;
-pub use index::{match_mode, FilterIndex, MatchMode, MatchScratch};
+pub use index::{FilterIndex, MatchScratch};
 pub use parse::ParseError;
 pub use predicate::{Op, Predicate, TypeMismatchError};
 pub use shared::{SharedEvent, SharedFilter};

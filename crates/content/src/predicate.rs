@@ -38,11 +38,6 @@ impl Op {
             Op::StrEq | Op::Prefix | Op::Suffix | Op::Contains => AttrType::Str,
         }
     }
-
-    /// Whether this operator is an equality (numeric or string).
-    pub fn is_equality(self) -> bool {
-        matches!(self, Op::Eq | Op::StrEq)
-    }
 }
 
 impl fmt::Display for Op {

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use crate::{Event, Filter, Op, Predicate, Value};
+use crate::{Event, Filter, Predicate, Value};
 
 /// Attribute names used by the generated universe.
 pub const ATTRS: [&str; 3] = ["a", "b", "c"];
@@ -77,17 +77,4 @@ pub fn full_event() -> impl Strategy<Value = Event> {
 /// Strategy for an event over a random subset of the attributes.
 pub fn event() -> impl Strategy<Value = Event> {
     proptest::collection::vec((attr_name(), value()), 0..=ATTRS.len()).prop_map(Event::new)
-}
-
-/// Strategy for an event whose typed values are compatible with the given
-/// predicate's attribute (useful to probe matching boundaries).
-pub fn typed_event_for(p: &Predicate) -> impl Strategy<Value = Event> {
-    let name = p.name().clone();
-    let is_int = matches!(p.op(), Op::Eq | Op::Lt | Op::Gt);
-    let val = if is_int {
-        int_constant().prop_map(Value::from).boxed()
-    } else {
-        short_string().prop_map(Value::from).boxed()
-    };
-    val.prop_map(move |v| Event::new([(name.as_str(), v)]))
 }

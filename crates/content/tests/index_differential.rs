@@ -165,8 +165,8 @@ proptest! {
         prop_assert!(idx.matching(&e).contains(&h));
     }
 
-    /// `entries()` enumerates the live population in handle order — the
-    /// `DPS_MATCH=scan` path sees exactly what the index path indexes.
+    /// `entries()` enumerates the live population in handle order — a scan
+    /// over it sees exactly what the index indexes.
     #[test]
     fn entries_reflect_population(pop in population()) {
         let idx = build(&pop);

@@ -4,9 +4,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use dps_content::{
-    match_mode, Event, Filter, FilterIndex, MatchMode, MatchScratch, SharedEvent, SharedFilter,
-};
+use dps_content::{FilterIndex, MatchScratch, SharedEvent, SharedFilter};
 
 use crate::error::DpsError;
 use dps_overlay::model::ForestModel;
@@ -77,8 +75,7 @@ pub struct DpsNetwork {
     oracle: ForestModel,
     /// Live filters keyed `(node, sub)`, maintained by subscribe/unsubscribe
     /// (the oracle's subscription list is append-only, so matching uses this
-    /// registry) — a counting-algorithm index, scan restorable via
-    /// `DPS_MATCH=scan`.
+    /// registry) — a counting-algorithm index.
     filters: FilterIndex<(NodeId, SubId)>,
     /// Reusable scratch + hit buffer for `filters` queries.
     match_scratch: MatchScratch,
@@ -192,13 +189,6 @@ impl DpsNetwork {
         Ok(sub_id)
     }
 
-    /// Deprecated spelling of [`try_subscribe`](Self::try_subscribe): collapses
-    /// every refusal into `None`.
-    #[deprecated(since = "0.2.0", note = "use try_subscribe (or a session Subscriber)")]
-    pub fn subscribe(&mut self, node: NodeId, filter: Filter) -> Option<SubId> {
-        self.try_subscribe(node, filter).ok()
-    }
-
     /// Cancels a subscription previously issued through this facade.
     ///
     /// Errors with [`DpsError::UnknownSubscription`] when `(node, sub_id)` is
@@ -216,23 +206,6 @@ impl DpsNetwork {
         Ok(())
     }
 
-    /// Deprecated spelling of [`try_unsubscribe`](Self::try_unsubscribe):
-    /// ignores every refusal.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use try_unsubscribe (or close the session Subscriber)"
-    )]
-    pub fn unsubscribe(&mut self, node: NodeId, sub_id: SubId) {
-        let _ = self.try_unsubscribe(node, sub_id);
-    }
-
-    /// Deprecated spelling of [`try_publish`](Self::try_publish): collapses
-    /// every refusal into `None`.
-    #[deprecated(since = "0.2.0", note = "use try_publish (or a session Publisher)")]
-    pub fn publish(&mut self, node: NodeId, event: Event) -> Option<PubId> {
-        self.try_publish(node, event).ok()
-    }
-
     /// Publishes `event` from `node`, recording the ground-truth recipient set
     /// (alive matching subscribers at publish time) for delivery accounting.
     ///
@@ -246,28 +219,18 @@ impl DpsNetwork {
         if !self.sim.is_alive(node) {
             return Err(DpsError::NodeDead(node));
         }
-        // Scan the registry by reference; the event itself is moved into the
-        // node, not cloned.
+        // Match the registry by reference; the event itself is moved into
+        // the node, not cloned.
         let sim = &self.sim;
         let now = sim.now();
-        let expected: HashSet<NodeId> = match match_mode() {
-            MatchMode::Scan => self
-                .filters
-                .entries()
-                .filter(|(_, f)| f.matches(&event))
-                .map(|((n, _), _)| n)
-                .filter(|n| sim.is_alive(*n))
-                .collect(),
-            MatchMode::Index => {
-                self.filters
-                    .matching_into(&event, &mut self.match_scratch, &mut self.match_hits);
-                self.match_hits
-                    .iter()
-                    .map(|(n, _)| *n)
-                    .filter(|n| sim.is_alive(*n))
-                    .collect()
-            }
-        };
+        self.filters
+            .matching_into(&event, &mut self.match_scratch, &mut self.match_hits);
+        let expected: HashSet<NodeId> = self
+            .match_hits
+            .iter()
+            .map(|(n, _)| *n)
+            .filter(|n| sim.is_alive(*n))
+            .collect();
         // Reachability is per active window and transitive through bridges: a
         // subscriber on the far side of a cut still counts as reachable when
         // some *alive* node sits in no side of that window (it can relay
@@ -487,13 +450,6 @@ impl DpsNetwork {
         Ok(())
     }
 
-    /// Deprecated spelling of [`try_set_latency`](Self::try_set_latency):
-    /// panics on refusal.
-    #[deprecated(since = "0.2.0", note = "use try_set_latency")]
-    pub fn set_latency(&mut self, model: LatencyModel) {
-        self.sim.set_latency(model);
-    }
-
     /// Publish→deliver latency percentiles over every `(publication, expected
     /// subscriber)` pair that was delivered, for publications issued in
     /// `[from, to)`. Each sample is `first-notify step − publish step`; under
@@ -635,16 +591,5 @@ impl std::fmt::Debug for DpsNetwork {
             .field("snapshot", &self.sim.snapshot())
             .field("pubs", &self.pubs.len())
             .finish_non_exhaustive()
-    }
-}
-
-// The facade's own sink wiring: nodes must share the network-wide CountingSink.
-// `DpsNetwork::new` builds nodes through this constructor.
-impl DpsNetwork {
-    /// Replaces the node factory wiring: rebuilds the network empty with the same
-    /// seed but a fresh sink. (Internal convenience for tests.)
-    #[doc(hidden)]
-    pub fn reset(&mut self, seed: u64) {
-        *self = DpsNetwork::new(self.cfg.clone(), seed);
     }
 }

@@ -14,9 +14,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use dps_content::placement::{choose_branch, must_reparent};
-use dps_content::{
-    match_mode, AttrName, Event, FilterIndex, MatchMode, MatchScratch, Predicate, SharedFilter,
-};
+use dps_content::{AttrName, Event, FilterIndex, MatchScratch, Predicate, SharedFilter};
 use dps_sim::NodeId;
 use serde::Serialize;
 
@@ -366,22 +364,12 @@ impl ForestModel {
     /// Nodes with at least one filter matching `event` — the ground-truth
     /// recipients ("Matching" in Table 1).
     pub fn matching_subscribers(&self, event: &Event) -> HashSet<NodeId> {
-        match match_mode() {
-            MatchMode::Scan => self
-                .subscriptions
-                .iter()
-                .filter(|(_, f)| f.matches(event))
-                .map(|(n, _)| *n)
-                .collect(),
-            MatchMode::Index => {
-                let mut guard = self.scratch.borrow_mut();
-                let (scratch, hits) = &mut *guard;
-                self.index.matching_into(event, scratch, hits);
-                hits.iter()
-                    .map(|h| self.subscriptions[*h as usize].0)
-                    .collect()
-            }
-        }
+        let mut guard = self.scratch.borrow_mut();
+        let (scratch, hits) = &mut *guard;
+        self.index.matching_into(event, scratch, hits);
+        hits.iter()
+            .map(|h| self.subscriptions[*h as usize].0)
+            .collect()
     }
 
     /// Subscribers a root-based DPS dissemination contacts: union over the trees

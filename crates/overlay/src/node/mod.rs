@@ -26,9 +26,7 @@ mod subscribe;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use dps_content::{
-    match_mode, AttrName, Event, Filter, FilterIndex, MatchMode, MatchScratch, SharedEvent,
-};
+use dps_content::{AttrName, Event, Filter, FilterIndex, MatchScratch, SharedEvent};
 use dps_sim::{Context, NodeId, Process, Step};
 
 use crate::config::DpsConfig;
@@ -142,8 +140,7 @@ pub struct DpsNode {
     pub(crate) next_sub: u32,
     pub(crate) next_pub: u32,
     /// Active subscriptions, held in a [`FilterIndex`] so publication
-    /// delivery is a counting-algorithm query instead of a linear scan
-    /// (`DPS_MATCH=scan` restores the scan via [`FilterIndex::entries`]).
+    /// delivery is a counting-algorithm query instead of a linear scan.
     pub(crate) subs: FilterIndex<SubId>,
     /// Reusable scratch for `subs` queries (allocation-free steady state).
     pub(crate) sub_scratch: MatchScratch,
@@ -447,11 +444,7 @@ impl DpsNode {
         }
         self.pubs_received += 1;
         self.sink.on_contact(id, self.id, now);
-        let matched = match match_mode() {
-            MatchMode::Scan => self.subs.entries().any(|(_, f)| f.matches(event)),
-            MatchMode::Index => self.subs.any_match(event, &mut self.sub_scratch),
-        };
-        if matched {
+        if self.subs.any_match(event, &mut self.sub_scratch) {
             self.pubs_notified += 1;
             self.sink.on_notify(id, self.id, now);
             self.sink.on_deliver(id, self.id, event, now);

@@ -186,14 +186,6 @@ impl ScenarioRun {
         &mut self.net
     }
 
-    /// Name of the phase the next [`run_phase`](Self::run_phase) call executes.
-    pub fn next_phase_name(&self) -> Option<&str> {
-        self.compiled
-            .phases
-            .get(self.next_phase)
-            .map(|p| p.name.as_str())
-    }
-
     /// Runs the next phase of the timeline; returns its name, or `None` when
     /// every phase has run. Within each step the order is fixed: churn events,
     /// then burst subscriptions, then the scheduled publication, then one

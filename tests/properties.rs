@@ -1,12 +1,17 @@
 //! Property-based end-to-end tests: for random subscription sets and random
 //! events, the distributed overlay (a) notifies exactly the oracle's matching
 //! set, and (b) converges to the reference forest. Case counts are kept small —
-//! each case is a full protocol simulation.
+//! each case is a full protocol simulation. One scripted case (c) checks the
+//! facade's and the reference model's index-backed matching against a plain
+//! `Filter::matches` scan through subscribe / unsubscribe / crash / publish.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use dps::{CommKind, DpsConfig, DpsNetwork, Event, Filter, JoinRule, TraversalKind};
+use dps::{CommKind, DpsConfig, DpsNetwork, Event, Filter, JoinRule, NodeId, TraversalKind};
+use dps_workload::Workload;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A compact predicate universe on two numeric attributes; constants in a small
 /// range so that inclusion chains and matches are frequent.
@@ -75,6 +80,83 @@ fn run_case(
             .collect();
         assert_eq!(&got, expected, "{label}: notified set differs for {id:?}");
     }
+}
+
+/// The nodes with a filter matching `event`, by the reference semantics.
+fn scan<'a>(pairs: impl Iterator<Item = (NodeId, &'a Filter)>, event: &Event) -> HashSet<NodeId> {
+    pairs
+        .filter(|(_, f)| f.matches(event))
+        .map(|(n, _)| n)
+        .collect()
+}
+
+/// The ground truth of every publication is computed through `FilterIndex`
+/// (the only runtime matcher); the scan it must equal runs here, over the
+/// `(node, filter)` pairs the test itself holds.
+#[test]
+fn ground_truth_equals_a_plain_scan_through_churn() {
+    let w = Workload::multiplayer_game();
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut net = DpsNetwork::new(DpsConfig::default(), 14);
+    let nodes = net.add_nodes(30);
+    net.run(30);
+
+    let mut live = Vec::new(); // (node, sub id, filter) of every uncancelled subscription
+    let mut dead: HashSet<NodeId> = HashSet::new();
+    for node in nodes.iter().cycle().take(90) {
+        let f = w.subscription(&mut rng);
+        live.push((*node, net.try_subscribe(*node, f.clone()).unwrap(), f));
+    }
+    net.run(60);
+
+    let mut scanned = Vec::new();
+    for round in 0..80 {
+        match round % 8 {
+            1 | 5 => {
+                let (node, sub, _) = live.swap_remove(rng.random_range(0..live.len()));
+                // A dead node's registration still goes, with a NodeDead report.
+                assert_eq!(
+                    net.try_unsubscribe(node, sub).is_ok(),
+                    !dead.contains(&node)
+                );
+            }
+            3 => {
+                let node = nodes[rng.random_range(0..nodes.len())];
+                if !dead.contains(&node) {
+                    let f = w.subscription(&mut rng);
+                    live.push((node, net.try_subscribe(node, f.clone()).unwrap(), f));
+                }
+            }
+            7 => {
+                let node = nodes[rng.random_range(0..nodes.len())];
+                net.crash(node);
+                dead.insert(node);
+            }
+            _ => {}
+        }
+        let event = w.event(&mut rng);
+        let model = net.oracle().subscriptions();
+        assert_eq!(
+            net.oracle().matching_subscribers(&event),
+            scan(model.iter().map(|(n, f)| (*n, f.inner())), &event),
+            "round {round}: reference model vs scan"
+        );
+        let alive = live.iter().filter(|(n, _, _)| !dead.contains(n));
+        scanned.push(scan(alive.map(|(n, _, f)| (*n, f)), &event));
+        let publisher = net.random_alive().unwrap();
+        net.try_publish(publisher, event).unwrap();
+        net.run(5);
+    }
+
+    let reports = net.reports();
+    assert_eq!(reports.len(), scanned.len());
+    for (round, (report, want)) in reports.iter().zip(&scanned).enumerate() {
+        assert_eq!(&report.expected, want, "round {round}: expected vs scan");
+    }
+    assert!(
+        scanned.iter().filter(|s| !s.is_empty()).count() > scanned.len() / 2,
+        "the workload must exercise matching"
+    );
 }
 
 proptest! {

@@ -46,26 +46,3 @@ fn quickstart_session_publish_reaches_matching_subscribers() {
     }
     feed.close().expect("close once");
 }
-
-#[test]
-fn deprecated_facade_names_still_forward() {
-    // The pre-session facade entry points remain as deprecated forwards; this
-    // pins that they keep compiling and behaving until removal.
-    #![allow(deprecated)]
-    use dps::DpsNetwork;
-    let mut net = DpsNetwork::new(DpsConfig::default(), 42);
-    let nodes = net.add_nodes(8);
-    assert!(net
-        .subscribe(nodes[0], "price > 100".parse().unwrap())
-        .is_some());
-    assert!(
-        net.subscribe(nodes[1], Filter::all()).is_none(),
-        "empty filter"
-    );
-    net.run(120);
-    assert!(net
-        .publish(nodes[7], "price = 150".parse().unwrap())
-        .is_some());
-    net.run(40);
-    assert_eq!(net.delivered_ratio(), 1.0);
-}
