@@ -4,14 +4,17 @@
 //! Each client session gets a dedicated overlay node; subscriptions and
 //! publications from the session act on that node exactly as the in-process
 //! [`dps::Hub`] sessions do — the overlay cannot tell a served client from a
-//! simulated one. The broker is a **single-threaded, non-blocking event
-//! loop**: one [`Broker::pump`] call accepts pending connections, reads and
-//! applies every decodable client frame, advances the overlay simulation a
-//! fixed number of steps, fans matched deliveries out to sessions (gated by
-//! per-subscription credit), and flushes output buffers. Driven in lockstep
-//! over a [`ChannelTransport`](crate::transport::ChannelTransport) this is
-//! fully deterministic; [`Broker::serve`] wraps it in a wall-clock loop for
-//! socket deployments.
+//! simulated one. It is the bare [`dps::Overlay`] core with a [`QueueSink`]:
+//! the broker observes the nodes' `Notify` upcalls and nothing else, and keeps
+//! nothing about a publication once its deliveries are drained. The broker is
+//! a **single-threaded, non-blocking event loop**: one [`Broker::pump`] call
+//! accepts pending connections, reads and applies every decodable client
+//! frame, advances the overlay simulation a fixed number of steps, fans
+//! matched deliveries out to sessions (gated by per-subscription credit), and
+//! flushes output buffers. Driven in lockstep over a
+//! [`ChannelTransport`](crate::transport::ChannelTransport) this is fully
+//! deterministic; [`Broker::serve`] wraps it in a wall-clock loop for socket
+//! deployments.
 //!
 //! # Backpressure
 //!
@@ -30,10 +33,11 @@
 //! [`wire::write_deliver`] splices it into each session's output buffer.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
-use dps::{DpsConfig, DpsNetwork};
+use dps::{DpsConfig, Overlay};
 use dps_content::{SharedEvent, SharedFilter};
-use dps_overlay::PubId;
+use dps_overlay::{PubId, QueueSink};
 use dps_sim::NodeId;
 
 use crate::transport::Listener;
@@ -119,7 +123,9 @@ pub type LogSink = Box<dyn FnMut(&str) + Send>;
 
 /// See the module docs.
 pub struct Broker {
-    net: DpsNetwork,
+    net: Overlay,
+    /// The overlay's sink: matched deliveries of the session nodes.
+    queues: Arc<QueueSink>,
     listener: Box<dyn Listener>,
     sessions: BTreeMap<u64, SessionState>,
     next_session: u64,
@@ -136,11 +142,13 @@ impl Broker {
     /// Builds the hosted overlay (background population + warmup) and starts
     /// accepting on `listener`.
     pub fn new(cfg: BrokerConfig, listener: Box<dyn Listener>) -> Self {
-        let mut net = DpsNetwork::new(cfg.net.clone(), cfg.seed);
+        let queues = Arc::new(QueueSink::default());
+        let mut net = Overlay::new(cfg.net.clone(), cfg.seed, 1, queues.clone());
         net.add_nodes(cfg.background_nodes);
         net.run(cfg.warmup_steps);
         Broker {
             net,
+            queues,
             listener,
             sessions: BTreeMap::new(),
             next_session: 1,
@@ -176,14 +184,9 @@ impl Broker {
         self.sessions.len()
     }
 
-    /// The hosted network (metrics, oracle, faults — the full driver surface).
-    pub fn network(&self) -> &DpsNetwork {
+    /// The hosted overlay (metrics, simulator state).
+    pub fn network(&self) -> &Overlay {
         &self.net
-    }
-
-    /// Mutable access to the hosted network, for fault injection in tests.
-    pub fn network_mut(&mut self) -> &mut DpsNetwork {
-        &mut self.net
     }
 
     /// One event-loop turn: accept, read+apply, step the overlay, fan out
@@ -328,7 +331,7 @@ impl Broker {
                 }
                 match self.net.try_subscribe(node, filter.clone()) {
                     Ok(overlay) => {
-                        self.net.sink().watch(node);
+                        self.queues.watch(node);
                         let s = self.sessions.get_mut(&id).expect("session exists");
                         s.subs.insert(
                             sub,
@@ -358,7 +361,7 @@ impl Broker {
                         let s = self.sessions.get_mut(&id).expect("session exists");
                         let ended = s.subs.remove(&sub).expect("looked up above");
                         if s.subs.is_empty() {
-                            self.net.sink().unwatch(node);
+                            self.queues.unwatch(node);
                         }
                         self.log_dropped(id, sub, ended.dropped);
                         match out {
@@ -444,9 +447,8 @@ impl Broker {
             for st in subs.values() {
                 let _ = self.net.try_unsubscribe(node, st.overlay);
             }
-            self.net.sink().unwatch(node);
-            // Retire the node: the overlay heals around it, and the oracle
-            // stops expecting deliveries there.
+            self.queues.unwatch(node);
+            // Retire the node: the overlay heals around it.
             self.net.crash(node);
         }
     }
@@ -459,7 +461,7 @@ impl Broker {
         };
         let Some(node) = s.node else { return };
         self.drain_buf.clear();
-        self.net.sink().drain_deliveries(node, &mut self.drain_buf);
+        self.queues.drain_deliveries(node, &mut self.drain_buf);
         for (pid, event) in self.drain_buf.drain(..) {
             // Looked up (or encoded) at the first match only: each further
             // matching subscription costs a reference and a queue slot.

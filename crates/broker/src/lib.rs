@@ -8,9 +8,9 @@
 //!   cap and loud, named decode errors;
 //! - [`transport`]: the byte-stream abstraction the frames ride on — Unix
 //!   sockets for deployments, in-process channels for deterministic tests;
-//! - [`broker`]: the single-threaded event loop tying a
-//!   [`dps::DpsNetwork`] shard to live client sessions, with
-//!   per-subscription credit-based backpressure.
+//! - [`broker`]: the single-threaded event loop tying a [`dps::Overlay`]
+//!   shard to live client sessions, with per-subscription credit-based
+//!   backpressure.
 //!
 //! The `dps-broker` binary wraps [`broker::Broker::serve`] around a Unix
 //! socket; the `dps-client` crate implements the client side with the same

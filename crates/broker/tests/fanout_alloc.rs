@@ -2,13 +2,17 @@
 //! however many subscriptions and sessions it reaches. Each extra matching
 //! subscription costs a pending record and a splice of the shared body into
 //! an output buffer — no second encoding, no `Value` tree, no frame `Vec`.
+//! Each extra receiving session costs a reference to the publication's one
+//! `Event` — no copy of it.
 //!
 //! As in the workspace's `tests/zero_copy_alloc.rs`, the probe is a counting
 //! `GlobalAlloc` shim armed only around the measured calls — here every
 //! [`Broker::pump`] between one `Publish` and its last `Deliver`. The encoded
 //! event is given a length no other block has, so its encodings can be
 //! counted by size class: an `Arc<str>` of `n` bytes is one block of `n` plus
-//! the two reference counts, rounded up to the counts' alignment.
+//! the two reference counts, rounded up to the counts' alignment. Likewise the
+//! event has an attribute count no other list has: a copy of it is one block
+//! of that many `(name, value)` pairs.
 //!
 //! Single `#[test]` on purpose: the allocator shim is process-global, so a
 //! concurrently running test would pollute the counters.
@@ -24,6 +28,11 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 static TOTAL: AtomicU64 = AtomicU64::new(0);
 static BODY_BYTES: AtomicUsize = AtomicUsize::new(0);
 static BODY_SIZED: AtomicU64 = AtomicU64::new(0);
+static EVENT_SIZED: AtomicU64 = AtomicU64::new(0);
+
+/// Attributes of every test event, and the block a copy of one lives in.
+const ATTRS: usize = 13;
+const EVENT_BYTES: usize = ATTRS * std::mem::size_of::<(dps::AttrName, Value)>();
 
 struct CountingAlloc;
 
@@ -33,6 +42,9 @@ impl CountingAlloc {
             TOTAL.fetch_add(1, Ordering::Relaxed);
             if size == BODY_BYTES.load(Ordering::Relaxed) {
                 BODY_SIZED.fetch_add(1, Ordering::Relaxed);
+            }
+            if size == EVENT_BYTES {
+                EVENT_SIZED.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -104,10 +116,17 @@ impl Client {
 /// An event matching `load > 0` whose encoding is `pad` bytes longer than
 /// its fixed parts.
 fn event(load: i64, pad: usize) -> SharedEvent {
-    SharedEvent::new(Event::new([
-        ("load", Value::from(load)),
-        ("pad", Value::from("p".repeat(pad).as_str())),
-    ]))
+    let filler = (2..ATTRS).map(|i| (format!("x{i}"), Value::from(i as i64)));
+    let event = Event::new(
+        [
+            ("load".to_string(), Value::from(load)),
+            ("pad".to_string(), Value::from("p".repeat(pad).as_str())),
+        ]
+        .into_iter()
+        .chain(filler),
+    );
+    assert_eq!(event.len(), ATTRS);
+    SharedEvent::new(event)
 }
 
 /// The block an encoding of `n` bytes lives in (see the module docs).
@@ -120,6 +139,8 @@ struct Cost {
     allocs: u64,
     /// Those of the encoded event's size class.
     encodings: u64,
+    /// Those of the event's own size class.
+    event_copies: u64,
     /// Pumps that handed at least one session a `Deliver`.
     delivering_pumps: u64,
 }
@@ -186,6 +207,7 @@ fn measure(sessions: usize, subs: u64) -> Cost {
     );
     TOTAL.store(0, Ordering::SeqCst);
     BODY_SIZED.store(0, Ordering::SeqCst);
+    EVENT_SIZED.store(0, Ordering::SeqCst);
     publisher.send(&Frame::Publish {
         seq: 99,
         event: measured.clone(),
@@ -214,6 +236,7 @@ fn measure(sessions: usize, subs: u64) -> Cost {
     Cost {
         allocs: TOTAL.load(Ordering::SeqCst),
         encodings: BODY_SIZED.load(Ordering::SeqCst),
+        event_copies: EVENT_SIZED.load(Ordering::SeqCst),
         delivering_pumps,
     }
 }
@@ -222,6 +245,7 @@ fn measure(sessions: usize, subs: u64) -> Cost {
 fn a_publication_is_encoded_once_however_wide_it_fans_out() {
     // Width within one session: 1 → 64 matching subscriptions.
     let narrow = measure(1, 1);
+    let one_session = narrow.event_copies;
     let wide = measure(1, 64);
     assert_eq!((narrow.encodings, wide.encodings), (1, 1));
     let per_sub = (wide.allocs as f64 - narrow.allocs as f64) / 63.0;
@@ -244,6 +268,11 @@ fn a_publication_is_encoded_once_however_wide_it_fans_out() {
             cost.delivering_pumps
         );
     }
+    // Each session's delivery queue holds the publisher's `Event` itself.
+    assert_eq!(
+        narrow.event_copies, one_session,
+        "event-sized blocks: eight receiving sessions vs one"
+    );
     let per_sub = (wide.allocs as f64 - narrow.allocs as f64) / 56.0;
     assert!(
         per_sub < 4.0,

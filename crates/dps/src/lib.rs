@@ -5,16 +5,19 @@
 //! *"A Semantic Overlay for Self-\* Peer-to-Peer Publish/Subscribe"*
 //! (Anceaume, Datta, Gradinariu, Simon, Virgillito — ICDCS 2006). It re-exports
 //! the content model ([`dps_content`]), the protocol engine ([`dps_overlay`]) and
-//! the simulator ([`dps_sim`]), and adds two surfaces on top:
+//! the simulator ([`dps_sim`]), and adds three surfaces on top:
 //!
 //! - the **session-first API** ([`Hub`] → [`Session`] →
 //!   [`Publisher`]/[`Subscriber`]) — how applications attach to the system,
 //!   with explicit open/close lifecycle and [`DpsError`]-typed failures. The
 //!   `dps-client` crate exposes the same shape against a live `dps-broker`
 //!   process, so application code ports across backends unchanged;
-//! - the **simulation driver** ([`DpsNetwork`]) — builds a network of DPS
-//!   nodes, runs it step by step, injects subscriptions, publications and
-//!   failures, and measures delivery against an omniscient oracle.
+//! - the **driver core** ([`Overlay`]) — builds a network of DPS nodes, runs
+//!   it step by step and injects subscriptions, publications and failures,
+//!   reporting to a [`StatsSink`] and keeping nothing per publication: what
+//!   `dps-broker` serves from;
+//! - the **simulation driver** ([`DpsNetwork`]) — that core plus the
+//!   evaluation's accounting: delivery measured against an omniscient oracle.
 //!
 //! # Quickstart
 //!
@@ -49,6 +52,7 @@
 
 mod error;
 mod network;
+mod overlay;
 pub mod session;
 
 pub use error::DpsError;
@@ -59,11 +63,12 @@ pub use dps_content::{
 };
 pub use dps_overlay::{
     model, CommKind, CountingSink, DpsConfig, DpsMsg, DpsNode, GroupLabel, JoinRule, PubId,
-    StatsSink, SubId, TraversalKind,
+    QueueSink, StatsSink, SubId, TraversalKind,
 };
 pub use dps_sim::{
     ChurnEvent, ChurnPlan, CutDir, DropReason, FaultPlan, LatencyHistogram, LatencyModel,
     LatencySummary, Metrics, MsgClass, NodeId, Sim, SimRng, Step,
 };
 
-pub use network::{DeliveryReport, DpsNetwork, GroupSnapshot};
+pub use network::{DeliveryReport, DpsNetwork};
+pub use overlay::{GroupSnapshot, Overlay};

@@ -105,11 +105,6 @@ impl Hub {
         Hub::from_network(DpsNetwork::new(cfg, seed))
     }
 
-    /// A hub over a fresh sharded network; see [`DpsNetwork::new_sharded`].
-    pub fn new_sharded(cfg: DpsConfig, seed: u64, shards: usize) -> Self {
-        Hub::from_network(DpsNetwork::new_sharded(cfg, seed, shards))
-    }
-
     /// Wraps an existing network (keeps its nodes, subscriptions, history).
     pub fn from_network(net: DpsNetwork) -> Self {
         Hub {
@@ -123,18 +118,10 @@ impl Hub {
         self.net.borrow_mut().add_nodes(n)
     }
 
-    /// Opens a session on a **new** overlay node.
+    /// Opens a session on a **new** overlay node (one session per node: a
+    /// second one would steal the first's deliveries).
     pub fn open_session(&self) -> Result<Session, DpsError> {
         let node = self.net.borrow_mut().add_node();
-        self.session_at(node)
-    }
-
-    /// Opens a session attached to an existing alive node. One session per
-    /// node: a second session on the same node would steal its deliveries.
-    pub fn session_at(&self, node: NodeId) -> Result<Session, DpsError> {
-        if !self.net.borrow().sim().is_alive(node) {
-            return Err(DpsError::NodeDead(node));
-        }
         Ok(Session {
             net: self.net.clone(),
             shared: Rc::new(RefCell::new(SessionShared {

@@ -3,6 +3,7 @@
 //! figure; a scratch tool for reproduction debugging.
 
 use dps::*;
+use dps_experiments::figures::publish_under_churn;
 use dps_workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,39 +11,10 @@ use rand::SeedableRng;
 fn run_cell(cfg: DpsConfig, p: f64, n: usize, steps: u64, label: &str) {
     let w = Workload::multiplayer_game();
     let mut net = DpsNetwork::new(cfg, 42);
-    let nodes = net.add_nodes(n);
-    net.run(30);
-    let mut rng = StdRng::seed_from_u64(42 ^ 0xabcd);
-    for _round in 0..3 {
-        for (i, node) in nodes.iter().enumerate() {
-            let _ = net.try_subscribe(*node, w.subscription(&mut rng));
-            if i % 25 == 24 {
-                net.run(1);
-            }
-        }
-        net.run(20);
-    }
-    net.quiesce(1500);
+    dps_scenarios::build_overlay(&mut net, n, 3, 42, |rng| w.subscription(rng));
     net.run(150);
-    let start = net.sim().now();
-    let plan = ChurnPlan::rate(p);
     let mut w_rng = StdRng::seed_from_u64(7);
-    let mut crashed_at: Vec<(NodeId, Step)> = Vec::new();
-    for t in 0..steps {
-        for ev in plan.events_at(t) {
-            if ev == ChurnEvent::CrashRandom {
-                if let Some(v) = net.crash_random() {
-                    crashed_at.push((v, start + t));
-                }
-            }
-        }
-        if t % 10 == 0 {
-            if let Some(publisher) = net.random_alive() {
-                let _ = net.try_publish(publisher, w.event(&mut w_rng));
-            }
-        }
-        net.run(1);
-    }
+    let crashed_at = publish_under_churn(&mut net, &ChurnPlan::rate(p), steps, &mut w_rng);
     net.run(2 * n as u64 + 400);
 
     let died: std::collections::HashMap<NodeId, Step> = crashed_at.into_iter().collect();

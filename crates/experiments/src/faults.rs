@@ -9,13 +9,12 @@
 //! byte-identical whatever `DPS_THREADS` is), and the bench target persists
 //! them as JSON under `target/experiments/`.
 
-use dps::{CommKind, DpsConfig, DropReason, JoinRule, TraversalKind};
-use dps_workload::Workload;
+use dps::{ChurnPlan, CommKind, DpsConfig, DropReason, JoinRule, TraversalKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::figures::build_overlay;
+use crate::figures::{build_overlay, publish_under_churn};
 use crate::Scale;
 
 /// The configurations both fault runners compare: the leader flavor against
@@ -54,29 +53,15 @@ pub struct PartitionPoint {
 fn partition_cell(cfg: DpsConfig, ci: usize, n: usize, phase_steps: u64) -> Vec<PartitionPoint> {
     let label = cfg.label();
     let mut net = build_overlay(cfg, n, 2, 4200 + ci as u64);
-    let w = Workload::multiplayer_game();
     let mut w_rng = StdRng::seed_from_u64(31 + ci as u64);
+    let calm = ChurnPlan::none();
     let start = net.sim().now();
     net.partition_split(n / 2);
-    for t in 0..phase_steps {
-        if t % 10 == 0 {
-            if let Some(publisher) = net.random_alive() {
-                let _ = net.try_publish(publisher, w.event(&mut w_rng));
-            }
-        }
-        net.run(1);
-    }
+    publish_under_churn(&mut net, &calm, phase_steps, &mut w_rng);
     let healed_at = net.sim().now();
     let dropped_during = net.metrics().dropped_for(DropReason::Partitioned);
     net.heal();
-    for t in 0..phase_steps {
-        if t % 10 == 0 {
-            if let Some(publisher) = net.random_alive() {
-                let _ = net.try_publish(publisher, w.event(&mut w_rng));
-            }
-        }
-        net.run(1);
-    }
+    publish_under_churn(&mut net, &calm, phase_steps, &mut w_rng);
     // Drain: deep chains deliver one hop per step.
     net.run(2 * n as u64 + 200);
     vec![
@@ -151,18 +136,10 @@ pub struct LossPoint {
 fn loss_cell(cfg: DpsConfig, ci: usize, loss: f64, n: usize, steps: u64) -> LossPoint {
     let label = cfg.label();
     let mut net = build_overlay(cfg, n, 2, 8600 + ci as u64);
-    let w = Workload::multiplayer_game();
     let mut w_rng = StdRng::seed_from_u64(53 + ci as u64);
     let start = net.sim().now();
     net.set_loss(loss);
-    for t in 0..steps {
-        if t % 10 == 0 {
-            if let Some(publisher) = net.random_alive() {
-                let _ = net.try_publish(publisher, w.event(&mut w_rng));
-            }
-        }
-        net.run(1);
-    }
+    publish_under_churn(&mut net, &ChurnPlan::none(), steps, &mut w_rng);
     // The drain runs with the loss still in force: retries and gossip
     // redundancy, not luck, have to close the gap.
     net.run(2 * n as u64 + 200);

@@ -6,7 +6,7 @@
 //! out through [`crate::run_cells`]; rows come back in cell order, making the
 //! output identical whatever `DPS_THREADS` is.
 
-use dps::{CommKind, DpsConfig, DpsNetwork, JoinRule, MsgClass, TraversalKind};
+use dps::{CommKind, DpsConfig, DpsNetwork, JoinRule, MsgClass, NodeId, Step, TraversalKind};
 use dps_sim::{ChurnEvent, ChurnPlan};
 use dps_workload::Workload;
 use rand::rngs::StdRng;
@@ -44,21 +44,39 @@ pub(crate) fn build_overlay(
 ) -> DpsNetwork {
     let w = Workload::multiplayer_game();
     let mut net = DpsNetwork::new_sharded(cfg, seed, crate::shard_count());
-    let nodes = net.add_nodes(n);
-    net.run(30);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
-    for _round in 0..subs_per_node {
-        for (i, node) in nodes.iter().enumerate() {
-            let _ = net.try_subscribe(*node, w.subscription(&mut rng));
-            if i % 25 == 24 {
-                net.run(1);
-            }
-        }
-        net.run(20);
-    }
-    net.quiesce(1500);
+    dps_scenarios::build_overlay(&mut net, n, subs_per_node, seed, |rng| w.subscription(rng));
     net.run(150);
     net
+}
+
+/// The measured window the dependability runners share: for `steps` steps,
+/// apply `plan`'s crashes, publish one workload-2 event from a random alive
+/// node every 10 steps ("a new event is published every 10 steps", §5.2), and
+/// advance one step. Returns each crashed node with the step it died at.
+pub fn publish_under_churn(
+    net: &mut DpsNetwork,
+    plan: &ChurnPlan,
+    steps: u64,
+    rng: &mut StdRng,
+) -> Vec<(NodeId, Step)> {
+    let w = Workload::multiplayer_game();
+    let mut crashed = Vec::new();
+    for t in 0..steps {
+        for ev in plan.events_at(t) {
+            if ev == ChurnEvent::CrashRandom {
+                if let Some(victim) = net.crash_random() {
+                    crashed.push((victim, net.sim().now()));
+                }
+            }
+        }
+        if t % 10 == 0 {
+            if let Some(publisher) = net.random_alive() {
+                let _ = net.try_publish(publisher, w.event(rng));
+            }
+        }
+        net.run(1);
+    }
+    crashed
 }
 
 /// One measured point of Figure 3(a).
@@ -79,23 +97,8 @@ pub fn fig3a_cell(cfg: DpsConfig, p: f64, pi: usize, n: usize, steps: u64) -> Fi
     let label = cfg.label();
     let mut net = build_overlay(cfg, n, 3, 42 + pi as u64);
     let start = net.sim().now();
-    let plan = ChurnPlan::rate(p);
     let mut w_rng = StdRng::seed_from_u64(7 ^ pi as u64);
-    let w = Workload::multiplayer_game();
-    for t in 0..steps {
-        for ev in plan.events_at(t) {
-            if ev == ChurnEvent::CrashRandom {
-                net.crash_random();
-            }
-        }
-        // "A new event is published every 10 steps."
-        if t % 10 == 0 {
-            if let Some(publisher) = net.random_alive() {
-                let _ = net.try_publish(publisher, w.event(&mut w_rng));
-            }
-        }
-        net.run(1);
-    }
+    publish_under_churn(&mut net, &ChurnPlan::rate(p), steps, &mut w_rng);
     // Deep chains deliver one hop per step: drain proportionally to the
     // population before measuring.
     net.run(2 * n as u64 + 400);
@@ -180,21 +183,8 @@ pub fn fig3b(scale: Scale) -> Vec<Fig3bPoint> {
                 let mut net = build_overlay(cfg, n, 3, 90 + ci as u64);
                 let start = net.sim().now();
                 let plan = ChurnPlan::storm(phase, 2 * phase, 2);
-                let w = Workload::multiplayer_game();
                 let mut w_rng = StdRng::seed_from_u64(17 + ci as u64);
-                for t in 0..3 * phase {
-                    for ev in plan.events_at(t) {
-                        if ev == ChurnEvent::CrashRandom {
-                            net.crash_random();
-                        }
-                    }
-                    if t % 10 == 0 {
-                        if let Some(publisher) = net.random_alive() {
-                            let _ = net.try_publish(publisher, w.event(&mut w_rng));
-                        }
-                    }
-                    net.run(1);
-                }
+                publish_under_churn(&mut net, &plan, 3 * phase, &mut w_rng);
                 net.run(2 * n as u64 + 400);
                 (0..3 * phase)
                     .step_by(window as usize)

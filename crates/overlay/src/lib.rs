@@ -52,4 +52,4 @@ pub use config::{CommKind, DpsConfig, JoinRule, TraversalKind};
 pub use label::GroupLabel;
 pub use msg::{BranchInfo, DpsMsg, GroupDescriptor, GroupRef, PubId, PubTicket, SubId, Ticket};
 pub use node::DpsNode;
-pub use sink::{CountingSink, NoopSink, StatsSink};
+pub use sink::{CountingSink, NoopSink, QueueSink, StatsSink};

@@ -26,7 +26,7 @@ mod subscribe;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use dps_content::{AttrName, Event, Filter, FilterIndex, MatchScratch, SharedEvent};
+use dps_content::{AttrName, Filter, FilterIndex, MatchScratch, SharedEvent};
 use dps_sim::{Context, NodeId, Process, Step};
 
 use crate::config::DpsConfig;
@@ -438,7 +438,7 @@ impl DpsNode {
     /// Records local receipt of a publication at step `now`: instrumentation
     /// plus the `Notify` upcall when one of our filters matches (§2). Returns
     /// `true` on first receipt.
-    pub(crate) fn deliver_local(&mut self, id: PubId, event: &Event, now: Step) -> bool {
+    pub(crate) fn deliver_local(&mut self, id: PubId, event: &SharedEvent, now: Step) -> bool {
         if !self.seen_node.insert(id) {
             return false;
         }

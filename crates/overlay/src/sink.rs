@@ -10,7 +10,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-use dps_content::{Event, SharedEvent};
+use dps_content::SharedEvent;
 use dps_sim::{NodeId, Step};
 
 use crate::msg::PubId;
@@ -30,8 +30,9 @@ pub trait StatsSink: Send + Sync {
     /// called at the same site. Default: ignored — counting-only sinks never
     /// touch the payload, so the simulator's zero-copy fan-out is unaffected.
     /// Session hosts (the in-process `dps::session::Hub` and the broker)
-    /// override it to queue payloads for *watched* nodes.
-    fn on_deliver(&self, _id: PubId, _node: NodeId, _event: &Event, _now: Step) {}
+    /// queue the payload for *watched* nodes ([`QueueSink`]): a reference to
+    /// the publication's one allocation, never a copy.
+    fn on_deliver(&self, _id: PubId, _node: NodeId, _event: &SharedEvent, _now: Step) {}
 }
 
 /// A sink that ignores everything.
@@ -43,15 +44,68 @@ impl StatsSink for NoopSink {
     fn on_notify(&self, _id: PubId, _node: NodeId, _now: Step) {}
 }
 
+/// The payload half of delivery, and the whole sink of a served overlay (the
+/// broker): per-node queues of `Notify` upcalls for *watched* nodes (session
+/// endpoints) — no contact or notify pairs, and no payload held for anyone
+/// else. Each queue dedups by publication id: redundant re-deliveries through
+/// other trees enqueue nothing.
+#[derive(Debug, Default)]
+pub struct QueueSink {
+    watched: Mutex<HashMap<NodeId, WatchQueue>>,
+}
+
+#[derive(Debug, Default)]
+struct WatchQueue {
+    seen: HashSet<PubId>,
+    queue: Vec<(PubId, SharedEvent)>,
+}
+
+impl QueueSink {
+    /// Starts retaining delivery payloads for `node`. Idempotent. Deliveries
+    /// that happened before the watch began are not replayed.
+    pub fn watch(&self, node: NodeId) {
+        self.watched.lock().unwrap().entry(node).or_default();
+    }
+
+    /// Stops retaining payloads for `node` and discards anything queued.
+    pub fn unwatch(&self, node: NodeId) {
+        self.watched.lock().unwrap().remove(&node);
+    }
+
+    /// Moves everything queued for `node` since the last drain into `into`
+    /// (oldest first). A node that is not watched drains nothing.
+    pub fn drain_deliveries(&self, node: NodeId, into: &mut Vec<(PubId, SharedEvent)>) {
+        if let Some(w) = self.watched.lock().unwrap().get_mut(&node) {
+            into.append(&mut w.queue);
+        }
+    }
+}
+
+impl StatsSink for QueueSink {
+    fn on_contact(&self, _id: PubId, _node: NodeId, _now: Step) {}
+    fn on_notify(&self, _id: PubId, _node: NodeId, _now: Step) {}
+
+    fn on_deliver(&self, id: PubId, node: NodeId, event: &SharedEvent, _now: Step) {
+        if let Some(w) = self.watched.lock().unwrap().get_mut(&node) {
+            if w.seen.insert(id) {
+                w.queue.push((id, event.clone()));
+            }
+        }
+    }
+}
+
 /// A simple recording sink: remembers every `(publication, node)` contact pair
 /// and, for notifies, the step of the **first** notify (the publish→deliver
 /// latency endpoint — re-notifies through other trees never move it).
 /// Sufficient for all the paper's measurements at the scales of the reduced
 /// experiments, and for the full 10k × 10k Table 1 runs it stays within a few
 /// hundred MB thanks to the compact pair encoding.
+/// Derefs to the [`QueueSink`] it embeds, so a harness that also hosts
+/// sessions watches and drains nodes through the same handle.
 #[derive(Debug, Default)]
 pub struct CountingSink {
     inner: Mutex<CountingInner>,
+    queues: QueueSink,
 }
 
 #[derive(Debug, Default)]
@@ -59,17 +113,14 @@ struct CountingInner {
     contacts: HashSet<(PubId, NodeId)>,
     /// First-notify step per `(publication, node)` pair.
     notifies: HashMap<(PubId, NodeId), Step>,
-    /// Delivery queues for *watched* nodes (session endpoints): payloads are
-    /// retained only here, so unwatched — i.e. simulation-only — runs never
-    /// clone an event body. Each queue dedups by publication id: redundant
-    /// re-deliveries through other trees enqueue nothing.
-    watched: HashMap<NodeId, WatchQueue>,
 }
 
-#[derive(Debug, Default)]
-struct WatchQueue {
-    seen: HashSet<PubId>,
-    queue: Vec<(PubId, SharedEvent)>,
+impl std::ops::Deref for CountingSink {
+    type Target = QueueSink;
+
+    fn deref(&self) -> &QueueSink {
+        &self.queues
+    }
 }
 
 impl CountingSink {
@@ -123,37 +174,6 @@ impl CountingSink {
     pub fn total_notifies(&self) -> usize {
         self.inner.lock().unwrap().notifies.len()
     }
-
-    /// Runs `f` over all contact pairs.
-    pub fn for_each_contact(&self, mut f: impl FnMut(PubId, NodeId)) {
-        for (p, n) in self.inner.lock().unwrap().contacts.iter() {
-            f(*p, *n);
-        }
-    }
-
-    /// Starts retaining delivery payloads for `node`. Idempotent. Deliveries
-    /// that happened before the watch began are not replayed.
-    pub fn watch(&self, node: NodeId) {
-        self.inner.lock().unwrap().watched.entry(node).or_default();
-    }
-
-    /// Stops retaining payloads for `node` and discards anything queued.
-    pub fn unwatch(&self, node: NodeId) {
-        self.inner.lock().unwrap().watched.remove(&node);
-    }
-
-    /// Whether `node` is currently watched.
-    pub fn is_watched(&self, node: NodeId) -> bool {
-        self.inner.lock().unwrap().watched.contains_key(&node)
-    }
-
-    /// Moves everything queued for `node` since the last drain into `into`
-    /// (oldest first). A node that is not watched drains nothing.
-    pub fn drain_deliveries(&self, node: NodeId, into: &mut Vec<(PubId, SharedEvent)>) {
-        if let Some(w) = self.inner.lock().unwrap().watched.get_mut(&node) {
-            into.append(&mut w.queue);
-        }
-    }
 }
 
 impl StatsSink for CountingSink {
@@ -172,15 +192,8 @@ impl StatsSink for CountingSink {
             .or_insert(now);
     }
 
-    fn on_deliver(&self, id: PubId, node: NodeId, event: &Event, _now: Step) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(w) = inner.watched.get_mut(&node) {
-            if w.seen.insert(id) {
-                // The one payload clone of a watched delivery: queues hold the
-                // event by refcount from here on.
-                w.queue.push((id, SharedEvent::new(event.clone())));
-            }
-        }
+    fn on_deliver(&self, id: PubId, node: NodeId, event: &SharedEvent, now: Step) {
+        self.queues.on_deliver(id, node, event, now);
     }
 }
 
@@ -205,9 +218,6 @@ mod tests {
         assert!(s.was_contacted(p, n1));
         assert_eq!(s.total_contacts(), 2);
         assert_eq!(s.total_notifies(), 1);
-        let mut seen = 0;
-        s.for_each_contact(|_, _| seen += 1);
-        assert_eq!(seen, 2);
     }
 
     #[test]
@@ -228,10 +238,8 @@ mod tests {
         let q = PubId(NodeId::from_index(0), 2);
         let n1 = NodeId::from_index(1);
         let n2 = NodeId::from_index(2);
-        let ev: Event = "a = 1".parse().unwrap();
+        let ev = SharedEvent::new("a = 1".parse().unwrap());
         s.watch(n1);
-        assert!(s.is_watched(n1));
-        assert!(!s.is_watched(n2));
         s.on_deliver(p, n1, &ev, 3);
         s.on_deliver(p, n1, &ev, 9); // redundant re-delivery: deduped
         s.on_deliver(q, n1, &ev, 4);
@@ -241,7 +249,7 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, p);
         assert_eq!(got[1].0, q);
-        assert_eq!(*got[0].1, ev);
+        assert_eq!(got[0].1, ev);
         got.clear();
         s.drain_deliveries(n1, &mut got);
         assert!(got.is_empty(), "drain consumes");

@@ -22,8 +22,7 @@ use serde::Serialize;
 use crate::compile::{compile, CompiledScenario, SpecError};
 use crate::spec::ScenarioSpec;
 
-/// Salt applied to the spec seed for the setup-subscription RNG (the same
-/// derivation the experiment runners' `build_overlay` uses).
+/// Salt applied to the seed for the setup-subscription RNG.
 const SUB_RNG_SALT: u64 = 0xabcd;
 /// Salt applied to the spec seed for the publication-event RNG.
 const EVENT_RNG_SALT: u64 = 0xfeed;
@@ -94,6 +93,33 @@ pub struct ScenarioReport {
     pub total_steps: Step,
 }
 
+/// The overlay set-up every experiment driver shares (scenario specs, figure
+/// and fault runners, the debug probe): `nodes` nodes join the fresh `net`,
+/// each issues `rounds` subscriptions drawn by `filter` from an RNG derived
+/// from `seed`, paced against protocol steps, and the overlay gets 1500 steps
+/// to place them all. Returns whether it did.
+pub fn build_overlay(
+    net: &mut DpsNetwork,
+    nodes: usize,
+    rounds: usize,
+    seed: u64,
+    mut filter: impl FnMut(&mut StdRng) -> Filter,
+) -> bool {
+    let nodes = net.add_nodes(nodes);
+    net.run(30);
+    let mut sub_rng = StdRng::seed_from_u64(seed ^ SUB_RNG_SALT);
+    for _round in 0..rounds {
+        for (i, node) in nodes.iter().enumerate() {
+            let _ = net.try_subscribe(*node, filter(&mut sub_rng));
+            if i % 25 == 24 {
+                net.run(1);
+            }
+        }
+        net.run(20);
+    }
+    net.quiesce(1500)
+}
+
 /// Bookkeeping recorded while a phase runs.
 #[derive(Debug, Clone)]
 struct PhaseRec {
@@ -139,19 +165,9 @@ impl ScenarioRun {
             net.try_set_latency(model)
                 .expect("compile() validated the model and the network is fresh");
         }
-        let nodes = net.add_nodes(compiled.nodes);
-        net.run(30);
-        let mut sub_rng = StdRng::seed_from_u64(compiled.seed ^ SUB_RNG_SALT);
-        for _round in 0..compiled.subs_per_node {
-            for (i, node) in nodes.iter().enumerate() {
-                let _ = net.try_subscribe(*node, subscription(&compiled, &mut sub_rng));
-                if i % 25 == 24 {
-                    net.run(1);
-                }
-            }
-            net.run(20);
-        }
-        if !net.quiesce(1500) {
+        let (n, rounds) = (compiled.nodes, compiled.subs_per_node);
+        let draw = |rng: &mut StdRng| subscription(&compiled, rng);
+        if !build_overlay(&mut net, n, rounds, compiled.seed, draw) {
             // A setup failure must not masquerade as a protocol failure in
             // the measured phases (the hand-rolled tests asserted this too).
             return Err(SpecError(format!(

@@ -57,7 +57,7 @@ pub mod env;
 pub mod spec;
 
 pub use compile::{compile, CompiledPhase, CompiledScenario, SpecError};
-pub use engine::{run_scenario, PhaseRow, ScenarioReport, ScenarioRun};
+pub use engine::{build_overlay, run_scenario, PhaseRow, ScenarioReport, ScenarioRun};
 pub use spec::{
     ChurnSpec, ClassLatencySpec, CutSpec, ExpectSpec, LatencySpec, LossWindowSpec, OneWaySpec,
     PartitionWindowSpec, PhaseSpec, ScenarioSpec, SideSpec, SubscribeSpec, TopologySpec,
