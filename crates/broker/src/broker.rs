@@ -3,7 +3,7 @@
 //!
 //! Each client session gets a dedicated overlay node; subscriptions and
 //! publications from the session act on that node exactly as the in-process
-//! [`dps::Hub`] sessions do — the overlay cannot tell a served client from a
+//! `dps_client::Hub` sessions do — the overlay cannot tell a served client from a
 //! simulated one. It is the bare [`dps::Overlay`] core with a [`QueueSink`]:
 //! the broker observes the nodes' `Notify` upcalls and nothing else, and keeps
 //! nothing about a publication once its deliveries are drained. The broker is

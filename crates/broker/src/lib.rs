@@ -13,8 +13,8 @@
 //!   backpressure.
 //!
 //! The `dps-broker` binary wraps [`broker::Broker::serve`] around a Unix
-//! socket; the `dps-client` crate implements the client side with the same
-//! `Session`/`Publisher`/`Subscriber` shape as `dps::session`.
+//! socket; the `dps-client` crate implements the client side behind its
+//! `Session`/`Publisher`/`Subscriber` handles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,36 @@
-//! **dps-client** — the client side of a `dps-broker` connection, with the
-//! same session-first shape as `dps::session`: a [`Session`] hands out
-//! [`Publisher`] and [`Subscriber`] handles, failures are typed
-//! [`DpsError`]s, and deliveries are `dps::Delivery` values. Code written
-//! against the in-process `Hub` ports to a served broker by replacing how the
-//! session is opened.
+//! **dps-client** — the application surface of DPS, written once: a
+//! [`Session`] hands out [`Publisher`] and [`Subscriber`] handles, failures
+//! are typed [`DpsError`]s and events arrive as [`Delivery`] values, whatever
+//! carries them. [`Hub::open_session`] attaches a dedicated node of an
+//! in-process [`dps::DpsNetwork`]; [`Session::connect`] speaks the framed
+//! protocol to a live `dps-broker`. An application picks one when it opens
+//! the session and is otherwise the same program (`tests/contract.rs` holds
+//! both backends to one contract).
 //!
-//! The client is poll-based and single-threaded like the broker: nothing here
-//! spawns threads, and no call blocks forever. [`Session::poll`] makes
-//! progress (reads frames, routes deliveries and acks); the `wait_*`
-//! convenience paths poll with a sleep and a deadline and are what the CLI
-//! tools use.
+//! ```
+//! use dps_client::Hub;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let hub = Hub::new(dps::DpsConfig::default(), 42);
+//! hub.add_nodes(8); // background overlay population
+//! let trader = hub.open_session()?;
+//! let ticks = trader.subscriber("price > 100".parse::<dps::Filter>()?)?;
+//! let feed = hub.open_session()?;
+//! hub.run(120); // let the overlay converge
+//!
+//! let id = feed.publisher()?.publish("price = 150".parse::<dps::Event>()?)?;
+//! hub.run(40);
+//! let got = ticks.drain();
+//! assert_eq!(got.len(), 1);
+//! assert_eq!((got[0].publisher, got[0].seq), (id.node, id.seq));
+//! trader.close()?;
+//! feed.close()?;
+//! # Ok(())
+//! # }
+//! ```
+//!
+//! Everything is poll-based and single-threaded: nothing here spawns threads
+//! and no call blocks forever.
 //!
 //! # Credit
 //!
@@ -17,25 +38,30 @@
 //! the subscriber replenishes it as deliveries are consumed
 //! (`recv`/`drain`), in half-window batches. Stop consuming and the broker
 //! stops sending after at most a window's worth — backpressure without any
-//! broker-side blocking.
+//! broker-side blocking. In process nothing is paced: the window is ignored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod local;
+mod remote;
+
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use dps::{Delivery, DpsError};
-use dps_broker::wire::{Fill, Frame, Link, PubRef, WireError, PROTOCOL_VERSION};
-use dps_broker::Transport;
+use dps::DpsError;
 use dps_content::{SharedEvent, SharedFilter};
+
+pub use dps_broker::wire::PubRef;
+pub use local::Hub;
 
 /// Default per-subscription credit window.
 pub const DEFAULT_CREDIT: u32 = 64;
 
-/// Per-subscription knobs for [`Session::subscriber`].
+/// Per-subscription knobs for [`Session::subscriber_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct SubscribeOptions {
     /// Credit window granted to the broker, replenished in half-window
@@ -51,216 +77,130 @@ impl Default for SubscribeOptions {
     }
 }
 
-struct SubInbox {
+/// One event handed to a [`Subscriber`]: the publication's identity (what
+/// [`Publisher::publish`] returned for it) plus the refcounted event body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delivery {
+    /// Index of the publishing node.
+    pub publisher: u64,
+    /// The publisher's per-node publication sequence number.
+    pub seq: u32,
+    /// The event body.
+    pub event: SharedEvent,
+}
+
+/// What carries one session's requests and deliveries: a node of an
+/// in-process network (`local`) or a link to a broker (`remote`).
+trait Backend {
+    fn subscribe(&mut self, sub: u64, filter: &SharedFilter, credit: u32) -> Result<(), DpsError>;
+    /// Cancels `sub`. With `wait` unset the request is only sent on its way:
+    /// nobody is left to hear the answer.
+    fn unsubscribe(&mut self, sub: u64, wait: bool) -> Result<(), DpsError>;
+    fn publish(&mut self, event: SharedEvent) -> Result<PubRef, DpsError>;
+    /// Non-blocking progress; hands every delivery that arrived, with the
+    /// subscription it is for, to `deliver`.
+    fn poll(&mut self, deliver: &mut dyn FnMut(u64, Delivery)) -> Result<(), DpsError>;
+    /// The application took `n` deliveries of `sub` out of its inbox.
+    fn consumed(&mut self, sub: u64, n: u32);
+    fn close(&mut self) -> Result<(), DpsError>;
+    /// Why the carrier is unusable, if it is.
+    fn check(&self) -> Result<(), DpsError> {
+        Ok(())
+    }
+}
+
+struct Inbox {
     queue: VecDeque<Delivery>,
     /// The subscription's credit window.
     credit: u32,
-    /// Deliveries consumed since the last `Credit` frame.
+    /// Deliveries consumed since the backend was last told.
     consumed: u32,
+}
+
+struct Shared {
+    backend: Box<dyn Backend>,
+    id: u64,
     open: bool,
-}
-
-fn wire_to_dps(e: WireError) -> DpsError {
-    DpsError::Protocol(e.to_string())
-}
-
-struct Inner {
-    link: Link,
-    session: Option<u64>,
-    next_seq: u64,
     next_sub: u64,
-    /// Acks routed back by request seq.
-    acks: HashMap<u64, Result<Option<PubRef>, String>>,
-    subs: HashMap<u64, Rc<RefCell<SubInbox>>>,
-    open: bool,
-    /// Set when the broker sent `Close` (its reason) or the link died.
-    closed_reason: Option<String>,
+    /// One inbox per live subscription, keyed by its id: a subscription is
+    /// open exactly while its inbox is here.
+    inboxes: HashMap<u64, Inbox>,
 }
 
-impl Inner {
-    fn queue(&mut self, frame: &Frame) -> Result<(), DpsError> {
-        self.link.queue(frame).map_err(wire_to_dps)
+impl fmt::Debug for Shared {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Shared")
+            .field("id", &self.id)
+            .field("open", &self.open)
+            .field("subs", &self.inboxes.len())
+            .finish()
     }
+}
 
-    /// Non-blocking progress: flush pending output, read frames, route them.
-    fn poll(&mut self) -> Result<(), DpsError> {
-        if self.closed_reason.is_some() {
-            return Ok(());
-        }
-        let sent = self.link.flush();
-        let fill = self.link.fill();
-        // Route what the peer already sent before judging the link: a broker
-        // that refuses the session writes `Close` and hangs up, and its
-        // stated reason must win over the failed send or the EOF that follow.
-        loop {
-            match self.link.next_frame() {
-                Ok(Some(frame)) => self.route(frame),
-                Ok(None) => break,
-                Err(e) => {
-                    let e = wire_to_dps(e);
-                    self.closed_reason = Some(e.to_string());
-                    return Err(e);
-                }
-            }
-        }
-        if self.closed_reason.is_none() {
-            self.closed_reason = match (sent, fill) {
-                (Err(e), _) => Some(format!("send failed: {e}")),
-                (_, Fill::Failed(e)) => Some(format!("recv failed: {e}")),
-                (_, Fill::Eof) => Some("broker closed the connection".into()),
-                (Ok(()), Fill::Open) => None,
-            };
-        }
-        Ok(())
-    }
-
-    fn route(&mut self, frame: Frame) {
-        match frame {
-            Frame::Hello { session, .. } => self.session = session,
-            Frame::Ack { seq, pub_id, error } => {
-                self.acks.insert(
-                    seq,
-                    match error {
-                        None => Ok(pub_id),
-                        Some(e) => Err(e),
-                    },
-                );
-            }
-            Frame::Deliver {
-                sub,
-                publisher,
-                pub_seq,
-                event,
-            } => {
-                if let Some(inbox) = self.subs.get(&sub) {
-                    let mut inbox = inbox.borrow_mut();
-                    if inbox.open {
-                        inbox.queue.push_back(Delivery {
-                            publisher,
-                            seq: pub_seq,
-                            event,
-                        });
-                    }
-                }
-                // Deliveries for a closed/unknown sub raced the unsubscribe;
-                // they are dropped, as the protocol documents.
-            }
-            Frame::Close { reason } => {
-                self.closed_reason = Some(format!("broker closed session: {reason}"));
-            }
-            // Client-only frames from the broker are a protocol violation.
-            Frame::Subscribe { .. }
-            | Frame::Unsubscribe { .. }
-            | Frame::Publish { .. }
-            | Frame::Credit { .. } => {
-                self.closed_reason = Some("broker sent a client-only frame".into());
-            }
-        }
-    }
-
-    fn check_open(&self) -> Result<(), DpsError> {
+impl Shared {
+    fn check(&self) -> Result<(), DpsError> {
         if !self.open {
             return Err(DpsError::SessionClosed);
         }
-        if let Some(reason) = &self.closed_reason {
-            return Err(DpsError::Transport(reason.clone()));
-        }
-        Ok(())
+        self.backend.check()
     }
 
-    /// Polls until `done` yields a value or `deadline` passes.
-    fn wait<T>(
-        &mut self,
-        deadline: Instant,
-        what: &str,
-        mut done: impl FnMut(&mut Inner) -> Option<T>,
-    ) -> Result<T, DpsError> {
-        loop {
-            self.poll()?;
-            if let Some(v) = done(self) {
-                return Ok(v);
+    fn poll(&mut self) -> Result<(), DpsError> {
+        let inboxes = &mut self.inboxes;
+        self.backend.poll(&mut |sub, delivery| {
+            // A delivery for a cancelled subscription raced the unsubscribe;
+            // it is dropped, as the protocol documents.
+            if let Some(inbox) = inboxes.get_mut(&sub) {
+                inbox.queue.push_back(delivery);
             }
-            if let Some(reason) = &self.closed_reason {
-                return Err(DpsError::Transport(reason.clone()));
-            }
-            if Instant::now() >= deadline {
-                return Err(DpsError::Transport(format!("timed out waiting for {what}")));
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    fn wait_ack(&mut self, seq: u64, timeout: Duration) -> Result<Option<PubRef>, DpsError> {
-        let out = self.wait(Instant::now() + timeout, "broker ack", |inner| {
-            inner.acks.remove(&seq)
-        })?;
-        out.map_err(DpsError::Protocol)
+        })
     }
 }
 
-/// A live client session on a broker. The served counterpart of
-/// `dps::Session`.
+/// One application endpoint: a dedicated overlay node, reached in process
+/// ([`Hub::open_session`]) or through a broker ([`Session::connect`]), plus
+/// the handles attached to it. Handles used after [`Session::close`] report
+/// [`DpsError::SessionClosed`] instead of panicking.
+#[derive(Debug)]
 pub struct Session {
-    inner: Rc<RefCell<Inner>>,
-    timeout: Duration,
+    shared: Rc<RefCell<Shared>>,
 }
 
 impl Session {
-    /// Connects over `transport` to the broker at `addr` and completes the
-    /// `Hello` handshake (bounded by `timeout`, which also bounds every later
-    /// request/ack round-trip on this session).
-    pub fn connect(
-        transport: &dyn Transport,
-        addr: &str,
-        timeout: Duration,
-    ) -> Result<Session, DpsError> {
-        let conn = transport
-            .connect(addr)
-            .map_err(|e| DpsError::Transport(format!("connect to {addr}: {e}")))?;
-        let mut inner = Inner {
-            link: Link::new(conn),
-            session: None,
-            next_seq: 1,
-            next_sub: 1,
-            acks: HashMap::new(),
-            subs: HashMap::new(),
-            open: true,
-            closed_reason: None,
-        };
-        inner.queue(&Frame::Hello {
-            version: PROTOCOL_VERSION,
-            session: None,
-        })?;
-        inner.wait(Instant::now() + timeout, "broker hello", |i| i.session)?;
-        Ok(Session {
-            inner: Rc::new(RefCell::new(inner)),
-            timeout,
-        })
+    fn over(backend: Box<dyn Backend>, id: u64) -> Session {
+        Session {
+            shared: Rc::new(RefCell::new(Shared {
+                backend,
+                id,
+                open: true,
+                next_sub: 1,
+                inboxes: HashMap::new(),
+            })),
+        }
     }
 
-    /// The broker-assigned session id.
+    /// The session's id: assigned by the broker, or in process the index of
+    /// the overlay node the session speaks as.
     pub fn id(&self) -> u64 {
-        self.inner.borrow().session.expect("set by handshake")
+        self.shared.borrow().id
     }
 
-    /// Whether the session (and its link) is still usable.
+    /// Whether the session (and what carries it) is still usable.
     pub fn is_open(&self) -> bool {
-        let inner = self.inner.borrow();
-        inner.open && inner.closed_reason.is_none()
+        self.shared.borrow().check().is_ok()
     }
 
     /// Non-blocking progress; call this from event loops that do their own
     /// scheduling. `recv`/`drain` on subscribers poll implicitly.
     pub fn poll(&self) -> Result<(), DpsError> {
-        self.inner.borrow_mut().poll()
+        self.shared.borrow_mut().poll()
     }
 
-    /// A publish handle.
+    /// A publish handle. Cheap; any number may coexist.
     pub fn publisher(&self) -> Result<Publisher, DpsError> {
-        self.inner.borrow().check_open()?;
+        self.shared.borrow().check()?;
         Ok(Publisher {
-            inner: self.inner.clone(),
-            timeout: self.timeout,
+            shared: self.shared.clone(),
         })
     }
 
@@ -276,107 +216,68 @@ impl Session {
         opts: SubscribeOptions,
     ) -> Result<Subscriber, DpsError> {
         let filter = filter.into();
-        let mut inner = self.inner.borrow_mut();
-        inner.check_open()?;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let sub = inner.next_sub;
-        inner.next_sub += 1;
-        inner.queue(&Frame::Subscribe {
-            seq,
+        let mut s = self.shared.borrow_mut();
+        s.check()?;
+        let sub = s.next_sub;
+        s.next_sub += 1;
+        s.backend.subscribe(sub, &filter, opts.credit)?;
+        s.inboxes.insert(
             sub,
-            filter: filter.clone(),
-            credit: opts.credit,
-        })?;
-        inner.wait_ack(seq, self.timeout)?;
-        let inbox = Rc::new(RefCell::new(SubInbox {
-            queue: VecDeque::new(),
-            credit: opts.credit,
-            consumed: 0,
-            open: true,
-        }));
-        inner.subs.insert(sub, inbox.clone());
+            Inbox {
+                queue: VecDeque::new(),
+                credit: opts.credit,
+                consumed: 0,
+            },
+        );
         Ok(Subscriber {
-            inner: self.inner.clone(),
-            inbox,
+            shared: self.shared.clone(),
             sub,
             filter,
-            timeout: self.timeout,
         })
     }
 
-    /// Graceful teardown: sends `Close`, waits for the broker's echo (or
-    /// EOF), and invalidates the handles.
+    /// Graceful teardown: cancels every live subscription, retires the
+    /// session's node and invalidates all handles. Idempotence is an error by
+    /// design — a second close reports [`DpsError::SessionClosed`].
     pub fn close(self) -> Result<(), DpsError> {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.open {
+        let mut s = self.shared.borrow_mut();
+        if !s.open {
             return Err(DpsError::SessionClosed);
         }
-        inner.open = false;
-        for inbox in inner.subs.values() {
-            inbox.borrow_mut().open = false;
-        }
-        if inner.closed_reason.is_none() {
-            inner.queue(&Frame::Close {
-                reason: "client close".into(),
-            })?;
-            let deadline = Instant::now() + self.timeout;
-            // Flush + drain until the broker acknowledges; a dead link is
-            // already closed, which is fine.
-            let _ = inner.wait(deadline, "broker close", |i| {
-                i.closed_reason.as_ref().map(|_| ())
-            });
-        }
-        inner.link.shutdown();
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("Session")
-            .field("id", &inner.session)
-            .field("open", &inner.open)
-            .field("subs", &inner.subs.len())
-            .finish()
+        s.open = false;
+        s.inboxes.clear();
+        s.backend.close()
     }
 }
 
 /// Publish handle of a [`Session`].
+#[derive(Debug)]
 pub struct Publisher {
-    inner: Rc<RefCell<Inner>>,
-    timeout: Duration,
+    shared: Rc<RefCell<Shared>>,
 }
 
 impl Publisher {
-    /// Publishes `event` and waits for the broker's ack, returning the
-    /// assigned publication identity.
+    /// Publishes `event` from the session's node and returns the identity the
+    /// publication was assigned (over a link: once the broker acked it).
     pub fn publish(&self, event: impl Into<SharedEvent>) -> Result<PubRef, DpsError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.check_open()?;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.queue(&Frame::Publish {
-            seq,
-            event: event.into(),
-        })?;
-        let pub_id = inner.wait_ack(seq, self.timeout)?;
-        pub_id.ok_or_else(|| DpsError::Protocol("publish ack without a pub_id".into()))
+        let mut s = self.shared.borrow_mut();
+        s.check()?;
+        s.backend.publish(event.into())
     }
 }
 
-/// Receive handle for one subscription of a [`Session`].
+/// Receive handle for one subscription of a [`Session`]. Dropping it while
+/// open cancels the subscription best-effort; [`Subscriber::close`] does so
+/// and reports the outcome.
+#[derive(Debug)]
 pub struct Subscriber {
-    inner: Rc<RefCell<Inner>>,
-    inbox: Rc<RefCell<SubInbox>>,
+    shared: Rc<RefCell<Shared>>,
     sub: u64,
     filter: SharedFilter,
-    timeout: Duration,
 }
 
 impl Subscriber {
-    /// The client-side subscription id.
+    /// The subscription's id within its session.
     pub fn id(&self) -> u64 {
         self.sub
     }
@@ -386,36 +287,29 @@ impl Subscriber {
         &self.filter
     }
 
-    /// Replenishes broker credit once half the window has been consumed.
-    fn replenish(&self, inner: &mut Inner) {
-        let mut inbox = self.inbox.borrow_mut();
-        let consumed = inbox.consumed;
-        if consumed >= inbox.credit.max(2) / 2 {
-            inbox.consumed = 0;
-            let _ = inner.queue(&Frame::Credit {
-                sub: self.sub,
-                more: consumed,
-            });
-        }
-    }
-
-    /// Next queued delivery, polling the link first. Never blocks.
-    pub fn recv(&self) -> Option<Delivery> {
-        let mut inner = self.inner.borrow_mut();
-        if !self.inbox.borrow().open {
+    /// Polls, lets `take` remove deliveries from the inbox and replenishes
+    /// credit once half the window has been consumed. `None` once closed.
+    fn consume<T>(&self, take: impl FnOnce(&mut VecDeque<Delivery>) -> T) -> Option<T> {
+        let s = &mut *self.shared.borrow_mut();
+        if !s.inboxes.contains_key(&self.sub) {
             return None;
         }
-        let _ = inner.poll();
-        let out = {
-            let mut inbox = self.inbox.borrow_mut();
-            let out = inbox.queue.pop_front();
-            if out.is_some() {
-                inbox.consumed += 1;
-            }
-            out
-        };
-        self.replenish(&mut inner);
-        out
+        let _ = s.poll();
+        let inbox = s.inboxes.get_mut(&self.sub)?;
+        let queued = inbox.queue.len();
+        let out = take(&mut inbox.queue);
+        inbox.consumed += (queued - inbox.queue.len()) as u32;
+        if inbox.consumed >= inbox.credit.max(2) / 2 {
+            s.backend
+                .consumed(self.sub, std::mem::take(&mut inbox.consumed));
+        }
+        Some(out)
+    }
+
+    /// Next queued delivery, after a poll. Never blocks: in process, events
+    /// arrive as the simulation runs ([`Hub::run`]).
+    pub fn recv(&self) -> Option<Delivery> {
+        self.consume(|queue| queue.pop_front()).flatten()
     }
 
     /// Polls until a delivery arrives or `timeout` passes.
@@ -425,7 +319,8 @@ impl Subscriber {
             if let Some(d) = self.recv() {
                 return Some(d);
             }
-            if Instant::now() >= deadline || !self.inbox.borrow().open {
+            let open = self.shared.borrow().inboxes.contains_key(&self.sub);
+            if Instant::now() >= deadline || !open {
                 return None;
             }
             std::thread::sleep(Duration::from_micros(200));
@@ -434,44 +329,33 @@ impl Subscriber {
 
     /// Everything queued right now, oldest first.
     pub fn drain(&self) -> Vec<Delivery> {
-        let mut inner = self.inner.borrow_mut();
-        if !self.inbox.borrow().open {
-            return Vec::new();
-        }
-        let _ = inner.poll();
-        let out: Vec<Delivery> = {
-            let mut inbox = self.inbox.borrow_mut();
-            let out: Vec<Delivery> = inbox.queue.drain(..).collect();
-            inbox.consumed += out.len() as u32;
-            out
-        };
-        self.replenish(&mut inner);
-        out
+        self.consume(|queue| queue.drain(..).collect())
+            .unwrap_or_default()
     }
 
-    /// Cancels this subscription (the session stays open).
+    /// Cancels this subscription (the session stays open). The handle counts
+    /// as open until the backend agreed, so after a refused or timed-out
+    /// cancel its drop still tries once more.
     pub fn close(self) -> Result<(), DpsError> {
-        let mut inner = self.inner.borrow_mut();
-        if !self.inbox.borrow().open {
+        let mut s = self.shared.borrow_mut();
+        if !s.inboxes.contains_key(&self.sub) {
             return Err(DpsError::SessionClosed);
         }
-        self.inbox.borrow_mut().open = false;
-        inner.check_open()?;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.queue(&Frame::Unsubscribe { seq, sub: self.sub })?;
-        inner.wait_ack(seq, self.timeout)?;
-        inner.subs.remove(&self.sub);
+        s.backend.check()?;
+        s.backend.unsubscribe(self.sub, true)?;
+        s.inboxes.remove(&self.sub);
         Ok(())
     }
 }
 
-impl std::fmt::Debug for Subscriber {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Subscriber")
-            .field("sub", &self.sub)
-            .field("filter", &self.filter.to_string())
-            .field("open", &self.inbox.borrow().open)
-            .finish()
+impl Drop for Subscriber {
+    fn drop(&mut self) {
+        // Not `borrow_mut`: a drop must not panic.
+        let Ok(mut s) = self.shared.try_borrow_mut() else {
+            return;
+        };
+        if s.inboxes.remove(&self.sub).is_some() {
+            let _ = s.backend.unsubscribe(self.sub, false);
+        }
     }
 }

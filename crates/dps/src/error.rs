@@ -1,12 +1,14 @@
-//! [`DpsError`]: the typed error surface of the session-first API.
+//! [`DpsError`]: the one typed error of the drivers and the session API.
 //!
-//! Every fallible entry point of the facade — the [`DpsNetwork`] `try_*`
-//! methods and the [`session`](crate::session) handles — returns
-//! `Result<_, DpsError>` instead of panicking or silently returning `None`
-//! on misuse. The broker/client stack (`dps-broker`, `dps-client`) reuses the
-//! same enum for its transport and protocol failures, so one error type spans
-//! the simulated and the served system.
+//! Every fallible entry point — the [`Overlay`]/[`DpsNetwork`] `try_*`
+//! methods here, and the `Session`/`Publisher`/`Subscriber` handles of
+//! `dps-client` over either of its backends — returns `Result<_, DpsError>`
+//! instead of panicking or silently returning `None` on misuse. The served
+//! stack (`dps-broker`, `dps-client`) reports its transport and protocol
+//! failures through the same enum, so one error type spans the simulated and
+//! the served system.
 //!
+//! [`Overlay`]: crate::Overlay
 //! [`DpsNetwork`]: crate::DpsNetwork
 
 use std::fmt;

@@ -5,13 +5,8 @@
 //! *"A Semantic Overlay for Self-\* Peer-to-Peer Publish/Subscribe"*
 //! (Anceaume, Datta, Gradinariu, Simon, Virgillito — ICDCS 2006). It re-exports
 //! the content model ([`dps_content`]), the protocol engine ([`dps_overlay`]) and
-//! the simulator ([`dps_sim`]), and adds three surfaces on top:
+//! the simulator ([`dps_sim`]), and adds two driver surfaces on top:
 //!
-//! - the **session-first API** ([`Hub`] → [`Session`] →
-//!   [`Publisher`]/[`Subscriber`]) — how applications attach to the system,
-//!   with explicit open/close lifecycle and [`DpsError`]-typed failures. The
-//!   `dps-client` crate exposes the same shape against a live `dps-broker`
-//!   process, so application code ports across backends unchanged;
 //! - the **driver core** ([`Overlay`]) — builds a network of DPS nodes, runs
 //!   it step by step and injects subscriptions, publications and failures,
 //!   reporting to a [`StatsSink`] and keeping nothing per publication: what
@@ -19,30 +14,31 @@
 //! - the **simulation driver** ([`DpsNetwork`]) — that core plus the
 //!   evaluation's accounting: delivery measured against an omniscient oracle.
 //!
+//! Both fail with a typed [`DpsError`]. Applications do not drive nodes from
+//! the outside: they open a session, subscribe, publish and receive. That
+//! surface (`Hub`/`Session`/`Publisher`/`Subscriber`) is the `dps-client`
+//! crate, over an in-process [`DpsNetwork`] or a live `dps-broker` alike.
+//!
 //! # Quickstart
 //!
 //! ```
-//! use dps::{DpsConfig, Event, Hub};
+//! use dps::{DpsConfig, DpsNetwork, Event, Filter};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A small network running the root-based + leader-based flavor.
-//! let hub = Hub::new(DpsConfig::default(), 42);
-//! hub.add_nodes(8); // background overlay population
+//! let mut net = DpsNetwork::new(DpsConfig::default(), 42);
+//! let nodes = net.add_nodes(10);
 //!
 //! // Subscribers self-organize into per-attribute semantic trees.
-//! let trader = hub.open_session()?;
-//! let ticks = trader.subscriber("price > 100".parse::<dps::Filter>()?)?;
-//! hub.run(120); // let the overlay converge
+//! net.try_subscribe(nodes[8], "price > 100".parse::<Filter>()?)?;
+//! net.run(120); // let the overlay converge
 //!
 //! // Publish an event; only matching subscribers are notified.
-//! let feed = hub.open_session()?;
-//! feed.publisher()?.publish("price = 150".parse::<Event>()?)?;
-//! hub.run(40);
+//! let id = net.try_publish(nodes[9], "price = 150".parse::<Event>()?)?;
+//! net.run(40);
 //!
-//! assert_eq!(ticks.drain().len(), 1);
-//! assert_eq!(hub.delivered_ratio(), 1.0);
-//! trader.close()?;
-//! feed.close()?;
+//! assert!(net.sink().was_notified(id, nodes[8]));
+//! assert_eq!(net.delivered_ratio(), 1.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -53,10 +49,8 @@
 mod error;
 mod network;
 mod overlay;
-pub mod session;
 
 pub use error::DpsError;
-pub use session::{Delivery, Hub, Publisher, Session, Subscriber};
 
 pub use dps_content::{
     AttrName, AttrType, Event, Filter, Op, ParseError, Predicate, SharedEvent, SharedFilter, Value,

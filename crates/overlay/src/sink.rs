@@ -29,7 +29,7 @@ pub trait StatsSink: Send + Sync {
     /// Like [`on_notify`](StatsSink::on_notify), but carrying the event body,
     /// called at the same site. Default: ignored — counting-only sinks never
     /// touch the payload, so the simulator's zero-copy fan-out is unaffected.
-    /// Session hosts (the in-process `dps::session::Hub` and the broker)
+    /// Session hosts (`dps-client`'s in-process `Hub` and the broker)
     /// queue the payload for *watched* nodes ([`QueueSink`]): a reference to
     /// the publication's one allocation, never a copy.
     fn on_deliver(&self, _id: PubId, _node: NodeId, _event: &SharedEvent, _now: Step) {}

@@ -51,6 +51,22 @@ fn os_thread_count() -> usize {
         .expect("Threads: line")
 }
 
+/// Waits for the thread count to come back to `baseline`. A joined thread
+/// may still be listed in procfs for a moment after `join` returns, so the
+/// "no worker is left" checks poll (bounded) where the "exactly `SHARDS`
+/// workers" checks read once.
+fn assert_back_to(baseline: usize, what: &str) {
+    let mut threads = os_thread_count();
+    for _ in 0..200 {
+        if threads == baseline {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        threads = os_thread_count();
+    }
+    assert_eq!(threads, baseline, "{what}");
+}
+
 /// Builds a `shards`-shard simulation, runs a fixed scenario and returns its
 /// observable digest. The `Sim` (and its pool, if any) drops on return.
 fn run_digest(shards: usize) -> String {
@@ -81,11 +97,7 @@ fn pool_workers_join_on_drop_and_rebuilds_replay_identically() {
         let mut sim = Sim::new_sharded(1, 1);
         sim.add_node(Counter(0));
         sim.run(5);
-        assert_eq!(
-            os_thread_count(),
-            baseline,
-            "a 1-shard Sim must not spawn worker threads"
-        );
+        assert_back_to(baseline, "a 1-shard Sim must not spawn worker threads");
     }
 
     // Repeated construct/run/drop: each cycle spawns exactly SHARDS workers,
@@ -111,18 +123,13 @@ fn pool_workers_join_on_drop_and_rebuilds_replay_identically() {
                 "cycle {cycle}: running must reuse the pool, not spawn threads"
             );
         }
-        assert_eq!(
-            os_thread_count(),
+        assert_back_to(
             baseline,
-            "cycle {cycle}: dropping the Sim must join every worker"
+            &format!("cycle {cycle}: dropping the Sim must join every worker"),
         );
         // Full digest run for the determinism half of the contract.
         digests.push(run_digest(SHARDS));
-        assert_eq!(
-            os_thread_count(),
-            baseline,
-            "cycle {cycle}: digest run leaked"
-        );
+        assert_back_to(baseline, &format!("cycle {cycle}: digest run leaked"));
     }
 
     // Drop-and-rebuild determinism: every sharded cycle replayed the same

@@ -3,10 +3,11 @@
 //! almost none of them match (the overlay prunes aggressively).
 //!
 //! ```sh
-//! cargo run --release --example alert_monitor
+//! cargo run --release -p dps-client --example alert_monitor
 //! ```
 
-use dps::{CommKind, DpsConfig, Hub, JoinRule, MsgClass, Session, Subscriber, TraversalKind};
+use dps::{CommKind, DpsConfig, JoinRule, MsgClass, TraversalKind};
+use dps_client::{Hub, Session, Subscriber};
 use dps_workload::Workload;
 use rand::SeedableRng;
 

@@ -3,10 +3,11 @@
 //! their zone; the epidemic flavor keeps delivery high while players churn.
 //!
 //! ```sh
-//! cargo run --release --example multiplayer_game
+//! cargo run --release -p dps-client --example multiplayer_game
 //! ```
 
-use dps::{CommKind, DpsConfig, Hub, JoinRule, Session, Subscriber, TraversalKind};
+use dps::{CommKind, DpsConfig, JoinRule, TraversalKind};
+use dps_client::{Hub, Session, Subscriber};
 use dps_workload::Workload;
 use rand::SeedableRng;
 

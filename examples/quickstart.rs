@@ -1,15 +1,16 @@
 //! Quickstart: open sessions on a DPS hub, subscribe, publish, receive.
 //!
 //! ```sh
-//! cargo run --example quickstart
+//! cargo run -p dps-client --example quickstart
 //! ```
 //!
 //! The session-first surface (`Hub` → `Session` → `Publisher`/`Subscriber`)
-//! is the same shape `dps-client` exposes against a live `dps-broker`
-//! process, so this program ports to the served system by swapping the hub
-//! for a connection.
+//! is `dps-client`'s: the same `Session` type serves a live `dps-broker`
+//! process, so this program ports to the served system by opening its
+//! sessions with `Session::connect` instead of `hub.open_session()`.
 
-use dps::{DpsConfig, DpsError, Event, Filter, Hub};
+use dps::{DpsConfig, DpsError, Event, Filter};
+use dps_client::Hub;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Default flavor: root-based traversal, leader-based communication.

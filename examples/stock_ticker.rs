@@ -5,10 +5,11 @@
 //! symbols), ticks are uniform. Run with:
 //!
 //! ```sh
-//! cargo run --release --example stock_ticker
+//! cargo run --release -p dps-client --example stock_ticker
 //! ```
 
-use dps::{CommKind, DpsConfig, Hub, JoinRule, Session, Subscriber, TraversalKind};
+use dps::{CommKind, DpsConfig, JoinRule, TraversalKind};
+use dps_client::{Hub, Session, Subscriber};
 use dps_workload::Workload;
 use rand::SeedableRng;
 

@@ -1,10 +1,11 @@
-//! Fast end-to-end smoke test mirroring the `dps` crate's quickstart example:
+//! Fast end-to-end smoke test mirroring the quickstart example:
 //! a small network converges and a publication reaches exactly the matching
 //! subscribers — driven through the session-first API (`Hub` → `Session` →
 //! `Publisher`/`Subscriber`). Runs in well under a second, so CI exercises
 //! the session lifecycle and publish→deliver on every push.
 
-use dps::{DpsConfig, Event, Filter, Hub};
+use dps::{DpsConfig, Event, Filter};
+use dps_client::Hub;
 
 #[test]
 fn quickstart_session_publish_reaches_matching_subscribers() {
