@@ -94,7 +94,12 @@ pub struct DpsConfig {
     pub probe_retries: u32,
     /// TTL of the random walks used to discover a tree for an attribute.
     pub walk_ttl: u32,
-    /// Retries before concluding that no tree exists for an attribute.
+    /// Times a node repeats the walk pair looking for an attribute's tree
+    /// after the first came back empty or not at all. When the last one
+    /// fails too, no tree exists as far as the node can tell: a waiting
+    /// subscription creates it and becomes its owner (§4.1), waiting
+    /// publications skip the attribute. A node runs one such lookup per
+    /// attribute at a time, whatever number of requests wait on it.
     pub find_tree_retries: u32,
     /// Timeout for pending subscription/publication requests before retrying.
     pub request_timeout: u64,
@@ -111,7 +116,10 @@ pub struct DpsConfig {
     /// Period of the leader-mode view exchange (parent chain down / child report
     /// up) and of the epidemic merge push.
     pub view_exchange_every: u64,
-    /// Period of the duplicate-tree detection walk run by owners.
+    /// Period of the duplicate-tree detection walk run by owners, which also
+    /// re-announces their claim. A publisher whose lookup was answered "no
+    /// such tree" believes it for one such period before walking again (or
+    /// until an announcement or answer names the tree).
     pub owner_merge_every: u64,
     /// Age limit (steps) of the per-node recent-publication buffer used to
     /// re-flush events into a branch right after it is repaired, re-attached

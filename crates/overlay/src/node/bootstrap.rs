@@ -12,7 +12,7 @@ use rand::seq::IteratorRandom;
 use crate::config::{CommKind, TraversalKind};
 use crate::label::GroupLabel;
 use crate::msg::{DpsMsg, Ticket};
-use crate::node::{claim_beats, DpsNode, PendingWalk, SubPhase, TreeContact};
+use crate::node::{claim_beats, DpsNode, SubPhase, TreeContact, TreeLookup};
 
 impl DpsNode {
     pub(crate) fn handle_shuffle(
@@ -59,19 +59,28 @@ impl DpsNode {
             .choose_multiple(ctx.rng(), n)
     }
 
-    /// Starts (or restarts) a random walk looking for the tree of `attr`.
+    /// Makes sure a random walk for the tree of `attr` is in flight: a no-op
+    /// while one is — every subscription and publication waiting on the
+    /// attribute shares its answer (`resume_for_attr`), and answers that land
+    /// in a suspicion guard cannot stack walks — and a fresh lookup otherwise.
+    /// A remembered absence is forgotten: only `publish` trusts it, and the
+    /// callers here are subscriptions and owners checking for duplicates.
     pub(crate) fn start_walk(&mut self, attr: AttrName, ctx: &mut Context<'_, DpsMsg>) {
-        let deadline = ctx.now() + self.cfg.request_timeout;
-        match self.walks.iter_mut().find(|w| w.attr == attr) {
-            Some(w) => w.deadline = deadline,
-            None => self.walks.push(PendingWalk {
-                attr: attr.clone(),
-                deadline,
-            }),
+        match self.lookup(&attr) {
+            Some(TreeLookup::Absent { .. }) => self.lookups.retain(|(a, _)| *a != attr),
+            Some(_) => return,
+            None => {}
         }
+        self.send_walk(attr, 0, ctx);
+    }
+
+    /// Launches one walk pair for `attr`, `misses` pairs having ended empty
+    /// before it.
+    fn send_walk(&mut self, attr: AttrName, misses: u32, ctx: &mut Context<'_, DpsMsg>) {
+        let deadline = ctx.now() + self.cfg.request_timeout;
         let ttl = self.cfg.walk_ttl;
         let origin = self.id;
-        // Launch two parallel walks ("random walks", §4.1): a single walk dies
+        // Two parallel walks ("random walks", §4.1): a single walk dies
         // whenever one hop lands on a crashed peer, which is common under churn.
         for peer in self.peer_sample(ctx, 2) {
             ctx.send(
@@ -83,8 +92,89 @@ impl DpsNode {
                 },
             );
         }
-        // With no peers at all, the walk deadline will expire and the caller-side
-        // retry logic concludes "no tree" (and creates one if subscribing).
+        // With no peers at all nothing is sent; the deadline expires and the
+        // lookup ends like any other unanswered walk.
+        self.lookups
+            .push((attr, TreeLookup::Walking { misses, deadline }));
+    }
+
+    /// Lookup timeouts, from `on_tick`: takes every walk pair that ended this
+    /// step without finding the tree — answered `TreeNotFound`, or not
+    /// answered by its deadline — and decides what its waiters do next.
+    ///
+    /// Waiting subscriptions become due at once: `retry_due_subscriptions`,
+    /// next in this tick, counts the round on each and has it walk again or —
+    /// past `find_tree_retries` — create the tree (§4.1).
+    ///
+    /// With only publications waiting, the walk is repeated
+    /// `find_tree_retries` times and then they skip the attribute: no tree
+    /// means no subscriber on it. If that last pair was *answered* empty —
+    /// `walk_ttl` hops met nobody who knows the tree, where a lost walk says
+    /// nothing — the absence is remembered for one `owner_merge_every`
+    /// period, so the publications that follow do not each walk again.
+    pub(crate) fn tick_lookups(&mut self, ctx: &mut Context<'_, DpsMsg>) {
+        let now = ctx.now();
+        self.lookups
+            .retain(|(_, l)| !matches!(l, TreeLookup::Absent { until } if *until <= now));
+        let ended: Vec<(AttrName, u32, bool)> = self
+            .lookups
+            .iter()
+            .filter_map(|(a, l)| match *l {
+                TreeLookup::Empty { misses } => Some((a.clone(), misses, true)),
+                TreeLookup::Walking { misses, deadline } if deadline <= now => {
+                    Some((a.clone(), misses, false))
+                }
+                _ => None,
+            })
+            .collect();
+        for (attr, misses, answered) in ended {
+            self.lookups.retain(|(a, _)| *a != attr);
+            let mut subscribing = false;
+            for p in &mut self.pending_subs {
+                if p.phase == SubPhase::FindingTree && p.pred.name() == &attr {
+                    p.deadline = now;
+                    subscribing = true;
+                }
+            }
+            if subscribing || !self.pending_pubs.iter().any(|p| p.attrs.contains(&attr)) {
+                // The subscriptions take it from here; or nobody waits (an
+                // owner's duplicate check, a request served some other way).
+                continue;
+            }
+            if misses < self.cfg.find_tree_retries {
+                self.send_walk(attr, misses + 1, ctx);
+                continue;
+            }
+            for p in &mut self.pending_pubs {
+                p.attrs.retain(|a| *a != attr);
+            }
+            self.pending_pubs.retain(|p| !p.attrs.is_empty());
+            if answered {
+                let until = now + self.cfg.owner_merge_every;
+                self.lookups.push((attr, TreeLookup::Absent { until }));
+            }
+        }
+    }
+
+    /// Caches a contact for the tree of `attr`. Whatever names a contact also
+    /// proves the tree exists, so a remembered absence ends here.
+    pub(crate) fn cache_tree(
+        &mut self,
+        attr: AttrName,
+        contact: NodeId,
+        owner: Option<NodeId>,
+        epoch: u64,
+    ) {
+        self.lookups
+            .retain(|(a, l)| *a != attr || !matches!(l, TreeLookup::Absent { .. }));
+        self.tree_cache.insert(
+            attr,
+            TreeContact {
+                contact,
+                owner,
+                epoch,
+            },
+        );
     }
 
     pub(crate) fn handle_find_tree(
@@ -95,7 +185,7 @@ impl DpsNode {
         ctx: &mut Context<'_, DpsMsg>,
     ) {
         // Am I in the tree?
-        if !self.memberships_in(&attr).is_empty() {
+        if self.in_tree(&attr) {
             let (owner, epoch) = match self.known_owner_claim(&attr) {
                 Some((o, e)) => (Some(o), e),
                 None => (None, 0),
@@ -149,28 +239,17 @@ impl DpsNode {
         }
     }
 
-    /// A walk came back empty: retry (or create the tree) right away by expiring
-    /// the pending requests waiting on this attribute.
-    pub(crate) fn handle_tree_not_found(&mut self, attr: AttrName, ctx: &mut Context<'_, DpsMsg>) {
-        if !self.walks.iter().any(|w| w.attr == attr) {
-            return; // stale answer from an earlier walk
-        }
-        self.walks.retain(|w| w.attr != attr);
-        let now = ctx.now();
-        for p in &mut self.pending_subs {
-            if p.phase == SubPhase::FindingTree && p.pred.name() == &attr {
-                p.deadline = now;
+    /// A walk came back empty: the pair in flight is over. This step's
+    /// `on_tick` decides what follows (`tick_lookups`) — never inline here:
+    /// the pair's second answer, arriving in the same step, would meet the
+    /// fresh walk and end it too.
+    pub(crate) fn handle_tree_not_found(&mut self, attr: AttrName) {
+        // An answer without a walk in flight is stale (from an earlier pair).
+        if let Some((_, l)) = self.lookups.iter_mut().find(|(a, _)| *a == attr) {
+            if let TreeLookup::Walking { misses, .. } = *l {
+                *l = TreeLookup::Empty { misses };
             }
         }
-        for p in &mut self.pending_pubs {
-            if p.attrs.contains(&attr) {
-                p.deadline = now;
-            }
-        }
-        // The expired deadlines are picked up by this step's `on_tick` — never
-        // retry inline here: several parallel walks answering in one step would
-        // each spawn a fresh retry (and fresh walks), snowballing exponentially.
-        let _ = ctx;
     }
 
     pub(crate) fn handle_tree_found(
@@ -185,15 +264,14 @@ impl DpsNode {
             // Stale answer naming a contact we believe dead — but the belief
             // itself may be stale (a healed partition looks exactly like a
             // crash while it holds): verify instead of refusing forever. For
-            // owner-walk answers (no pending-walk entry) the re-walk fires
-            // immediately; for subscription-driven walks the entry is still
-            // registered, so the re-check rides the existing deadline-retry
-            // machinery instead of stacking extra walks.
+            // owner-walk answers (no lookup in flight) the re-walk fires
+            // immediately; a subscription-driven lookup is still walking, so
+            // the re-check rides its retries instead of stacking extra walks.
             self.verify_suspect(contact, ctx);
-            self.rewalk_once(&attr, ctx);
+            self.start_walk(attr, ctx);
             return;
         }
-        self.walks.retain(|w| w.attr != attr);
+        self.lookups.retain(|(a, _)| *a != attr);
         // Duplicate-tree detection: we own this attribute but the walk came back
         // with a different owner — one of the two trees must dissolve (§4.1).
         if self.owns_tree(&attr) {
@@ -211,14 +289,7 @@ impl DpsNode {
                 }
             }
         }
-        self.tree_cache.insert(
-            attr.clone(),
-            TreeContact {
-                contact,
-                owner,
-                epoch,
-            },
-        );
+        self.cache_tree(attr.clone(), contact, owner, epoch);
         self.resume_for_attr(&attr, ctx);
     }
 
@@ -250,14 +321,7 @@ impl DpsNode {
             _ => (claim, None),
         };
         let improved = prev != Some(winner);
-        self.tree_cache.insert(
-            attr.clone(),
-            TreeContact {
-                contact: winner.0,
-                owner: Some(winner.0),
-                epoch: winner.1,
-            },
-        );
+        self.cache_tree(attr.clone(), winner.0, Some(winner.0), winner.1);
         // Epidemic broadcast of ownership: forward strictly-better claims to a
         // few peers. Claims form a lattice (epoch, then min id), so every node
         // forwards at most once per improvement and the flood terminates.
@@ -324,14 +388,8 @@ impl DpsNode {
         for p in peers {
             ctx.send(p, announce.clone());
         }
-        self.tree_cache.insert(
-            attr,
-            TreeContact {
-                contact: self.id,
-                owner: Some(self.id),
-                epoch,
-            },
-        );
+        self.lookups.retain(|(a, _)| *a != attr);
+        self.cache_tree(attr, self.id, Some(self.id), epoch);
     }
 
     /// Re-drives pending subscriptions/publications blocked on discovering the
@@ -429,7 +487,7 @@ impl DpsNode {
             // dissolves within a handful of steps instead of a whole
             // owner-walk period.
             self.verify_suspect(other_owner, ctx);
-            self.rewalk_once(attr, ctx);
+            self.start_walk(attr.clone(), ctx);
             return;
         }
         // Compare against the claim of the root we actually maintain — not
@@ -468,19 +526,6 @@ impl DpsNode {
         ctx.send(suspect, DpsMsg::Ping { nonce });
     }
 
-    /// Restarts the walk for `attr` so a suspicion-blocked answer is promptly
-    /// re-checked — but only when no walk for it is already pending: walk
-    /// answers can themselves land in a suspicion guard, and an unguarded
-    /// restart per answer snowballs walks exponentially while the suspect is
-    /// genuinely dead (stale third-party caches keep naming it). The pending
-    /// entry expires after `request_timeout`, bounding re-walks to one burst
-    /// per timeout period.
-    pub(crate) fn rewalk_once(&mut self, attr: &AttrName, ctx: &mut Context<'_, DpsMsg>) {
-        if !self.walks.iter().any(|w| &w.attr == attr) {
-            self.start_walk(attr.clone(), ctx);
-        }
-    }
-
     /// Tears down our membership(s) in a duplicate tree and re-subscribes the
     /// affected subscriptions through the surviving one. Leaders forward the
     /// dissolution down their branches and out to members first.
@@ -498,7 +543,7 @@ impl DpsNode {
             // re-check happens promptly: if the owner is alive across a
             // healed cut, its answer unblocks the next wave.
             self.verify_suspect(new_owner, ctx);
-            self.rewalk_once(&attr, ctx);
+            self.start_walk(attr, ctx);
             return;
         }
         // The dissolve decision is **per membership**: a node can sit in both
@@ -521,14 +566,7 @@ impl DpsNode {
             return;
         }
         // Update the cache toward the surviving tree.
-        self.tree_cache.insert(
-            attr.clone(),
-            TreeContact {
-                contact,
-                owner: Some(new_owner),
-                epoch,
-            },
-        );
+        self.cache_tree(attr.clone(), contact, Some(new_owner), epoch);
         let msg = DpsMsg::DissolveTree {
             attr: attr.clone(),
             contact,
@@ -651,7 +689,7 @@ impl DpsNode {
                 .or_else(|| self.tree_cache.get(&attr).map(|c| c.contact)),
             TraversalKind::Generic => {
                 // Any contact will do; prefer ourselves when we are in the tree.
-                if !self.memberships_in(&attr).is_empty() {
+                if self.in_tree(&attr) {
                     Some(self.id)
                 } else {
                     self.tree_cache.get(&attr).map(|c| c.contact)

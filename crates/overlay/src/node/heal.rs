@@ -1171,8 +1171,7 @@ impl DpsNode {
 
     /// Pending-request timeouts, from `on_tick`.
     pub(crate) fn tick_pending(&mut self, ctx: &mut Context<'_, DpsMsg>) {
-        let now = ctx.now();
-        self.walks.retain(|w| w.deadline > now);
+        self.tick_lookups(ctx);
         self.retry_due_subscriptions(ctx);
         self.retry_due_publications(ctx);
     }

@@ -69,21 +69,35 @@ pub(crate) struct PendingSub {
     pub retries: u32,
 }
 
-/// A publication waiting for tree discovery on some attributes.
+/// A publication some attribute's tree has not acknowledged yet.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingPub {
     pub id: PubId,
     pub event: SharedEvent,
+    /// Attributes still owed a `PubAck`: sent to a contact, or waiting on
+    /// the attribute's [`TreeLookup`].
     pub attrs: Vec<AttrName>,
     pub deadline: Step,
+    /// Timeouts spent waiting for an acknowledgement.
     pub retries: u32,
 }
 
-/// An outstanding random walk looking for an attribute tree.
-#[derive(Debug, Clone)]
-pub(crate) struct PendingWalk {
-    pub attr: AttrName,
-    pub deadline: Step,
+/// Where this node's search for one attribute's tree stands (§4.1: "by
+/// propagating a request message with random walks"). A node keeps at most
+/// one per attribute, shared by every subscription and publication waiting
+/// on that tree.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum TreeLookup {
+    /// A walk pair is in flight, given up as lost at `deadline`; `misses`
+    /// pairs before it ended without finding the tree.
+    Walking { misses: u32, deadline: Step },
+    /// The pair in flight answered `TreeNotFound`; this step's tick decides
+    /// what follows.
+    Empty { misses: u32 },
+    /// The lookup ran out of retries and its last pair was answered
+    /// `TreeNotFound`: no tree is believed to exist until `until`, and
+    /// publications skip the attribute meanwhile.
+    Absent { until: Step },
 }
 
 /// A publication this node is actively gossiping within one group (epidemic
@@ -147,7 +161,9 @@ pub struct DpsNode {
     pub(crate) memberships: Vec<Membership>,
     pub(crate) pending_subs: Vec<PendingSub>,
     pub(crate) pending_pubs: Vec<PendingPub>,
-    pub(crate) walks: Vec<PendingWalk>,
+    /// Tree lookups in progress or concluded "absent", in the order they
+    /// began (`tick_lookups` iterates it and the walks draw from the RNG).
+    pub(crate) lookups: Vec<(AttrName, TreeLookup)>,
 
     // Publication bookkeeping.
     /// Per-(publication, group) route dedup. Keyed by an interned label id
@@ -221,7 +237,7 @@ impl DpsNode {
             memberships: Vec::new(),
             pending_subs: Vec::new(),
             pending_pubs: Vec::new(),
-            walks: Vec::new(),
+            lookups: Vec::new(),
             seen_route: SeenCache::new(seen_cap * 4),
             label_ids: HashMap::new(),
             seen_node: SeenCache::new(seen_cap),
@@ -307,6 +323,11 @@ impl DpsNode {
             .collect()
     }
 
+    /// Number of own publications some tree has not acknowledged yet.
+    pub fn pending_publications(&self) -> usize {
+        self.pending_pubs.len()
+    }
+
     /// Publications received (any group, counted once per publication).
     pub fn publications_received(&self) -> u64 {
         self.pubs_received
@@ -329,6 +350,16 @@ impl DpsNode {
 
     pub(crate) fn membership_index(&self, label: &GroupLabel) -> Option<usize> {
         self.memberships.iter().position(|m| &m.label == label)
+    }
+
+    /// Whether this node holds a membership in the tree of `attr`.
+    pub(crate) fn in_tree(&self, attr: &AttrName) -> bool {
+        self.memberships.iter().any(|m| m.label.attr() == attr)
+    }
+
+    /// Where the search for the tree of `attr` stands, if there is one.
+    pub(crate) fn lookup(&self, attr: &AttrName) -> Option<&TreeLookup> {
+        self.lookups.iter().find(|(a, _)| a == attr).map(|(_, l)| l)
     }
 
     /// Memberships within the tree of `attr`.
@@ -536,13 +567,12 @@ impl Process for DpsNode {
         // nodes never speak again): owners immediately re-walk their trees
         // for duplicates instead of waiting out the owner-walk period — this
         // is what lets two healed sides start merging within a shuffle
-        // period of the cut lifting. Throttled through `rewalk_once`: after
-        // a big heal, dozens of suspects revive within a few steps, and each
-        // must not stack another walk (nor keep resetting the pending walk's
-        // deadline).
+        // period of the cut lifting. `start_walk` is a no-op while a walk for
+        // the attribute is in flight: after a big heal, dozens of suspects
+        // revive within a few steps, and each must not stack another walk.
         if revived {
             for attr in self.owned_attrs() {
-                self.rewalk_once(&attr, ctx);
+                self.start_walk(attr, ctx);
             }
         }
         match msg {
@@ -556,7 +586,7 @@ impl Process for DpsNode {
                 owner,
                 epoch,
             } => self.handle_tree_found(attr, contact, owner, epoch, ctx),
-            DpsMsg::TreeNotFound { attr } => self.handle_tree_not_found(attr, ctx),
+            DpsMsg::TreeNotFound { attr } => self.handle_tree_not_found(attr),
             DpsMsg::OwnerAnnounce { attr, owner, epoch } => {
                 self.handle_owner_announce(attr, owner, epoch, ctx)
             }

@@ -10,16 +10,26 @@ use rand::Rng;
 use crate::config::{CommKind, TraversalKind};
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, PubId, PubTicket};
-use crate::node::{ActiveGossip, DpsNode, PendingPub};
+use crate::node::{ActiveGossip, DpsNode, PendingPub, TreeLookup};
+
+/// Timeouts a publication may spend unacknowledged before it is dropped: its
+/// trees are known (discovery gives up much sooner, at `find_tree_retries`),
+/// yet every contact tried stayed silent.
+const MAX_PUB_RETRIES: u32 = 12;
 
 impl DpsNode {
     /// Publishes an event: it is routed into the tree of **every** attribute it
     /// carries (§3: "each event is published in each logical tree that matches
     /// every attribute of the event").
     ///
-    /// Trees not yet known to this node are discovered by random walks first; if
-    /// a tree cannot be found after the configured retries the attribute is
-    /// skipped (no tree means no subscriber on that attribute).
+    /// A tree not yet known to this node is discovered by random walks first,
+    /// one lookup per attribute however many publications wait on it. If the
+    /// walks and their [`find_tree_retries`](crate::DpsConfig::find_tree_retries)
+    /// retries find nothing, the attribute is skipped — no tree means no
+    /// subscriber on that attribute — and stays skipped, without walking
+    /// again, for one [`owner_merge_every`](crate::DpsConfig::owner_merge_every)
+    /// period or until this node hears of the tree (`TreeFound`,
+    /// `OwnerAnnounce`, joining it), whichever is first.
     /// The event is wrapped into a [`SharedEvent`] here (or handed over
     /// pre-wrapped) — the **only** payload allocation of the publication's
     /// lifetime; every hop after this point clones the refcount.
@@ -31,10 +41,13 @@ impl DpsNode {
         let event = event.into();
         let id = PubId(self.id, self.next_pub);
         self.next_pub += 1;
-        let attrs: Vec<AttrName> = event.names().cloned().collect();
+        let attrs: Vec<AttrName> = event
+            .names()
+            .filter(|a| !matches!(self.lookup(a), Some(TreeLookup::Absent { .. })))
+            .cloned()
+            .collect();
         for attr in &attrs {
-            let known = !self.memberships_in(attr).is_empty() || self.tree_cache.contains_key(attr);
-            if known {
+            if self.in_tree(attr) || self.tree_cache.contains_key(attr) {
                 self.send_publication(id, &event, attr.clone(), ctx);
             } else {
                 self.start_walk(attr.clone(), ctx);
@@ -42,13 +55,15 @@ impl DpsNode {
         }
         // The publication stays pending per attribute until a tree member
         // acknowledges it (stale contacts are re-walked and the event resent).
-        self.pending_pubs.push(PendingPub {
-            id,
-            event,
-            attrs,
-            deadline: ctx.now() + self.cfg.request_timeout,
-            retries: 0,
-        });
+        if !attrs.is_empty() {
+            self.pending_pubs.push(PendingPub {
+                id,
+                event,
+                attrs,
+                deadline: ctx.now() + self.cfg.request_timeout,
+                retries: 0,
+            });
+        }
         id
     }
 
@@ -93,16 +108,10 @@ impl DpsNode {
             TraversalKind::Root => self
                 .known_owner(&attr)
                 .filter(|o| !self.suspected.contains(o))
-                .or_else(|| {
-                    if self.memberships_in(&attr).is_empty() {
-                        None
-                    } else {
-                        Some(self.id)
-                    }
-                })
+                .or_else(|| self.in_tree(&attr).then_some(self.id))
                 .or_else(|| self.tree_cache.get(&attr).map(|c| c.contact)),
             TraversalKind::Generic => {
-                if !self.memberships_in(&attr).is_empty() {
+                if self.in_tree(&attr) {
                     Some(self.id)
                 } else {
                     self.tree_cache.get(&attr).map(|c| c.contact)
@@ -116,37 +125,50 @@ impl DpsNode {
         }
     }
 
-    /// Retries publications blocked on tree discovery (from `on_tick`).
+    /// Retries publications no tree member acknowledged within
+    /// `request_timeout` (from `on_tick`). Discovery is not retried here: an
+    /// attribute still being walked for belongs to its lookup
+    /// (`tick_lookups`), which resends on `TreeFound` and drops the
+    /// attribute when it gives up.
     pub(crate) fn retry_due_publications(&mut self, ctx: &mut Context<'_, DpsMsg>) {
         let now = ctx.now();
-        let max = self.cfg.find_tree_retries;
-        let mut walk: Vec<AttrName> = Vec::new();
+        let timeout = self.cfg.request_timeout;
+        let mut silent: Vec<AttrName> = Vec::new();
+        let mut resend: Vec<(PubId, SharedEvent, Vec<AttrName>)> = Vec::new();
         self.pending_pubs.retain_mut(|p| {
             if p.deadline > now {
                 return true;
             }
             p.retries += 1;
-            if p.retries > max + 10 {
-                // Give up: either no tree exists for the remaining attributes
-                // (nobody subscribed) or the tree is unreachable despite retries.
+            if p.retries > MAX_PUB_RETRIES {
                 return false;
             }
-            p.deadline = now + 40;
-            walk.extend(p.attrs.iter().cloned());
+            p.deadline = now + timeout;
+            for attr in &p.attrs {
+                if !silent.contains(attr) {
+                    silent.push(attr.clone());
+                }
+            }
+            resend.push((p.id, p.event.clone(), p.attrs.clone()));
             true
         });
-        // The cached contacts may be dead (that is usually why no ack arrived):
-        // drop them and rediscover the trees before resending. After several
-        // silent rounds, actively suspect the contact so stale caches elsewhere
-        // cannot keep steering us back to it (a live node clears the suspicion
-        // the moment it sends us anything).
+        // An attribute still being looked up was never sent anywhere; the
+        // others went to a contact that had a whole timeout to acknowledge
+        // and did not.
+        silent.retain(|attr| self.lookup(attr).is_none());
+        // That contact is usually dead: drop it and rediscover the tree
+        // before resending — one walk per attribute however many
+        // publications wait on it. After several silent rounds, actively
+        // suspect the contact so stale caches elsewhere cannot keep steering
+        // us back to it (a live node clears the suspicion the moment it
+        // sends us anything).
         let stubborn: Vec<AttrName> = self
             .pending_pubs
             .iter()
             .filter(|p| p.retries >= 3)
             .flat_map(|p| p.attrs.iter().cloned())
             .collect();
-        for attr in &walk {
+        for attr in &silent {
             if let Some(c) = self.tree_cache.remove(attr) {
                 if stubborn.contains(attr) {
                     self.suspected.insert(c.contact);
@@ -156,18 +178,12 @@ impl DpsNode {
                 }
             }
         }
-        let resend: Vec<(PubId, SharedEvent, Vec<AttrName>)> = self
-            .pending_pubs
-            .iter()
-            .filter(|p| p.deadline == now + 40)
-            .map(|p| (p.id, p.event.clone(), p.attrs.clone()))
-            .collect();
-        for attr in walk {
+        for attr in silent {
             self.start_walk(attr, ctx);
         }
         for (id, event, attrs) in resend {
             for attr in attrs {
-                if !self.memberships_in(&attr).is_empty() {
+                if self.in_tree(&attr) {
                     self.send_publication(id, &event, attr, ctx);
                 }
             }

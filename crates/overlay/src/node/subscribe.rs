@@ -179,8 +179,7 @@ impl DpsNode {
             return;
         }
         let attr = pred.name().clone();
-        let in_tree = !self.memberships_in(&attr).is_empty();
-        let has_contact = in_tree || self.tree_cache.contains_key(&attr);
+        let has_contact = self.in_tree(&attr) || self.tree_cache.contains_key(&attr);
         if has_contact && self.send_find_group(sub_id, pred, ctx) {
             let deadline = ctx.now() + self.cfg.traversal_timeout;
             if let Some(p) = self.pending_subs.iter_mut().find(|p| p.sub_id == sub_id) {
@@ -647,14 +646,7 @@ impl DpsNode {
         }
         let attr = group.label.attr().clone();
         self.memberships.push(m);
-        self.tree_cache.insert(
-            attr,
-            crate::node::TreeContact {
-                contact: self.id,
-                owner: Some(group.owner),
-                epoch: group.owner_epoch,
-            },
-        );
+        self.cache_tree(attr, self.id, Some(group.owner), group.owner_epoch);
     }
 
     pub(crate) fn handle_create_group(
@@ -711,14 +703,7 @@ impl DpsNode {
                 }
             }
             let attr = label.attr().clone();
-            self.tree_cache.insert(
-                attr,
-                crate::node::TreeContact {
-                    contact: self.id,
-                    owner: Some(parent.owner),
-                    epoch: parent.owner_epoch,
-                },
-            );
+            self.cache_tree(attr, self.id, Some(parent.owner), parent.owner_epoch);
         }
         // CREATE_GROUP complete: unblock event propagation in the predecessor.
         let child = BranchInfo {
