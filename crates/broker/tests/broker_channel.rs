@@ -31,8 +31,18 @@ impl TestClient {
     }
 
     fn send(&mut self, frame: &Frame) {
-        let bytes = encode(frame).unwrap();
-        let n = self.conn.send(&bytes).expect("channel accepts all bytes");
+        self.send_bytes(&encode(frame).unwrap());
+    }
+
+    /// Sends `body` as a frame, as a peer with its own encoder would.
+    fn send_body(&mut self, body: &str) {
+        let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(body.as_bytes());
+        self.send_bytes(&bytes);
+    }
+
+    fn send_bytes(&mut self, bytes: &[u8]) {
+        let n = self.conn.send(bytes).expect("channel accepts all bytes");
         assert_eq!(n, bytes.len());
     }
 
@@ -163,6 +173,64 @@ fn end_to_end_delivery_over_channels() {
             (10, "price = 101".to_string())
         ],
         "exactly the matching events, in publish order"
+    );
+}
+
+/// Attribute order on the wire is free: a peer that writes `y` before `x`
+/// has published the same event, and it reaches the subscriber it matches. A
+/// name written twice is no event: the frame is undecodable, which ends the
+/// session with a `Close` naming the attribute.
+#[test]
+fn attributes_in_any_order_are_the_same_event_and_a_repeated_one_is_refused() {
+    let t = ChannelTransport::new();
+    let mut broker = broker_on(&t, "hub", 7);
+    let mut sub = TestClient::connect(&t, "hub");
+    let mut pubc = TestClient::connect(&t, "hub");
+    sub.hello();
+    pubc.hello();
+    settle(&mut broker, &mut [&mut sub, &mut pubc], 3);
+    sub.send(&Frame::Subscribe {
+        seq: 1,
+        sub: 10,
+        filter: "y = 7".parse::<dps::Filter>().unwrap().into(),
+        credit: 64,
+    });
+    settle(&mut broker, &mut [&mut sub, &mut pubc], 60);
+
+    pubc.send_body(r#"{"Publish":{"seq":1,"event":{"attrs":[["y",{"Int":7}],["x",{"Int":5}]]}}}"#);
+    settle(&mut broker, &mut [&mut sub, &mut pubc], 80);
+    assert!(
+        matches!(
+            pubc.acks()[..],
+            [Frame::Ack {
+                seq: 1,
+                error: None,
+                ..
+            }]
+        ),
+        "the publish is acked: {:?}",
+        pubc.frames
+    );
+    assert_eq!(sub.deliveries(), vec![(10, "x = 5 & y = 7".to_string())]);
+
+    assert_eq!(broker.session_count(), 2);
+    pubc.send_body(
+        r#"{"Publish":{"seq":2,"event":{"attrs":[["y",{"Int":7}],["x",{"Int":5}],["y",{"Int":8}]]}}}"#,
+    );
+    settle(&mut broker, &mut [&mut sub, &mut pubc], 80);
+    match pubc.frames.last() {
+        Some(Frame::Close { reason }) => assert!(
+            reason.contains("protocol error")
+                && reason.contains(r#"attribute "y" appears more than once"#),
+            "the refusal names the attribute: {reason}"
+        ),
+        other => panic!("expected a Close, got {other:?}"),
+    }
+    assert_eq!(broker.session_count(), 1, "the publisher's session is gone");
+    assert_eq!(
+        sub.deliveries().len(),
+        1,
+        "and nothing of that frame got out"
     );
 }
 

@@ -1,6 +1,14 @@
 //! Property tests for the wire codec: every frame type survives a round
 //! trip; truncation, garbage, and hostile length prefixes are rejected with
 //! named errors (never a panic, never an allocation sized by the attacker).
+//! The decoder reads a frame in one pass with no tree in between, so it is
+//! also held against inputs this repository's encoder never writes: mutated
+//! bytes, members in any order, arbitrary whitespace, pathological nesting,
+//! numbers at and past the edges of their fields, escaped strings.
+//!
+//! Every property draws a fixed number of cases from a generator seeded by
+//! the test's name (the vendored proptest's only mode), so each run — CI's
+//! `test` job included — checks the same inputs.
 
 use std::collections::VecDeque;
 
@@ -47,9 +55,11 @@ fn frame() -> BoxedStrategy<Frame> {
             }
         ),
         (0u64..1 << 32, 0u64..1 << 16).prop_map(|(seq, sub)| Frame::Unsubscribe { seq, sub }),
-        (0u64..1 << 32, st::event()).prop_map(|(seq, event)| Frame::Publish {
-            seq,
-            event: event.into(),
+        (0u64..1 << 32, prop_oneof![st::event(), hostile_event()]).prop_map(|(seq, event)| {
+            Frame::Publish {
+                seq,
+                event: event.into(),
+            }
         }),
         (
             0u64..1 << 16,
@@ -80,6 +90,74 @@ fn frame() -> BoxedStrategy<Frame> {
         st::short_string().prop_map(|reason| Frame::Close { reason }),
     ]
     .boxed()
+}
+
+/// `body` behind the length prefix that fits it.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// The decode error for a well-framed `body` that is no [`Frame`].
+fn decode_error(body: &str) -> String {
+    match decode(&framed(body.as_bytes())) {
+        Err(WireError::Decode(why)) => why,
+        other => panic!("expected a decode error for {body}, got {other:?}"),
+    }
+}
+
+/// The frame a well-framed `body` decodes to.
+fn decoded(body: &str) -> Frame {
+    let bytes = framed(body.as_bytes());
+    let (frame, used) = decode(&bytes)
+        .unwrap_or_else(|e| panic!("{body}: {e}"))
+        .expect("complete");
+    assert_eq!(used, bytes.len());
+    frame
+}
+
+/// Writes `v` as a peer with other habits would: object members in the order
+/// `picks` shuffle them into and any JSON whitespace between tokens.
+fn scrambled(v: &serde_json::Value, picks: &mut impl Iterator<Item = u32>, out: &mut String) {
+    let ws = |out: &mut String, picks: &mut dyn Iterator<Item = u32>| {
+        out.push_str(["", " ", "\n", "\t \r\n"][picks.next().unwrap() as usize % 4]);
+    };
+    ws(out, picks);
+    match v {
+        serde_json::Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                scrambled(item, picks, out);
+            }
+            ws(out, picks);
+            out.push(']');
+        }
+        serde_json::Value::Object(members) => {
+            let mut members: Vec<_> = members.iter().collect();
+            for i in (1..members.len()).rev() {
+                members.swap(i, picks.next().unwrap() as usize % (i + 1));
+            }
+            out.push('{');
+            for (i, (key, value)) in members.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(out, picks);
+                serde_json::Value::String(key.clone()).render_compact(out);
+                ws(out, picks);
+                out.push(':');
+                scrambled(value, picks, out);
+            }
+            ws(out, picks);
+            out.push('}');
+        }
+        leaf => leaf.render_compact(out),
+    }
+    ws(out, picks);
 }
 
 proptest! {
@@ -152,6 +230,55 @@ proptest! {
         prop_assert!(matches!(decode(&buf), Err(WireError::Decode(_))));
     }
 
+    /// A peer may write the members of any object in any order and put any
+    /// JSON whitespace between tokens: it is the same frame.
+    #[test]
+    fn member_order_and_whitespace_are_free(
+        f in frame(),
+        picks in proptest::collection::vec(0u32..u32::MAX, 1..=64),
+    ) {
+        let mut body = String::new();
+        scrambled(&serde::Serialize::to_json(&f), &mut picks.iter().copied().cycle(), &mut body);
+        prop_assert_eq!(decoded(&body), f);
+    }
+
+    /// Attribute order on the wire is free as well: the event decoded from a
+    /// shuffled list is the event, and `get` finds every attribute in it.
+    #[test]
+    fn shuffled_attributes_decode_to_the_same_event(
+        event in prop_oneof![st::full_event(), hostile_event()],
+        picks in proptest::collection::vec(0u32..u32::MAX, 8),
+    ) {
+        let serde_json::Value::Object(members) = serde::Serialize::to_json(&event) else {
+            panic!("an event is an object");
+        };
+        let serde_json::Value::Array(mut attrs) = members[0].1.clone() else {
+            panic!("holding a list of attributes");
+        };
+        for i in (1..attrs.len()).rev() {
+            attrs.swap(i, picks[i % picks.len()] as usize % (i + 1));
+        }
+        let mut body = String::from(r#"{"Publish":{"seq":1,"event":{"attrs":"#);
+        serde_json::Value::Array(attrs.clone()).render_compact(&mut body);
+        body.push_str("}}}");
+        let Frame::Publish { event: back, .. } = decoded(&body) else {
+            panic!("a Publish");
+        };
+        prop_assert_eq!(&*back, &event);
+        for (name, value) in event.iter() {
+            prop_assert_eq!(back.get(name), Some(value));
+        }
+        // The same list with one attribute a second time is no event.
+        if let Some(first) = attrs.first().cloned() {
+            attrs.push(first);
+            let mut body = String::from(r#"{"Publish":{"seq":1,"event":{"attrs":"#);
+            serde_json::Value::Array(attrs).render_compact(&mut body);
+            body.push_str("}}}");
+            let why = decode_error(&body);
+            prop_assert!(why.contains("appears more than once"), "{}", why);
+        }
+    }
+
     /// Reassembly is chunking-independent: any chunk size yields the same
     /// frame sequence as one contiguous feed.
     #[test]
@@ -215,6 +342,178 @@ fn deliver_writer_enforces_the_cap_and_leaves_the_buffer_untouched() {
         decode(&bytes),
         Ok(Some((Frame::Deliver { sub: 7, .. }, _)))
     ));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+    /// Mutation fuzz: flip, insert and delete bytes of valid frames of every
+    /// type. The decoder refuses the result or reads a frame that is a fixed
+    /// point of encode → decode; it never panics, whatever the bytes.
+    #[test]
+    fn mutated_frames_are_refused_or_read_as_some_frame(
+        f in frame(),
+        edits in proptest::collection::vec((0u32..3, 0usize..1 << 16, 0u32..256), 1..=3),
+    ) {
+        let mut body = encode(&f).unwrap()[4..].to_vec();
+        for (kind, at, byte) in edits {
+            let byte = byte as u8;
+            match kind {
+                0 if !body.is_empty() => {
+                    let at = at % body.len();
+                    body[at] = if body[at] == byte { !byte } else { byte };
+                }
+                1 if !body.is_empty() => drop(body.remove(at % body.len())),
+                _ => body.insert(at % (body.len() + 1), byte),
+            }
+        }
+        let bytes = framed(&body);
+        match decode(&bytes) {
+            Err(WireError::Decode(_)) => {}
+            Ok(Some((frame, used))) => {
+                prop_assert_eq!(used, bytes.len());
+                let again = encode(&frame).expect("a decoded frame encodes");
+                prop_assert_eq!(decode(&again).unwrap(), Some((frame, again.len())));
+            }
+            other => panic!("a complete frame under the cap gave {other:?}"),
+        }
+    }
+}
+
+/// A body of nothing but openers, as large as a frame may be, is refused
+/// without following it down: where a value of another kind was expected the
+/// reader checks that what stands there is at least JSON, and its depth
+/// guard ends that at 128 levels — on a thread with a small stack the error
+/// comes back instead of an overflow.
+#[test]
+fn pathological_nesting_is_refused_by_the_depth_guard_not_the_stack() {
+    const IN_A_STRING_VALUE: &str = r#"{"Publish":{"seq":1,"event":{"attrs":[["k",{"Str":"#;
+    for (prefix, opener, why) in [
+        ("", "[", "nested too deeply"),
+        // An object is what a frame is, so this one is read — one level.
+        ("", r#"{"a":"#, r#"unknown variant "a" of Frame"#),
+        (IN_A_STRING_VALUE, "[", "nested too deeply"),
+        (IN_A_STRING_VALUE, r#"{"a":"#, "nested too deeply"),
+    ] {
+        let mut body = format!(
+            "{prefix}{}",
+            opener.repeat(MAX_FRAME as usize / opener.len())
+        );
+        body.truncate(MAX_FRAME as usize);
+        let got = std::thread::Builder::new()
+            .stack_size(512 << 10)
+            .spawn(move || decode_error(&body))
+            .unwrap()
+            .join()
+            .expect("no stack overflow, no panic");
+        assert!(got.contains(why), "{got}");
+    }
+}
+
+/// Numbers at the edges of their fields decode exactly; numbers past them,
+/// and numbers of the wrong sort, are errors naming the type and the field.
+#[test]
+fn numeric_edges_are_exact_or_named_errors() {
+    assert_eq!(
+        decoded(r#"{"Credit":{"sub":18446744073709551615,"more":4294967295}}"#),
+        Frame::Credit {
+            sub: u64::MAX,
+            more: u32::MAX
+        }
+    );
+    let int = |literal: &str| {
+        decoded(&format!(
+            r#"{{"Publish":{{"seq":0,"event":{{"attrs":[["k",{{"Int":{literal}}}]]}}}}}}"#
+        ))
+    };
+    let with = |v: i64| Frame::Publish {
+        seq: 0,
+        event: Event::new([("k", Value::from(v))]).into(),
+    };
+    assert_eq!(int("-9223372036854775808"), with(i64::MIN));
+    assert_eq!(int("9223372036854775807"), with(i64::MAX));
+    assert_eq!(int("-0"), with(0));
+    for (body, why) in [
+        (
+            r#"{"Credit":{"sub":18446744073709551616,"more":1}}"#,
+            "Frame::Credit.sub: expected u64, got the number `18446744073709551616`",
+        ),
+        (
+            r#"{"Credit":{"sub":1,"more":4294967296}}"#,
+            "Frame::Credit.more: expected u32, got the number `4294967296`",
+        ),
+        (
+            r#"{"Subscribe":{"seq":1,"sub":2,"filter":{"predicates":[]},"credit":4294967296}}"#,
+            "Frame::Subscribe.credit: expected u32, got the number `4294967296`",
+        ),
+        (
+            r#"{"Deliver":{"sub":1,"publisher":2,"pub_seq":4294967296,"event":{"attrs":[]}}}"#,
+            "Frame::Deliver.pub_seq: expected u32, got the number `4294967296`",
+        ),
+        (
+            r#"{"Deliver":{"sub":-0,"publisher":2,"pub_seq":3,"event":{"attrs":[]}}}"#,
+            "Frame::Deliver.sub: expected u64, got the number `-0`",
+        ),
+        (
+            r#"{"Unsubscribe":{"seq":1.0,"sub":2}}"#,
+            "Frame::Unsubscribe.seq: expected u64, got the number `1.0`",
+        ),
+        (
+            r#"{"Unsubscribe":{"seq":1,"sub":1e3}}"#,
+            "Frame::Unsubscribe.sub: expected u64, got the number `1e3`",
+        ),
+        (
+            r#"{"Publish":{"seq":0,"event":{"attrs":[["k",{"Int":9223372036854775808}]]}}}"#,
+            "Frame::Publish.event: Event.attrs: [0]: tuple[1]: Value::Int: \
+             expected i64, got the number `9223372036854775808`",
+        ),
+        (
+            r#"{"Hello":{"version":01,"session":null}}"#,
+            "leading zeros are not allowed",
+        ),
+    ] {
+        let got = decode_error(body);
+        assert!(got.contains(why), "{body}: {got}");
+    }
+}
+
+/// Escapes, surrogate pairs included, mean the characters they name —
+/// in attribute names as in string values — and come back out unchanged.
+#[test]
+fn escaped_strings_mean_their_characters() {
+    let body = r#"{"Publish":{"seq":3,"event":{"attrs":[["\ud83d\ude00\u00e9\"\\\/\b\f\n\r\t\u0000",{"Str":"a\ud834\udd1eb\u2028"}],["plain",{"Str":"é😀"}]]}}}"#;
+    let frame = Frame::Publish {
+        seq: 3,
+        event: Event::new([
+            (
+                "😀é\"\\/\u{8}\u{c}\n\r\t\u{0}",
+                Value::from("a\u{1d11e}b\u{2028}"),
+            ),
+            ("plain", Value::from("é😀")),
+        ])
+        .into(),
+    };
+    assert_eq!(decoded(body), frame);
+    let bytes = encode(&frame).unwrap();
+    assert_eq!(decode(&bytes).unwrap(), Some((frame, bytes.len())));
+    for (body, why) in [
+        (
+            r#"{"Close":{"reason":"\ud83d"}}"#,
+            "unpaired surrogate escape",
+        ),
+        (
+            r#"{"Close":{"reason":"\ud83d\u0041"}}"#,
+            "invalid low surrogate",
+        ),
+        (r#"{"Close":{"reason":"\x"}}"#, "invalid escape"),
+        (
+            "{\"Close\":{\"reason\":\"a\u{1}b\"}}",
+            "raw control character",
+        ),
+    ] {
+        let got = decode_error(body);
+        assert!(got.contains(why), "{body}: {got}");
+    }
 }
 
 /// Protocol v1 peers built before bodies went compact pretty-print them. One

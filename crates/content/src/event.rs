@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{de, json, Deserialize, Serialize};
 
 use crate::{AttrName, Value};
 
@@ -18,9 +18,38 @@ use crate::{AttrName, Value};
 /// assert_eq!(e.get(&"a".into()), Some(&Value::from(4)));
 /// assert_eq!(e.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct Event {
     attrs: Vec<(AttrName, Value)>,
+}
+
+/// What an [`Event`] looks like in JSON, read as written.
+mod layout {
+    use super::{AttrName, Value};
+
+    #[derive(serde::Deserialize)]
+    pub(super) struct Event {
+        pub(super) attrs: Vec<(AttrName, Value)>,
+    }
+}
+
+/// Attribute order in the text is free — the sorted order `get` searches is
+/// this type's business, not the writer's — but a name may appear only once.
+impl Deserialize for Event {
+    fn read(r: &mut json::Reader<'_>) -> Result<Self, de::Error> {
+        let layout::Event { mut attrs } = Deserialize::read(r)?;
+        // Sorted input, which is what `Serialize` writes, is taken as it is.
+        if !attrs.windows(2).all(|w| w[0].0 < w[1].0) {
+            attrs.sort_by(|a, b| a.0.cmp(&b.0));
+            if let Some(w) = attrs.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(de::Error::shape(format!(
+                    "Event.attrs: attribute {:?} appears more than once",
+                    w[0].0.as_str()
+                )));
+            }
+        }
+        Ok(Event { attrs })
+    }
 }
 
 impl Event {

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{de, json, Deserialize, Serialize};
 
 use crate::{AttrName, Event, Predicate};
 
@@ -22,9 +22,25 @@ use crate::{AttrName, Event, Predicate};
 /// assert!(!f.matches(&Event::new([("a", Value::from(25))])));
 /// assert!(!f.matches(&Event::new([("b", Value::from(10))]))); // attribute absent
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct Filter {
     predicates: Vec<Predicate>,
+}
+
+/// What a [`Filter`] looks like in JSON, read as written.
+mod layout {
+    #[derive(serde::Deserialize)]
+    pub(super) struct Filter {
+        pub(super) predicates: Vec<super::Predicate>,
+    }
+}
+
+/// Goes through [`Filter::new`], so a decoded filter holds no predicate twice.
+impl Deserialize for Filter {
+    fn read(r: &mut json::Reader<'_>) -> Result<Self, de::Error> {
+        let layout::Filter { predicates } = Deserialize::read(r)?;
+        Ok(Filter::new(predicates))
+    }
 }
 
 impl Filter {

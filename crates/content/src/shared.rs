@@ -18,7 +18,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{json, Deserialize, Serialize};
+use serde::{de, json, Deserialize, Serialize};
 
 use crate::{Event, Filter};
 
@@ -79,8 +79,8 @@ macro_rules! shared_wrapper {
         }
 
         impl Deserialize for $name {
-            fn from_json(v: &json::Value) -> Result<Self, String> {
-                $inner::from_json(v).map($name::new)
+            fn read(r: &mut json::Reader<'_>) -> Result<Self, de::Error> {
+                $inner::read(r).map($name::new)
             }
         }
     };
@@ -140,11 +140,13 @@ mod tests {
         let s = SharedEvent::new(e.clone());
         assert_eq!(s.to_string(), e.to_string());
         assert_eq!(s.to_json(), e.to_json());
-        let back = SharedEvent::from_json(&e.to_json()).unwrap();
-        assert_eq!(back, s);
+        assert_eq!(de::from_str::<SharedEvent>(&s.to_json().render(0)), Ok(s));
         let f: Filter = "a > 2".parse().unwrap();
         let sf = SharedFilter::from(f.clone());
         assert_eq!(sf.to_json(), f.to_json());
-        assert_eq!(SharedFilter::from_json(&f.to_json()).unwrap(), sf);
+        assert_eq!(
+            de::from_str::<SharedFilter>(&sf.to_json().render(0)),
+            Ok(sf)
+        );
     }
 }

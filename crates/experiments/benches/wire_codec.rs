@@ -1,0 +1,98 @@
+//! The wire codec on its own: what one frame costs to encode and to decode.
+//!
+//! The served path pays a decode per delivery on the client and a decode per
+//! request on the broker, so these rows are the per-frame unit of the
+//! benchmark's `wire.*_ns_per_deliver` counters. The `Deliver` is the one the
+//! `fanout_wide` workload sends (two integer coordinates, ≈ 110 bytes); the
+//! `Publish` carries the same event and the `Subscribe` a game-workload
+//! filter (two ranges, four predicates). The last row reads the largest
+//! scenario spec under `scenarios/` — the decoder's other consumer.
+//!
+//! Each iteration of a frame row handles [`BATCH`] frames, so the stand-in
+//! criterion's per-iteration clock reads are a fraction of a percent of what
+//! is timed: ns per frame is ns/iter ÷ [`BATCH`].
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use dps_broker::wire::{decode, encode, Frame};
+use dps_content::{Event, Filter, Value};
+use dps_scenarios::ScenarioSpec;
+
+/// Frames per timed iteration.
+const BATCH: usize = 256;
+
+/// The largest spec in the scenario library (1 251 bytes).
+const SPEC: &str = include_str!("../../../scenarios/latency/jittery-partition-heal.json");
+
+/// Frame `i` of a batch: the numbers vary as they do between deliveries.
+fn frames(kind: &str) -> Vec<Frame> {
+    (0..BATCH as u64)
+        .map(|i| {
+            let event = || {
+                Event::new([
+                    ("x", Value::from(100 + (i as i64 * 37) % 900)),
+                    ("y", Value::from(100 + (i as i64 * 91) % 900)),
+                ])
+                .into()
+            };
+            match kind {
+                "deliver" => Frame::Deliver {
+                    sub: i % 64,
+                    publisher: 3 + i % 5,
+                    pub_seq: 1000 + i as u32,
+                    event: event(),
+                },
+                "publish" => Frame::Publish {
+                    seq: 1000 + i,
+                    event: event(),
+                },
+                "subscribe" => Frame::Subscribe {
+                    seq: 10 + i,
+                    sub: i % 64,
+                    filter: format!(
+                        "x > {} & x < {} & y > {} & y < {}",
+                        i,
+                        i + 500,
+                        2 * i,
+                        2 * i + 500
+                    )
+                    .parse::<Filter>()
+                    .expect("a well-formed filter")
+                    .into(),
+                    credit: 64,
+                },
+                other => unreachable!("no frame kind {other}"),
+            }
+        })
+        .collect()
+}
+
+fn bench_wire_codec(c: &mut Criterion) {
+    for kind in ["deliver", "publish", "subscribe"] {
+        let frames = frames(kind);
+        let encoded: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|f| encode(f).expect("small frames encode"))
+            .collect();
+        c.bench_function(&format!("wire_encode_{kind}_x{BATCH}"), |b| {
+            b.iter(|| {
+                for f in &frames {
+                    black_box(encode(black_box(f)).expect("small frames encode"));
+                }
+            })
+        });
+        c.bench_function(&format!("wire_decode_{kind}_x{BATCH}"), |b| {
+            b.iter(|| {
+                for bytes in &encoded {
+                    black_box(decode(black_box(bytes)).expect("own encoding decodes"));
+                }
+            })
+        });
+    }
+
+    c.bench_function("scenario_spec_from_json_str", |b| {
+        b.iter(|| ScenarioSpec::from_json_str(black_box(SPEC)).expect("a valid spec"))
+    });
+}
+
+criterion_group!(benches, bench_wire_codec);
+criterion_main!(benches);
