@@ -376,6 +376,75 @@ pub enum DpsMsg {
 }
 
 impl Message for DpsMsg {
+    /// One name per variant, in declaration order.
+    const KINDS: &'static [&'static str] = &[
+        "Shuffle",
+        "ShuffleReply",
+        "FindTree",
+        "TreeFound",
+        "TreeNotFound",
+        "OwnerAnnounce",
+        "FindGroup",
+        "SubscribeTo",
+        "CreateGroup",
+        "JoinGroup",
+        "JoinAck",
+        "CreateDone",
+        "NewParent",
+        "GossipSub",
+        "Publish",
+        "PubAck",
+        "PublishGroup",
+        "Ping",
+        "Pong",
+        "GroupInfo",
+        "MemberJoined",
+        "MemberLeft",
+        "LeaderGone",
+        "ParentChain",
+        "ChildReport",
+        "Reattach",
+        "Leave",
+        "ViewPull",
+        "ViewPush",
+        "DissolveTree",
+    ];
+
+    fn kind(&self) -> usize {
+        match self {
+            DpsMsg::Shuffle { .. } => 0,
+            DpsMsg::ShuffleReply { .. } => 1,
+            DpsMsg::FindTree { .. } => 2,
+            DpsMsg::TreeFound { .. } => 3,
+            DpsMsg::TreeNotFound { .. } => 4,
+            DpsMsg::OwnerAnnounce { .. } => 5,
+            DpsMsg::FindGroup(_) => 6,
+            DpsMsg::SubscribeTo { .. } => 7,
+            DpsMsg::CreateGroup { .. } => 8,
+            DpsMsg::JoinGroup { .. } => 9,
+            DpsMsg::JoinAck { .. } => 10,
+            DpsMsg::CreateDone { .. } => 11,
+            DpsMsg::NewParent { .. } => 12,
+            DpsMsg::GossipSub { .. } => 13,
+            DpsMsg::Publish(_) => 14,
+            DpsMsg::PubAck { .. } => 15,
+            DpsMsg::PublishGroup { .. } => 16,
+            DpsMsg::Ping { .. } => 17,
+            DpsMsg::Pong { .. } => 18,
+            DpsMsg::GroupInfo { .. } => 19,
+            DpsMsg::MemberJoined { .. } => 20,
+            DpsMsg::MemberLeft { .. } => 21,
+            DpsMsg::LeaderGone { .. } => 22,
+            DpsMsg::ParentChain { .. } => 23,
+            DpsMsg::ChildReport { .. } => 24,
+            DpsMsg::Reattach { .. } => 25,
+            DpsMsg::Leave { .. } => 26,
+            DpsMsg::ViewPull { .. } => 27,
+            DpsMsg::ViewPush { .. } => 28,
+            DpsMsg::DissolveTree { .. } => 29,
+        }
+    }
+
     fn class(&self) -> MsgClass {
         match self {
             DpsMsg::Publish(_) | DpsMsg::PublishGroup { .. } => MsgClass::Publication,
@@ -420,6 +489,87 @@ mod tests {
             ttl: 8,
         };
         assert_eq!(DpsMsg::FindGroup(t).class(), MsgClass::Subscription);
+    }
+
+    /// The census index: every variant has its own slot, and the slot's name
+    /// is the variant's (`kind`'s match has no wildcard arm, so a new variant
+    /// cannot compile without one).
+    #[test]
+    fn every_variant_has_a_kind_and_a_name() {
+        let n = NodeId::from_index(1);
+        let label = GroupLabel::Root("a".into());
+        let event: SharedEvent = "a = 1".parse::<dps_content::Event>().unwrap().into();
+        let ticket = Ticket {
+            origin: n,
+            sub_id: SubId(n, 0),
+            pred: "a > 1".parse().unwrap(),
+            mode: TraversalKind::Root,
+            descending: false,
+            ttl: 8,
+        };
+        let group = GroupDescriptor {
+            label: label.clone(),
+            leader: n,
+            co_leaders: vec![],
+            owner: n,
+            owner_epoch: 0,
+        };
+        let branch = BranchInfo {
+            label: label.clone(),
+            refs: vec![],
+        };
+        let pub_ticket = PubTicket {
+            id: PubId(n, 0),
+            event: event.clone(),
+            attr: "a".into(),
+            mode: TraversalKind::Root,
+            target: None,
+            from_child: None,
+            downstream: true,
+            ack_to: None,
+            ttl: 8,
+        };
+        let (attr, id, sub_id) = (AttrName::from("a"), PubId(n, 0), SubId(n, 0));
+        #[rustfmt::skip]
+        let one_of_each = [
+            DpsMsg::Shuffle { peers: vec![] },
+            DpsMsg::ShuffleReply { peers: vec![] },
+            DpsMsg::FindTree { attr: attr.clone(), origin: n, ttl: 1 },
+            DpsMsg::TreeFound { attr: attr.clone(), contact: n, owner: None, epoch: 0 },
+            DpsMsg::TreeNotFound { attr: attr.clone() },
+            DpsMsg::OwnerAnnounce { attr: attr.clone(), owner: n, epoch: 0 },
+            DpsMsg::FindGroup(ticket.clone()),
+            DpsMsg::SubscribeTo { ticket: ticket.clone(), group: group.clone() },
+            DpsMsg::CreateGroup { ticket, parent: group.clone(), adopted: vec![] },
+            DpsMsg::JoinGroup { sub_id, label: label.clone(), member: n },
+            DpsMsg::JoinAck { sub_id, group: group.clone(), co_leader: false, members: vec![], predview: vec![], succviews: vec![] },
+            DpsMsg::CreateDone { parent_label: label.clone(), child: branch.clone() },
+            DpsMsg::NewParent { child_label: label.clone(), parent: group, parent_chain: vec![] },
+            DpsMsg::GossipSub { label: label.clone(), members: vec![], branches: vec![], hops: 0 },
+            DpsMsg::Publish(pub_ticket),
+            DpsMsg::PubAck { id, attr: attr.clone() },
+            DpsMsg::PublishGroup { id, event, label: label.clone() },
+            DpsMsg::Ping { nonce: 1 },
+            DpsMsg::Pong { nonce: 1 },
+            DpsMsg::GroupInfo { label: label.clone(), leader: n, co_leaders: vec![], owner: n, owner_epoch: 0 },
+            DpsMsg::MemberJoined { label: label.clone(), member: n },
+            DpsMsg::MemberLeft { label: label.clone(), member: n },
+            DpsMsg::LeaderGone { label: label.clone(), dead: n },
+            DpsMsg::ParentChain { child_label: label.clone(), chain: vec![] },
+            DpsMsg::ChildReport { parent_label: label.clone(), branch: branch.clone() },
+            DpsMsg::Reattach { branch, ttl: 1 },
+            DpsMsg::Leave { label: label.clone(), member: n },
+            DpsMsg::ViewPull { label: label.clone() },
+            DpsMsg::ViewPush { label, members: vec![], predview: vec![], branches: vec![], recent: vec![] },
+            DpsMsg::DissolveTree { attr, contact: n, new_owner: n, epoch: 0 },
+        ];
+        assert_eq!(one_of_each.len(), DpsMsg::KINDS.len());
+        for (i, msg) in one_of_each.iter().enumerate() {
+            assert_eq!(msg.kind(), i, "{msg:?}");
+            let shown = format!("{msg:?}");
+            let variant = shown.split([' ', '(']).next().unwrap();
+            assert_eq!(DpsMsg::KINDS[i], variant);
+        }
     }
 
     #[test]

@@ -556,7 +556,6 @@ impl DpsNode {
         // the wave.
         let idxs: Vec<usize> = self
             .memberships_in(&attr)
-            .into_iter()
             .filter(|&i| {
                 let m = &self.memberships[i];
                 m.owner != new_owner && claim_beats((new_owner, epoch), (m.owner, m.owner_epoch))

@@ -3,8 +3,6 @@
 //! reattachment of orphaned branches, and the periodic view-exchange / merge
 //! processes that keep the overlay consistent under churn.
 
-use std::collections::BTreeSet;
-
 use dps_content::SharedEvent;
 use dps_sim::{Context, NodeId};
 use rand::seq::IteratorRandom;
@@ -19,36 +17,39 @@ use crate::views::{Branch, Role};
 impl DpsNode {
     // ---- heartbeat probing ----
 
-    /// The neighbors this node monitors: "nodes in the predview and succview
-    /// structure are periodically monitored for failures" (§4.3), plus the group
-    /// leadership a member depends on.
-    pub(crate) fn monitor_targets(&self) -> BTreeSet<NodeId> {
-        let mut set = BTreeSet::new();
+    /// Fills `out` with the neighbors this node monitors: "nodes in the
+    /// predview and succview structure are periodically monitored for
+    /// failures" (§4.3), plus the group leadership a member depends on.
+    /// Ascending and duplicate-free — the order `tick_probes` draws the
+    /// periods of new probes in.
+    pub(crate) fn monitor_targets(&self, out: &mut Vec<NodeId>) {
+        out.clear();
         for m in &self.memberships {
             match self.cfg.comm {
                 CommKind::Leader => {
                     if m.is_leader() {
-                        set.extend(m.co_leaders.iter().copied());
-                        for b in &m.branches {
-                            set.extend(b.primary());
-                        }
-                        set.extend(m.predview.first().map(|r| r.node));
+                        out.extend(m.co_leaders.iter().copied());
+                        out.extend(m.branches.iter().filter_map(Branch::primary));
+                        out.extend(m.predview.first().map(|r| r.node));
                     } else {
-                        set.insert(m.leader);
-                        set.extend(m.co_leaders.iter().copied());
+                        out.push(m.leader);
+                        out.extend(m.co_leaders.iter().copied());
                     }
                 }
                 CommKind::Epidemic => {
-                    set.extend(m.members.iter().take(3).copied());
-                    set.extend(m.predview.iter().take(2).map(|r| r.node));
-                    for b in &m.branches {
-                        set.extend(b.refs.first().map(|r| r.node));
-                    }
+                    out.extend(m.members.iter().take(3).copied());
+                    out.extend(m.predview.iter().take(2).map(|r| r.node));
+                    out.extend(
+                        m.branches
+                            .iter()
+                            .filter_map(|b| b.refs.first().map(|r| r.node)),
+                    );
                 }
             }
         }
-        set.remove(&self.id);
-        set
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|n| *n != self.id);
     }
 
     /// Drives the heartbeat machinery: schedule pings (per-edge period drawn
@@ -56,25 +57,30 @@ impl DpsNode {
     /// pongs and trigger healing.
     pub(crate) fn tick_probes(&mut self, ctx: &mut Context<'_, DpsMsg>) {
         let now = ctx.now();
-        let targets = self.monitor_targets();
-        self.probes.retain(|k, _| targets.contains(k));
-        for t in &targets {
-            if !self.probes.contains_key(t) {
-                let every = ctx
-                    .rng()
-                    .random_range(self.cfg.heartbeat_min..=self.cfg.heartbeat_max);
-                let phase = ctx.rng().random_range(0..every);
-                self.probes.insert(
-                    *t,
-                    Probe {
-                        every,
-                        next_at: now + phase,
-                        outstanding: None,
-                        misses: 0,
-                    },
-                );
+        let mut targets = std::mem::take(&mut self.monitor_buf);
+        self.monitor_targets(&mut targets);
+        // Views rarely change between two steps: reconcile only when they did.
+        if !targets.iter().eq(self.probes.keys()) {
+            self.probes.retain(|k, _| targets.binary_search(k).is_ok());
+            for t in &targets {
+                if !self.probes.contains_key(t) {
+                    let every = ctx
+                        .rng()
+                        .random_range(self.cfg.heartbeat_min..=self.cfg.heartbeat_max);
+                    let phase = ctx.rng().random_range(0..every);
+                    self.probes.insert(
+                        *t,
+                        Probe {
+                            every,
+                            next_at: now + phase,
+                            outstanding: None,
+                            misses: 0,
+                        },
+                    );
+                }
             }
         }
+        self.monitor_buf = targets;
         let timeout = self.cfg.probe_timeout;
         let retries = self.cfg.probe_retries;
         let mut dead: Vec<NodeId> = Vec::new();
@@ -348,7 +354,7 @@ impl DpsNode {
                 label: label.clone(),
                 refs: refs.clone(),
             };
-            self.memberships[i].upsert_branch(info.clone(), depth);
+            self.memberships[i].upsert_branch(&info, depth);
             let parent = self.descriptor(&self.memberships[i]);
             let chain = {
                 let mut v = self.own_refs(&self.memberships[i]);
@@ -415,7 +421,7 @@ impl DpsNode {
                 let depth = self.cfg.view_depth;
                 let me = self.id;
                 if let Some(root) = self.membership_mut(&root_label) {
-                    root.upsert_branch(branch, depth);
+                    root.upsert_branch(&branch, depth);
                 }
                 let m = &mut self.memberships[i];
                 m.owner = me;
@@ -444,10 +450,9 @@ impl DpsNode {
         let Some(pred) = branch.label.predicate().cloned() else {
             return;
         };
-        let attr = pred.name().clone();
-        let mems = self.memberships_in(&attr);
-        if mems.is_empty() {
-            if let Some(c) = self.tree_cache.get(&attr) {
+        let attr = pred.name();
+        if !self.in_tree(attr) {
+            if let Some(c) = self.tree_cache.get(attr) {
                 let to = c.contact;
                 if to != self.id {
                     ctx.send(
@@ -463,7 +468,7 @@ impl DpsNode {
         }
         // Find the deepest on-path membership we have.
         let mut best: Option<usize> = None;
-        for &i in &mems {
+        for i in self.memberships_in(attr) {
             let l = &self.memberships[i].label;
             if l == &branch.label {
                 // Duplicate of our own group: merge their contacts in.
@@ -564,32 +569,22 @@ impl DpsNode {
                 }
             }
             let depth = self.cfg.view_depth;
-            self.memberships[i].upsert_branch(branch.clone(), depth);
+            self.memberships[i].upsert_branch(&branch, depth);
             self.send_new_parent_for(i, &branch, ctx);
             if !was_live {
                 self.flush_recent_to_branch(i, &branch, ctx);
             }
             return;
         }
-        let branch_preds: Vec<dps_content::Predicate> = m
-            .branches
-            .iter()
-            .filter_map(|b| b.label.predicate().cloned())
-            .collect();
-        if let Some(ci) = dps_content::placement::choose_branch(branch_preds.iter(), &pred) {
-            let target_label = GroupLabel::Pred(branch_preds[ci].clone());
-            if let Some(b) = m.branch(&target_label) {
-                if let Some(n) = b.primary().or_else(|| b.refs.first().map(|r| r.node)) {
-                    ctx.send(
-                        n,
-                        DpsMsg::Reattach {
-                            branch,
-                            ttl: ttl - 1,
-                        },
-                    );
-                    return;
-                }
-            }
+        if let Some(n) = m.branch_toward(&pred, None).and_then(Branch::entry) {
+            ctx.send(
+                n,
+                DpsMsg::Reattach {
+                    branch,
+                    ttl: ttl - 1,
+                },
+            );
+            return;
         }
         // We are the designated predecessor: graft the orphan here.
         let depth = self.cfg.view_depth;
@@ -597,7 +592,7 @@ impl DpsNode {
             .branch(&branch.label)
             .and_then(Branch::primary)
             .is_some();
-        self.memberships[i].upsert_branch(branch.clone(), depth);
+        self.memberships[i].upsert_branch(&branch, depth);
         self.send_new_parent_for(i, &branch, ctx);
         if !was_live {
             self.flush_recent_to_branch(i, &branch, ctx);
@@ -809,16 +804,15 @@ impl DpsNode {
             // withheld events toward whatever contact the branch still has.
             let limit = 2 * self.cfg.request_timeout;
             for i in 0..self.memberships.len() {
-                let mut flush = Vec::new();
-                for b in &mut self.memberships[i].branches {
+                for bi in 0..self.memberships[i].branches.len() {
+                    let b = &mut self.memberships[i].branches[bi];
                     if b.blocked && now.saturating_sub(b.blocked_since) > limit {
                         b.blocked = false;
-                        flush.push((b.info(), std::mem::take(&mut b.buffered)));
-                    }
-                }
-                for (info, tickets) in flush {
-                    for t in tickets {
-                        self.send_to_branch(&info, t, ctx);
+                        let tickets = std::mem::take(&mut b.buffered);
+                        let b = &self.memberships[i].branches[bi];
+                        for t in tickets {
+                            self.send_to_branch(&b.label, &b.refs, t, ctx);
+                        }
                     }
                 }
             }
@@ -1018,30 +1012,24 @@ impl DpsNode {
         let Some(i) = self.membership_index(&parent_label) else {
             return;
         };
-        if let Some(pred) = branch.label.predicate() {
-            let deeper: Vec<dps_content::Predicate> = self.memberships[i]
-                .branches
-                .iter()
-                .filter(|b| b.label != branch.label)
-                .filter_map(|b| b.label.predicate().cloned())
-                .collect();
-            if let Some(ci) = dps_content::placement::choose_branch(deeper.iter(), pred) {
-                let via = GroupLabel::Pred(deeper[ci].clone());
-                self.memberships[i].remove_branch(&branch.label);
-                if let Some(b) = self.memberships[i].branch(&via) {
-                    if let Some(n) = b.primary().or_else(|| b.refs.first().map(|r| r.node)) {
-                        ctx.send(n, DpsMsg::Reattach { branch, ttl });
-                        return;
-                    }
-                }
-                return;
+        let m = &self.memberships[i];
+        let via = branch
+            .label
+            .predicate()
+            .and_then(|pred| m.branch_toward(pred, Some(&branch.label)));
+        if let Some(via) = via {
+            let next = via.entry();
+            self.memberships[i].remove_branch(&branch.label);
+            if let Some(n) = next {
+                ctx.send(n, DpsMsg::Reattach { branch, ttl });
             }
+            return;
         }
         let was_live = self.memberships[i]
             .branch(&branch.label)
             .and_then(Branch::primary)
             .is_some();
-        self.memberships[i].upsert_branch(branch.clone(), depth);
+        self.memberships[i].upsert_branch(&branch, depth);
         if !was_live {
             // The child went silent long enough to lose its direct entry (or
             // was never attached here): besides restoring the pointer, replay
@@ -1090,17 +1078,13 @@ impl DpsNode {
         };
         let depth = self.cfg.view_depth;
         let pv_cap = self.cfg.view_depth + self.cfg.co_leaders + 2;
-        let suspected: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|n| self.suspected.contains(n))
-            .collect();
         let me = self.id;
-        let Some(m) = self.membership_mut(&label) else {
+        let Some(i) = self.membership_index(&label) else {
             return;
         };
+        let m = &mut self.memberships[i];
         for n in members {
-            if !suspected.contains(&n) {
+            if !self.suspected.contains(&n) {
                 m.add_member(n);
             }
         }
@@ -1108,7 +1092,7 @@ impl DpsNode {
         m.merge_predview(&predview, pv_cap);
         for b in branches {
             if b.label != label {
-                m.upsert_branch(b, depth);
+                m.upsert_branch(&b, depth);
             }
         }
         // A leader absorbing members it did not know (a demoted same-label
@@ -1116,26 +1100,20 @@ impl DpsNode {
         // enlarged membership and announces, so the merged group can survive
         // the leader leaving or crashing — and so the newcomers learn they
         // are ours.
-        if !epidemic {
-            if let Some(i) = self.membership_index(&label) {
-                if self.memberships[i].is_leader() {
-                    let before = self.memberships[i].co_leaders.clone();
-                    self.recruit_co_leaders(i);
-                    let m = &self.memberships[i];
-                    if m.co_leaders != before {
-                        let info = DpsMsg::GroupInfo {
-                            label: m.label.clone(),
-                            leader: me,
-                            co_leaders: m.co_leaders.clone(),
-                            owner: m.owner,
-                            owner_epoch: m.owner_epoch,
-                        };
-                        let members: Vec<NodeId> =
-                            m.members.iter().copied().filter(|n| *n != me).collect();
-                        for n in members {
-                            ctx.send(n, info.clone());
-                        }
-                    }
+        if !epidemic && m.is_leader() {
+            let before = m.co_leaders.len();
+            self.recruit_co_leaders(i);
+            let m = &self.memberships[i];
+            if m.co_leaders.len() != before {
+                let info = DpsMsg::GroupInfo {
+                    label: m.label.clone(),
+                    leader: me,
+                    co_leaders: m.co_leaders.clone(),
+                    owner: m.owner,
+                    owner_epoch: m.owner_epoch,
+                };
+                for &n in m.members.iter().filter(|n| **n != me) {
+                    ctx.send(n, info.clone());
                 }
             }
         }
@@ -1174,5 +1152,81 @@ impl DpsNode {
         self.tick_lookups(ctx);
         self.retry_due_subscriptions(ctx);
         self.retry_due_publications(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use crate::config::{DpsConfig, TraversalKind};
+    use crate::views::Membership;
+
+    /// The set `tick_probes` reconciled against before the buffer: built as a
+    /// `BTreeSet`, whose iteration order decided which new probe drew its
+    /// period from the node's RNG first.
+    fn reference_targets(node: &DpsNode) -> BTreeSet<NodeId> {
+        let mut set = BTreeSet::new();
+        for m in &node.memberships {
+            match node.cfg.comm {
+                CommKind::Leader => {
+                    if m.is_leader() {
+                        set.extend(m.co_leaders.iter().copied());
+                        for b in &m.branches {
+                            set.extend(b.primary());
+                        }
+                        set.extend(m.predview.first().map(|r| r.node));
+                    } else {
+                        set.insert(m.leader);
+                        set.extend(m.co_leaders.iter().copied());
+                    }
+                }
+                CommKind::Epidemic => {
+                    set.extend(m.members.iter().take(3).copied());
+                    set.extend(m.predview.iter().take(2).map(|r| r.node));
+                    for b in &m.branches {
+                        set.extend(b.refs.first().map(|r| r.node));
+                    }
+                }
+            }
+        }
+        set.remove(&node.id);
+        set
+    }
+
+    #[test]
+    fn monitor_targets_fill_the_buffer_in_the_old_sets_order() {
+        let n = |i: usize| NodeId::from_index(i % 23);
+        for comm in [CommKind::Leader, CommKind::Epidemic] {
+            let mut node = DpsNode::new(DpsConfig::named(TraversalKind::Root, comm));
+            node.id = n(5);
+            for k in 0..64usize {
+                let label = GroupLabel::Pred(format!("x > {k}").parse().unwrap());
+                let gref = |i: usize| GroupRef {
+                    label: label.clone(),
+                    node: n(i),
+                };
+                let role = [Role::Leader, Role::Member, Role::CoLeader][k % 3];
+                let mut m = Membership::new(None, label.clone(), role, node.id);
+                m.leader = n(k * 7);
+                m.co_leaders = vec![n(k + 1), n(k * 3), n(5)];
+                m.members = vec![n(k), n(5), n(k + 9), n(k + 11)];
+                m.predview = vec![gref(k + 2), gref(k * 5), gref(k + 4)];
+                m.branches = vec![
+                    Branch::new(label.clone(), vec![gref(k + 13), gref(k)]),
+                    Branch::new(GroupLabel::Root("x".into()), vec![gref(k + 6)]),
+                    Branch::new(label.clone(), vec![]),
+                ];
+                node.adopt(m);
+            }
+            // Stale content must not leak through.
+            let mut buf = vec![n(22), n(22), n(1)];
+            node.monitor_targets(&mut buf);
+            assert!(buf.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
+            assert!(!buf.contains(&node.id));
+            assert!(buf.len() > 10, "the fixture covers most of the id space");
+            assert!(buf.iter().copied().eq(reference_targets(&node)));
+        }
     }
 }

@@ -167,13 +167,16 @@ pub struct DpsNode {
 
     // Publication bookkeeping.
     /// Per-(publication, group) route dedup. Keyed by an interned label id
-    /// (see [`label_id`](Self::label_id)), not the label itself: labels carry
-    /// heap predicates, and this cache is consulted on every forwarded
-    /// publication — cloning a `GroupLabel` per check was measurable churn.
+    /// (`Membership::route_id`), not the label itself: labels carry heap
+    /// predicates, and this cache is consulted on every forwarded
+    /// publication — cloning or hashing a `GroupLabel` per check was
+    /// measurable churn.
     pub(crate) seen_route: SeenCache<(PubId, u32)>,
     /// Intern table backing `seen_route`: each distinct group label this node
-    /// has routed for maps to a small dense id. Bounded by the node's group
-    /// vocabulary (memberships + adjacent groups), not by traffic.
+    /// ever held a membership in maps to a small dense id, consulted when a
+    /// membership is taken on ([`adopt`](Self::adopt)), never per hop. Its
+    /// keys are client-chosen predicates, so it keeps the keyed default
+    /// hasher. Bounded by the node's group vocabulary, not by traffic.
     pub(crate) label_ids: HashMap<GroupLabel, u32>,
     pub(crate) seen_node: SeenCache<PubId>,
     pub(crate) active_gossip: Vec<ActiveGossip>,
@@ -188,6 +191,9 @@ pub struct DpsNode {
     // and the resulting ping/death order feeds the shared RNG, so iteration
     // must not depend on hasher seeds (which differ per thread).
     pub(crate) probes: BTreeMap<NodeId, Probe>,
+    /// Scratch for `tick_probes`' monitor-target list, kept so an idle tick
+    /// allocates nothing.
+    pub(crate) monitor_buf: Vec<NodeId>,
     pub(crate) nonce_counter: u64,
     /// Recently declared-dead nodes (bounded memory), used to rank co-leaders
     /// during takeover and to avoid re-adding dead nodes from stale gossip.
@@ -246,6 +252,7 @@ impl DpsNode {
             pubs_received: 0,
             pubs_notified: 0,
             probes: BTreeMap::new(),
+            monitor_buf: Vec::new(),
             nonce_counter: 0,
             suspected: SeenCache::new(128),
             verify_at: HashMap::new(),
@@ -362,11 +369,13 @@ impl DpsNode {
         self.lookups.iter().find(|(a, _)| a == attr).map(|(_, l)| l)
     }
 
-    /// Memberships within the tree of `attr`.
-    pub(crate) fn memberships_in(&self, attr: &AttrName) -> Vec<usize> {
-        (0..self.memberships.len())
-            .filter(|&i| self.memberships[i].label.attr() == attr)
-            .collect()
+    /// Indices of our memberships within the tree of `attr`, in join order.
+    pub(crate) fn memberships_in<'a>(
+        &'a self,
+        attr: &'a AttrName,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let in_tree = move |(i, m): (usize, &Membership)| (m.label.attr() == attr).then_some(i);
+        self.memberships.iter().enumerate().filter_map(in_tree)
     }
 
     /// The descriptor advertising a group we belong to.
@@ -445,25 +454,21 @@ impl DpsNode {
 
     /// The best `(owner, epoch)` claim this node holds for the tree of `attr`.
     pub(crate) fn known_owner_claim(&self, attr: &AttrName) -> Option<(NodeId, u64)> {
-        let mut best: Option<(NodeId, u64)> = None;
-        for i in self.memberships_in(attr) {
-            let m = &self.memberships[i];
-            let claim = (m.owner, m.owner_epoch);
-            best = Some(match best {
-                Some(b) if !claim_beats(claim, b) => b,
-                _ => claim,
-            });
-        }
-        if let Some(c) = self.tree_cache.get(attr) {
-            if let Some(o) = c.owner {
-                let claim = (o, c.epoch);
-                best = Some(match best {
-                    Some(b) if !claim_beats(claim, b) => b,
-                    _ => claim,
-                });
+        let held = self
+            .memberships_in(attr)
+            .map(|i| (self.memberships[i].owner, self.memberships[i].owner_epoch));
+        let cached = self
+            .tree_cache
+            .get(attr)
+            .and_then(|c| c.owner.map(|o| (o, c.epoch)));
+        // The first of equal claims stays (`claim_beats` is strict).
+        held.chain(cached).reduce(|best, claim| {
+            if claim_beats(claim, best) {
+                claim
+            } else {
+                best
             }
-        }
-        best
+        })
     }
 
     /// Records local receipt of a publication at step `now`: instrumentation
@@ -489,9 +494,9 @@ impl DpsNode {
     }
 
     /// The interned id of `label` for [`seen_route`](Self::seen_route) keys,
-    /// assigned on first sight. The id is node-local and never leaves this
-    /// node, so assignment order (deterministic: driven by the node's own
-    /// message-processing order) is free to differ between nodes.
+    /// assigned on first sight and kept for good: a group left and joined
+    /// again dedups against what its first membership already routed. The id
+    /// is node-local and never leaves this node.
     pub(crate) fn label_id(&mut self, label: &GroupLabel) -> u32 {
         if let Some(&id) = self.label_ids.get(label) {
             return id;
@@ -499,6 +504,15 @@ impl DpsNode {
         let id = self.label_ids.len() as u32;
         self.label_ids.insert(label.clone(), id);
         id
+    }
+
+    /// Takes membership `m` on — the one place a membership enters
+    /// `memberships` — stamping it with its label's interned id. Returns its
+    /// index.
+    pub(crate) fn adopt(&mut self, mut m: Membership) -> usize {
+        m.route_id = self.label_id(&m.label);
+        self.memberships.push(m);
+        self.memberships.len() - 1
     }
 
     /// Digest of the recently processed publications (for the anti-entropy
@@ -540,8 +554,7 @@ impl DpsNode {
         m.owner = owner;
         m.leader = self.id;
         m.members = vec![self.id];
-        self.memberships.push(m);
-        self.memberships.len() - 1
+        self.adopt(m)
     }
 }
 
@@ -731,5 +744,18 @@ mod tests {
         // A structurally equal label parsed afresh interns to the same id —
         // the property that makes the u32 a faithful stand-in for the label.
         assert_eq!(node.label_id(&label("a > 2")), lid_a);
+
+        // A membership carries its label's id from the moment it is taken
+        // on, and a group left and joined again gets the id it had: what the
+        // first membership routed stays deduplicated.
+        let me = node.id;
+        let i = node.adopt(Membership::new(None, b.clone(), Role::Member, me));
+        assert_eq!(node.memberships[i].route_id, lid_b);
+        node.memberships.remove(i);
+        let fresh = label("c < 3");
+        node.adopt(Membership::new(None, fresh, Role::Member, me));
+        let i = node.adopt(Membership::new(None, b, Role::Member, me));
+        assert_eq!(node.memberships[i].route_id, lid_b);
+        assert_eq!(node.memberships[i - 1].route_id, 3);
     }
 }

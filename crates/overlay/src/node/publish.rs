@@ -9,7 +9,7 @@ use rand::Rng;
 
 use crate::config::{CommKind, TraversalKind};
 use crate::label::GroupLabel;
-use crate::msg::{BranchInfo, DpsMsg, PubId, PubTicket};
+use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId, PubTicket};
 use crate::node::{ActiveGossip, DpsNode, PendingPub, TreeLookup};
 
 /// Timeouts a publication may spend unacknowledged before it is dropped: its
@@ -132,6 +132,9 @@ impl DpsNode {
     /// attribute when it gives up.
     pub(crate) fn retry_due_publications(&mut self, ctx: &mut Context<'_, DpsMsg>) {
         let now = ctx.now();
+        if self.pending_pubs.iter().all(|p| p.deadline > now) {
+            return;
+        }
         let timeout = self.cfg.request_timeout;
         let mut silent: Vec<AttrName> = Vec::new();
         let mut resend: Vec<(PubId, SharedEvent, Vec<AttrName>)> = Vec::new();
@@ -196,23 +199,21 @@ impl DpsNode {
             return;
         }
         t.ttl -= 1;
-        let attr = t.attr.clone();
-        let mems = self.memberships_in(&attr);
-        if mems.is_empty() {
+        let Some(first) = self.memberships_in(&t.attr).next() else {
             // Not in the tree: relay toward a contact (entry hop from a publisher
             // with a stale cache).
-            if let Some(c) = self.tree_cache.get(&attr) {
+            if let Some(c) = self.tree_cache.get(&t.attr) {
                 let to = c.contact;
                 if to != self.id {
                     ctx.send(to, DpsMsg::Publish(t));
                 }
             }
             return;
-        }
+        };
         // Root-based dissemination must enter at the root (unless the owner is
         // suspected dead — then inject here rather than lose the event).
-        if t.target.is_none() && t.mode == TraversalKind::Root && !self.owns_tree(&attr) {
-            if let Some(owner) = self.known_owner(&attr) {
+        if t.target.is_none() && t.mode == TraversalKind::Root && !self.owns_tree(&t.attr) {
+            if let Some(owner) = self.known_owner(&t.attr) {
                 if owner != self.id && !self.suspected.contains(&owner) {
                     ctx.send(owner, DpsMsg::Publish(t));
                     return;
@@ -236,37 +237,32 @@ impl DpsNode {
                         ctx.send(n, DpsMsg::Publish(t));
                         return;
                     }
-                    mems[0]
+                    first
                 }
             },
-            None => {
-                // Entry hop: prefer our root membership (root mode), else any.
-                *mems
-                    .iter()
-                    .find(|&&i| self.memberships[i].label.is_root())
-                    .unwrap_or(&mems[0])
-            }
+            // Entry hop: prefer our root membership (root mode), else any.
+            None => self
+                .memberships_in(&t.attr)
+                .find(|&i| self.memberships[i].label.is_root())
+                .unwrap_or(first),
         };
         self.process_publish_at(i, t, ctx);
     }
 
-    fn process_publish_at(&mut self, i: usize, t: PubTicket, ctx: &mut Context<'_, DpsMsg>) {
-        let label = self.memberships[i].label.clone();
-
+    fn process_publish_at(&mut self, i: usize, mut t: PubTicket, ctx: &mut Context<'_, DpsMsg>) {
         // Leader mode: "an event received by a group ... is always redirected to
         // the group leader" (§4.2.1).
         if self.cfg.comm == CommKind::Leader && !self.memberships[i].is_leader() {
             let leader = self.memberships[i].leader;
             if leader != self.id {
-                let mut t = t;
-                t.target = Some(label);
+                t.target = Some(self.memberships[i].label.clone());
                 ctx.send(leader, DpsMsg::Publish(t));
             }
             return;
         }
 
         // Acknowledge the publisher (resends after the ack are deduplicated).
-        if let Some(origin) = t.ack_to {
+        if let Some(origin) = t.ack_to.take() {
             ctx.send(
                 origin,
                 DpsMsg::PubAck {
@@ -275,17 +271,14 @@ impl DpsNode {
                 },
             );
         }
-        let t = PubTicket { ack_to: None, ..t };
 
-        // Each group processes a publication once (dedup keyed by the interned
-        // label id — no label clone per check).
-        let lid = self.label_id(&label);
-        if !self.seen_route.insert((t.id, lid)) {
+        // Each group processes a publication once (dedup keyed by the label id
+        // interned beside the membership — no label hashed or cloned per hop).
+        if !self.seen_route.insert((t.id, self.memberships[i].route_id)) {
             return;
         }
 
-        let matches = label.matches_event(&t.event);
-        if matches {
+        if self.memberships[i].label.matches_event(&t.event) {
             self.deliver_local(t.id, &t.event, ctx.now());
             self.remember_pub(t.id, &t.event, ctx.now());
             self.spread_in_group(i, t.id, &t.event, ctx);
@@ -301,35 +294,33 @@ impl DpsNode {
         // — an unfiltered `predview.first()` was a single path into a possibly
         // dead node, losing the whole upper tree — and epidemic mode climbs
         // through two entries for redundancy (dedup absorbs the overlap).
-        if t.mode == TraversalKind::Generic && !t.downstream && !label.is_root() {
+        let m = &self.memberships[i];
+        if t.mode == TraversalKind::Generic && !t.downstream && !m.label.is_root() {
             let fanout = if self.cfg.comm == CommKind::Epidemic {
                 2
             } else {
                 1
             };
-            let ups: Vec<crate::msg::GroupRef> = {
-                let pv = &self.memberships[i].predview;
-                let mut v: Vec<_> = pv
-                    .iter()
-                    .filter(|r| r.node != self.id && !self.suspected.contains(&r.node))
-                    .take(fanout)
-                    .cloned()
-                    .collect();
-                if v.is_empty() {
-                    // Every known parent is suspect: try the first anyway
-                    // rather than dropping the climb on the floor.
-                    v.extend(pv.iter().find(|r| r.node != self.id).cloned());
-                }
-                v
+            let mut live = m
+                .predview
+                .iter()
+                .filter(|r| r.node != self.id && !self.suspected.contains(&r.node))
+                .take(fanout)
+                .peekable();
+            // Every known parent is suspect: try the first anyway rather than
+            // dropping the climb on the floor.
+            let last_resort = match live.peek() {
+                Some(_) => None,
+                None => m.predview.iter().find(|r| r.node != self.id),
             };
-            for up in ups {
+            for up in live.chain(last_resort) {
                 let up_ticket = PubTicket {
                     id: t.id,
                     event: t.event.clone(),
                     attr: t.attr.clone(),
                     mode: t.mode,
-                    target: Some(up.label),
-                    from_child: Some(label.clone()),
+                    target: Some(up.label.clone()),
+                    from_child: Some(m.label.clone()),
                     downstream: false,
                     ack_to: None,
                     ttl: t.ttl,
@@ -352,20 +343,17 @@ impl DpsNode {
         ttl: u32,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        let branch_infos: Vec<(BranchInfo, bool)> = self.memberships[i]
-            .branches
-            .iter()
-            .filter(|b| Some(&b.label) != from_child)
-            .filter(|b| b.label.matches_event(event))
-            .map(|b| (b.info(), b.blocked))
-            .collect();
-        let attr = self.memberships[i].label.attr().clone();
         let mode = self.cfg.traversal;
-        for (b, blocked) in branch_infos {
+        for bi in 0..self.memberships[i].branches.len() {
+            let m = &self.memberships[i];
+            let b = &m.branches[bi];
+            if Some(&b.label) == from_child || !b.label.matches_event(event) {
+                continue;
+            }
             let child_ticket = PubTicket {
                 id,
                 event: event.clone(),
-                attr: attr.clone(),
+                attr: m.label.attr().clone(),
                 mode,
                 target: Some(b.label.clone()),
                 from_child: None,
@@ -373,25 +361,26 @@ impl DpsNode {
                 ack_to: None,
                 ttl,
             };
-            if blocked {
-                if let Some(bm) = self.memberships[i].branch_mut(&b.label) {
-                    // Several members may buffer the same withheld event.
-                    if !bm.buffered.iter().any(|x| x.id == id) {
-                        bm.buffered.push(child_ticket);
-                    }
+            if b.blocked {
+                // Several members may buffer the same withheld event.
+                let buffered = &mut self.memberships[i].branches[bi].buffered;
+                if !buffered.iter().any(|x| x.id == id) {
+                    buffered.push(child_ticket);
                 }
             } else {
-                self.send_to_branch(&b, child_ticket, ctx);
+                self.send_to_branch(&b.label, &b.refs, child_ticket, ctx);
             }
         }
     }
 
-    /// Hands a publication to a child branch: to the child leader in leader mode,
-    /// to `k'` child-group nodes in epidemic mode (§5.1's "number of nodes
-    /// contacted on the next level").
+    /// Hands a publication to the child branch `label` through its pointers
+    /// `refs`: to the child leader in leader mode, to `k'` child-group nodes
+    /// in epidemic mode (§5.1's "number of nodes contacted on the next
+    /// level").
     pub(crate) fn send_to_branch(
-        &mut self,
-        b: &BranchInfo,
+        &self,
+        label: &GroupLabel,
+        refs: &[GroupRef],
         t: PubTicket,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
@@ -399,14 +388,12 @@ impl DpsNode {
         // the per-group dedup prevents cycles.
         match self.cfg.comm {
             CommKind::Leader => {
-                let target = b
-                    .refs
+                let target = refs
                     .iter()
-                    .find(|r| r.label == b.label)
-                    .or_else(|| b.refs.first())
-                    .map(|r| r.node);
-                if let Some(n) = target {
-                    ctx.send(n, DpsMsg::Publish(t));
+                    .find(|r| r.label == *label)
+                    .or_else(|| refs.first());
+                if let Some(r) = target {
+                    ctx.send(r.node, DpsMsg::Publish(t));
                 }
             }
             CommKind::Epidemic => {
@@ -415,23 +402,19 @@ impl DpsNode {
                 // the stalest part), deeper refs as a fallback bridge.
                 let k = self.cfg.inter_group_fanout.max(1);
                 let suspected = &self.suspected;
-                let in_group: Vec<NodeId> = b
-                    .refs
+                let in_group: Vec<NodeId> = refs
                     .iter()
-                    .filter(|r| r.label == b.label)
+                    .filter(|r| r.label == *label)
                     .map(|r| r.node)
                     .filter(|n| !suspected.contains(n))
                     .choose_multiple(ctx.rng(), k);
-                let targets = if in_group.is_empty() {
-                    b.refs
-                        .iter()
+                let bridge = if in_group.is_empty() {
+                    refs.iter()
                         .map(|r| r.node)
                         .find(|n| !suspected.contains(n))
-                        .or_else(|| b.refs.first().map(|r| r.node))
-                        .into_iter()
-                        .collect()
+                        .or_else(|| refs.first().map(|r| r.node))
                 } else {
-                    in_group
+                    None
                 };
                 // Express hops: also infect the deeper levels the succview
                 // already points at (§4: views hold successors "at upper/lower
@@ -440,20 +423,17 @@ impl DpsNode {
                 // probability, because expected subscribers keep crashing
                 // while the event is still descending. The per-group dedup
                 // absorbs the overlap with the level-by-level flow.
-                let deeper: Vec<(NodeId, GroupLabel)> = b
-                    .refs
+                let deeper = refs
                     .iter()
-                    .filter(|r| r.label != b.label && !suspected.contains(&r.node))
+                    .filter(|r| r.label != *label && !suspected.contains(&r.node))
                     .filter(|r| r.label.matches_event(&t.event))
-                    .map(|r| (r.node, r.label.clone()))
-                    .take(k)
-                    .collect();
-                for (n, label) in deeper {
+                    .take(k);
+                for r in deeper {
                     let mut express = t.clone();
-                    express.target = Some(label);
-                    ctx.send(n, DpsMsg::Publish(express));
+                    express.target = Some(r.label.clone());
+                    ctx.send(r.node, DpsMsg::Publish(express));
                 }
-                for n in targets {
+                for n in in_group.into_iter().chain(bridge) {
                     ctx.send(n, DpsMsg::Publish(t.clone()));
                 }
             }
@@ -470,21 +450,14 @@ impl DpsNode {
     ) {
         match self.cfg.comm {
             CommKind::Leader => {
-                let label = self.memberships[i].label.clone();
-                let me = self.id;
-                let members: Vec<NodeId> = self.memberships[i]
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|n| *n != me)
-                    .collect();
-                for n in members {
+                let m = &self.memberships[i];
+                for &n in m.members.iter().filter(|n| **n != self.id) {
                     ctx.send(
                         n,
                         DpsMsg::PublishGroup {
                             id,
                             event: event.clone(),
-                            label: label.clone(),
+                            label: m.label.clone(),
                         },
                     );
                 }
@@ -522,22 +495,19 @@ impl DpsNode {
 
     /// One gossip round: forward to `k` random live-believed group members.
     fn gossip_round(
-        &mut self,
+        &self,
         i: usize,
         id: PubId,
         event: &SharedEvent,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
         let k = self.cfg.gossip_fanout.max(1);
-        let me = self.id;
-        let label = self.memberships[i].label.clone();
         let m = &self.memberships[i];
-        let suspected = &self.suspected;
         let targets: Vec<NodeId> = m
             .members
             .iter()
             .copied()
-            .filter(|n| *n != me && !suspected.contains(n))
+            .filter(|n| *n != self.id && !self.suspected.contains(n))
             .choose_multiple(ctx.rng(), k);
         for n in targets {
             ctx.send(
@@ -545,7 +515,7 @@ impl DpsNode {
                 DpsMsg::PublishGroup {
                     id,
                     event: event.clone(),
-                    label: label.clone(),
+                    label: m.label.clone(),
                 },
             );
         }
@@ -593,8 +563,7 @@ impl DpsNode {
             self.deliver_local(id, &event, ctx.now());
             return;
         };
-        let lid = self.label_id(&label);
-        if !self.seen_route.insert((id, lid)) {
+        if !self.seen_route.insert((id, self.memberships[i].route_id)) {
             return;
         }
         self.deliver_local(id, &event, ctx.now());
@@ -622,37 +591,30 @@ impl DpsNode {
     /// dead is otherwise lost for the whole subtree; re-flushing is safe
     /// because every group processes a publication id once.
     pub(crate) fn flush_recent_to_branch(
-        &mut self,
+        &self,
         i: usize,
         b: &BranchInfo,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        if self.recent_pubs.is_empty() {
-            return;
-        }
         let now = ctx.now();
         let window = self.cfg.repub_window;
-        let mode = self.cfg.traversal;
-        let resend: Vec<(PubId, SharedEvent)> = self
+        let fresh = self
             .recent_pubs
             .iter()
-            .filter(|(_, ev, at)| now.saturating_sub(*at) <= window && b.label.matches_event(ev))
-            .map(|(id, ev, _)| (*id, ev.clone()))
-            .collect();
-        let attr = self.memberships[i].label.attr().clone();
-        for (id, event) in resend {
+            .filter(|(_, ev, at)| now.saturating_sub(*at) <= window && b.label.matches_event(ev));
+        for (id, event, _) in fresh {
             let ticket = PubTicket {
-                id,
-                event,
-                attr: attr.clone(),
-                mode,
+                id: *id,
+                event: event.clone(),
+                attr: self.memberships[i].label.attr().clone(),
+                mode: self.cfg.traversal,
                 target: Some(b.label.clone()),
                 from_child: None,
                 downstream: true,
                 ack_to: None,
                 ttl: 100_000,
             };
-            self.send_to_branch(b, ticket, ctx);
+            self.send_to_branch(&b.label, &b.refs, ticket, ctx);
         }
     }
 }

@@ -273,24 +273,24 @@ impl DpsNode {
             return;
         }
         t.ttl -= 1;
-        let attr = t.pred.name().clone();
-        let mems = self.memberships_in(&attr);
-        if mems.is_empty() {
+        let attr = t.pred.name();
+        let Some(i) = self.pick_routing_membership(&t.pred) else {
             // Not in this tree: relay toward a known contact, if any.
-            if let Some(c) = self.tree_cache.get(&attr) {
+            if let Some(c) = self.tree_cache.get(attr) {
                 let to = c.contact;
                 if to != self.id {
                     ctx.send(to, DpsMsg::FindGroup(t));
                 }
             }
             return;
-        }
+        };
         // Root-based traversal starts at the root: route to the owner first —
         // but only before the visit has passed through the root, or descents
         // would bounce straight back up. A suspected owner is as good as an
         // unknown one: forwarding to it would kill the visit.
-        if t.mode == TraversalKind::Root && !t.descending && !self.owns_tree(&attr) {
-            if let Some(owner) = self.known_owner(&attr) {
+        let owns_tree = self.owns_tree(attr);
+        if t.mode == TraversalKind::Root && !t.descending && !owns_tree {
+            if let Some(owner) = self.known_owner(attr) {
                 if owner != self.id && !self.suspected.contains(&owner) {
                     ctx.send(owner, DpsMsg::FindGroup(t));
                     return;
@@ -298,10 +298,9 @@ impl DpsNode {
             }
             // Owner unknown (or suspected): behave like a generic visit.
         }
-        if self.owns_tree(&attr) {
+        if owns_tree {
             t.descending = true;
         }
-        let i = self.pick_routing_membership(&mems, &t.pred);
         self.route_find_group_at(i, t, ctx);
     }
 
@@ -312,17 +311,20 @@ impl DpsNode {
             .any(|m| m.label.is_root() && m.label.attr() == attr && m.is_leader())
     }
 
-    /// Among our memberships in the tree, picks the best starting point for a
-    /// traversal looking for `pred`: the exact group if we are in it, else the
-    /// deepest group on the designated path, else any group (we will route up).
-    fn pick_routing_membership(&self, mems: &[usize], pred: &Predicate) -> usize {
-        let target = GroupLabel::Pred(pred.clone());
-        if let Some(&i) = mems.iter().find(|&&i| self.memberships[i].label == target) {
-            return i;
-        }
+    /// Among our memberships in the tree of `pred`'s attribute (`None` when
+    /// there is none), picks the best starting point for a traversal looking
+    /// for `pred`: the exact group if we are in it, else the deepest group on
+    /// the designated path, else any group (we will route up).
+    fn pick_routing_membership(&self, pred: &Predicate) -> Option<usize> {
+        let mut first = None;
         let mut best: Option<usize> = None;
-        for &i in mems {
-            if !self.memberships[i].label.on_path_to(pred) {
+        for i in self.memberships_in(pred.name()) {
+            let li = &self.memberships[i].label;
+            if li.predicate() == Some(pred) {
+                return Some(i);
+            }
+            first = first.or(Some(i));
+            if !li.on_path_to(pred) {
                 continue;
             }
             best = match best {
@@ -331,7 +333,6 @@ impl DpsNode {
                     // Prefer the deeper (more specific) label: a non-root label
                     // beats the root; among predicates the included one is deeper.
                     let lb = &self.memberships[b].label;
-                    let li = &self.memberships[i].label;
                     let deeper = match (lb.predicate(), li.predicate()) {
                         (None, Some(_)) => true,
                         (Some(pb), Some(pi)) => pb.strictly_includes(pi),
@@ -341,66 +342,50 @@ impl DpsNode {
                 }
             };
         }
-        best.unwrap_or(mems[0])
+        best.or(first)
     }
 
     fn route_find_group_at(&mut self, i: usize, t: Ticket, ctx: &mut Context<'_, DpsMsg>) {
-        let label = self.memberships[i].label.clone();
-        let target = GroupLabel::Pred(t.pred.clone());
+        let m = &self.memberships[i];
 
         // Inter-group decisions are serialized at the leader in leader mode.
-        if self.cfg.comm == CommKind::Leader && !self.memberships[i].is_leader() {
-            let leader = self.memberships[i].leader;
-            if leader != self.id {
-                ctx.send(leader, DpsMsg::FindGroup(t));
+        if self.cfg.comm == CommKind::Leader && !m.is_leader() {
+            if m.leader != self.id {
+                ctx.send(m.leader, DpsMsg::FindGroup(t));
             }
             return;
         }
 
-        if label == target {
+        if m.label.predicate() == Some(&t.pred) {
             // SUBSCRIBE_TO: the group exists and we speak for it.
-            let group = self.descriptor(&self.memberships[i]);
+            let group = self.descriptor(m);
             let origin = t.origin;
             ctx.send(origin, DpsMsg::SubscribeTo { ticket: t, group });
             return;
         }
 
-        if label.on_path_to(&t.pred) {
-            // Try to descend.
-            let m = &self.memberships[i];
-            // Exact child group?
-            if let Some(b) = m.branch(&target) {
-                let other = b
-                    .refs
+        if m.label.on_path_to(&t.pred) {
+            // Try to descend. Exact child group?
+            let is_target = |l: &GroupLabel| l.predicate() == Some(&t.pred);
+            if let Some(bi) = m.branches.iter().position(|b| is_target(&b.label)) {
+                let refs = &m.branches[bi].refs;
+                let other = refs
                     .iter()
-                    .find(|r| r.label == target && r.node != t.origin)
-                    .or_else(|| b.refs.iter().find(|r| r.node != t.origin))
-                    .map(|r| r.node);
-                if let Some(n) = other {
-                    ctx.send(n, DpsMsg::FindGroup(t));
+                    .find(|r| is_target(&r.label) && r.node != t.origin)
+                    .or_else(|| refs.iter().find(|r| r.node != t.origin));
+                if let Some(r) = other {
+                    ctx.send(r.node, DpsMsg::FindGroup(t));
                     return;
                 }
                 // Every known contact of that branch IS the asker — a phantom
                 // left by a lost CREATE_GROUP answer. Drop it and re-authorize.
-                self.memberships[i].remove_branch(&target);
+                self.memberships[i].branches.remove(bi);
             }
-            let m = &self.memberships[i];
             // A branch on the designated path?
-            let branch_preds: Vec<(usize, Predicate)> = m
-                .branches
-                .iter()
-                .enumerate()
-                .filter_map(|(bi, b)| b.label.predicate().map(|p| (bi, p.clone())))
-                .collect();
-            let choice =
-                dps_content::placement::choose_branch(branch_preds.iter().map(|(_, p)| p), &t.pred);
-            if let Some(ci) = choice {
-                let bi = branch_preds[ci].0;
-                let b = &m.branches[bi];
-                if let Some(n) = b.primary().or_else(|| b.refs.first().map(|r| r.node)) {
-                    ctx.send(n, DpsMsg::FindGroup(t));
-                    return;
-                }
+            let next = self.memberships[i].branch_toward(&t.pred, None);
+            if let Some(n) = next.and_then(Branch::entry) {
+                ctx.send(n, DpsMsg::FindGroup(t));
+                return;
             }
             // CREATE_GROUP: we are the designated predecessor.
             self.authorize_create(i, t, ctx);
@@ -408,9 +393,8 @@ impl DpsNode {
         }
 
         // Not on the designated path: route upwards (generic traversal).
-        let up = self.memberships[i].predview.first().map(|r| r.node);
-        match up {
-            Some(n) if n != self.id => ctx.send(n, DpsMsg::FindGroup(t)),
+        match m.predview.first() {
+            Some(up) if up.node != self.id => ctx.send(up.node, DpsMsg::FindGroup(t)),
             _ => {
                 // Orphaned or self-parented: give up; the origin retries later.
             }
@@ -642,10 +626,10 @@ impl DpsNode {
         m.add_member(self.id);
         m.set_predview(predview, cap);
         for b in succviews {
-            m.upsert_branch(b, depth);
+            m.upsert_branch(&b, depth);
         }
         let attr = group.label.attr().clone();
-        self.memberships.push(m);
+        self.adopt(m);
         self.cache_tree(attr, self.id, Some(group.owner), group.owner_epoch);
     }
 
@@ -688,7 +672,7 @@ impl DpsNode {
                     .filter(|r| r.label == b.label)
                     .map(|r| r.node)
                     .collect::<Vec<_>>();
-                self.memberships[idx].upsert_branch(b.clone(), depth);
+                self.memberships[idx].upsert_branch(&b, depth);
                 let parent_desc = self.descriptor(&self.memberships[idx]);
                 let chain = self.memberships[idx].predview.clone();
                 for n in to {
@@ -736,37 +720,31 @@ impl DpsNode {
         // Concurrent creations may have re-parented this child while its ack was
         // in flight (e.g. `a > 3` adopting an `a > 5` created in the same step).
         // Re-check constraint C2 before accepting the branch back.
-        if let Some(pred) = child.label.predicate() {
-            let deeper: Vec<Predicate> = self.memberships[i]
-                .branches
-                .iter()
-                .filter(|b| b.label != child.label)
-                .filter_map(|b| b.label.predicate().cloned())
-                .collect();
-            if let Some(ci) = dps_content::placement::choose_branch(deeper.iter(), pred) {
-                let via = GroupLabel::Pred(deeper[ci].clone());
-                // Flush anything we withheld for the child straight to it, then
-                // route the branch down to its designated predecessor.
-                if let Some(stale) = self.memberships[i].remove_branch(&child.label) {
-                    for t in stale.buffered {
-                        self.send_to_branch(&child, t, ctx);
-                    }
+        let via = child
+            .label
+            .predicate()
+            .and_then(|pred| self.memberships[i].branch_toward(pred, Some(&child.label)));
+        if let Some(via) = via {
+            let next = via.entry();
+            // Flush anything we withheld for the child straight to it, then
+            // route the branch down to its designated predecessor.
+            if let Some(stale) = self.memberships[i].remove_branch(&child.label) {
+                for t in stale.buffered {
+                    self.send_to_branch(&child.label, &child.refs, t, ctx);
                 }
-                if let Some(b) = self.memberships[i].branch(&via) {
-                    if let Some(n) = b.primary().or_else(|| b.refs.first().map(|r| r.node)) {
-                        ctx.send(n, DpsMsg::Reattach { branch: child, ttl });
-                    }
-                }
-                return;
             }
+            if let Some(n) = next {
+                ctx.send(n, DpsMsg::Reattach { branch: child, ttl });
+            }
+            return;
         }
         let m = &mut self.memberships[i];
-        let b = m.upsert_branch(child, depth);
-        b.blocked = false;
-        let buffered = std::mem::take(&mut b.buffered);
-        let binfo = b.info();
+        let bi = m.upsert_branch(&child, depth);
+        m.branches[bi].blocked = false;
+        let buffered = std::mem::take(&mut m.branches[bi].buffered);
+        let b = &self.memberships[i].branches[bi];
         for t in buffered {
-            self.send_to_branch(&binfo, t, ctx);
+            self.send_to_branch(&b.label, &b.refs, t, ctx);
         }
     }
 
@@ -882,7 +860,7 @@ impl DpsNode {
             }
             m.evict_members_to_cap(cap, me, ctx.rng());
             for b in branches {
-                m.upsert_branch(b, depth);
+                m.upsert_branch(&b, depth);
             }
         }
         if newly.is_empty() {

@@ -14,6 +14,7 @@ use dps_content::SharedEvent;
 use dps_sim::{NodeId, Step};
 
 use crate::msg::PubId;
+use crate::seen::IdBuild;
 
 /// Observer of protocol-level delivery milestones.
 ///
@@ -48,15 +49,16 @@ impl StatsSink for NoopSink {
 /// broker): per-node queues of `Notify` upcalls for *watched* nodes (session
 /// endpoints) — no contact or notify pairs, and no payload held for anyone
 /// else. Each queue dedups by publication id: redundant re-deliveries through
-/// other trees enqueue nothing.
+/// other trees enqueue nothing. Both tables are keyed by ids the overlay
+/// assigned and are only ever probed, so they take the unkeyed id hasher.
 #[derive(Debug, Default)]
 pub struct QueueSink {
-    watched: Mutex<HashMap<NodeId, WatchQueue>>,
+    watched: Mutex<HashMap<NodeId, WatchQueue, IdBuild>>,
 }
 
 #[derive(Debug, Default)]
 struct WatchQueue {
-    seen: HashSet<PubId>,
+    seen: HashSet<PubId, IdBuild>,
     queue: Vec<(PubId, SharedEvent)>,
 }
 

@@ -1,6 +1,7 @@
 //! Per-group state held by a node: its role, membership views and the
 //! `predview`/`succview` pointer lists of §4.
 
+use dps_content::{placement, Predicate};
 use dps_sim::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +73,12 @@ impl Branch {
             .map(|r| r.node)
     }
 
+    /// Where traffic enters the branch: its primary, else whatever deeper
+    /// pointer comes first.
+    pub fn entry(&self) -> Option<NodeId> {
+        self.primary().or_else(|| self.refs.first().map(|r| r.node))
+    }
+
     /// Merges `refs` into the branch (child-group entries kept first), capping at
     /// `depth` entries of deeper levels beyond the child-group ones.
     pub fn merge_refs(&mut self, refs: &[GroupRef], depth: usize) {
@@ -81,9 +88,9 @@ impl Branch {
             }
         }
         // Child-group entries first, then deeper ones; stable within each class.
-        let label = self.label.clone();
-        self.refs.sort_by_key(|r| usize::from(r.label != label));
-        let in_group = self.refs.iter().filter(|r| r.label == self.label).count();
+        let label = &self.label;
+        self.refs.sort_by_key(|r| usize::from(r.label != *label));
+        let in_group = self.refs.iter().filter(|r| r.label == *label).count();
         self.refs
             .truncate(in_group.max(1).min(self.refs.len()) + depth);
     }
@@ -121,6 +128,10 @@ pub struct Membership {
     pub predview: Vec<GroupRef>,
     /// One [`Branch`] per successor group.
     pub branches: Vec<Branch>,
+    /// The holder's interned id for `label` — the group half of its route
+    /// dedup key, read on every publication hop instead of hashing the label.
+    /// Node-local; set when the node takes the membership on.
+    pub(crate) route_id: u32,
 }
 
 impl Membership {
@@ -137,6 +148,7 @@ impl Membership {
             members: Vec::new(),
             predview: Vec::new(),
             branches: Vec::new(),
+            route_id: 0,
         }
     }
 
@@ -160,14 +172,32 @@ impl Membership {
         self.branches.iter_mut().find(|b| &b.label == label)
     }
 
-    /// Adds (or merges) a branch.
-    pub fn upsert_branch(&mut self, info: BranchInfo, depth: usize) -> &mut Branch {
+    /// The child branch a traversal looking for `target` descends into
+    /// (constraint C2, [`placement::choose_branch`]), leaving the branch
+    /// labeled `except` out of the choice.
+    pub fn branch_toward(
+        &self,
+        target: &Predicate,
+        except: Option<&GroupLabel>,
+    ) -> Option<&Branch> {
+        let candidates = || {
+            let open = self.branches.iter().filter(|b| Some(&b.label) != except);
+            open.filter_map(|b| Some((b, b.label.predicate()?)))
+        };
+        let chosen = placement::choose_branch(candidates().map(|(_, p)| p), target)?;
+        candidates().nth(chosen).map(|(b, _)| b)
+    }
+
+    /// Adds (or merges) a branch, returning its index. Merging — the common
+    /// case, every view exchange re-reports known branches — copies only the
+    /// pointers that are new.
+    pub fn upsert_branch(&mut self, info: &BranchInfo, depth: usize) -> usize {
         if let Some(i) = self.branches.iter().position(|b| b.label == info.label) {
             self.branches[i].merge_refs(&info.refs, depth);
-            &mut self.branches[i]
+            i
         } else {
-            self.branches.push(Branch::from_info(info));
-            self.branches.last_mut().unwrap()
+            self.branches.push(Branch::from_info(info.clone()));
+            self.branches.len() - 1
         }
     }
 
@@ -284,7 +314,7 @@ mod tests {
         let mut m = Membership::new(None, gl("a > 2"), Role::Leader, me);
         assert!(m.is_leader() && m.is_leadership());
         m.upsert_branch(
-            BranchInfo {
+            &BranchInfo {
                 label: gl("a > 5"),
                 refs: vec![gr("a > 5", 1)],
             },
@@ -292,7 +322,7 @@ mod tests {
         );
         assert!(m.branch(&gl("a > 5")).is_some());
         m.upsert_branch(
-            BranchInfo {
+            &BranchInfo {
                 label: gl("a > 5"),
                 refs: vec![gr("a > 5", 2)],
             },
@@ -316,7 +346,7 @@ mod tests {
         m.co_leaders.push(dead);
         m.merge_predview(&[gr("a > 1", 9)], 4);
         m.upsert_branch(
-            BranchInfo {
+            &BranchInfo {
                 label: gl("a > 5"),
                 refs: vec![gr("a > 5", 9)],
             },

@@ -193,6 +193,9 @@ pub struct Metrics {
     cur: Vec<ClassCounts>,
     history: Vec<(Step, Vec<ClassCounts>)>,
     totals: ClassCounts,
+    /// Messages received, indexed by [`Message::kind`](crate::Message::kind):
+    /// a flat vector grown to the highest kind seen, no map on the hot path.
+    recv_kinds: Vec<u64>,
     /// Messages dropped by the engine, indexed `[DropReason][MsgClass]`.
     drops: [[u64; 3]; 3],
 }
@@ -215,6 +218,7 @@ impl Metrics {
             cur: Vec::new(),
             history: Vec::new(),
             totals: ClassCounts::default(),
+            recv_kinds: Vec::new(),
             drops: [[0; 3]; 3],
         }
     }
@@ -234,10 +238,15 @@ impl Metrics {
         self.totals.sent[class.index()] += 1;
     }
 
-    /// Counts one received message. Same rolling contract as `on_send`.
-    pub(crate) fn on_recv(&mut self, node: NodeId, class: MsgClass) {
+    /// Counts one received message of the given class and
+    /// [kind](crate::Message::kind). Same rolling contract as `on_send`.
+    pub(crate) fn on_recv(&mut self, node: NodeId, class: MsgClass, kind: usize) {
         self.slot(node).recv[class.index()] += 1;
         self.totals.recv[class.index()] += 1;
+        if kind >= self.recv_kinds.len() {
+            self.recv_kinds.resize(kind + 1, 0);
+        }
+        self.recv_kinds[kind] += 1;
     }
 
     pub(crate) fn roll_to(&mut self, now: Step) {
@@ -274,6 +283,12 @@ impl Metrics {
             self.totals.sent[c] += other.totals.sent[c];
             self.totals.recv[c] += other.totals.recv[c];
         }
+        if self.recv_kinds.len() < other.recv_kinds.len() {
+            self.recv_kinds.resize(other.recv_kinds.len(), 0);
+        }
+        for (mine, theirs) in self.recv_kinds.iter_mut().zip(&other.recv_kinds) {
+            *mine += *theirs;
+        }
         for (mine, theirs) in self.drops.iter_mut().zip(other.drops.iter()) {
             for (m, t) in mine.iter_mut().zip(theirs.iter()) {
                 *m += *t;
@@ -304,6 +319,13 @@ impl Metrics {
     /// Total messages ever received in `class`.
     pub fn total_received(&self, class: MsgClass) -> u64 {
         self.totals.recv[class.index()]
+    }
+
+    /// Messages ever received per [message kind](crate::Message::kind),
+    /// indexed like [`Message::KINDS`](crate::Message::KINDS). Kinds past the
+    /// end of the slice were never received.
+    pub fn received_by_kind(&self) -> &[u64] {
+        &self.recv_kinds
     }
 
     /// Completed windows: `(start_step, per-node counters indexed by node index)`.
@@ -425,7 +447,7 @@ mod tests {
         let a = NodeId::from_index(0);
         m.on_send(a, MsgClass::Publication);
         m.on_send(a, MsgClass::Management);
-        m.on_recv(a, MsgClass::Subscription);
+        m.on_recv(a, MsgClass::Subscription, 0);
         m.roll_to(10);
         assert_eq!(m.sent_series(&[MsgClass::Publication])[0].stat.max, 1.0);
         assert_eq!(m.sent_series(&MsgClass::ALL)[0].stat.max, 2.0);
@@ -449,6 +471,32 @@ mod tests {
         for (i, r) in DropReason::ALL.iter().enumerate() {
             assert_eq!(r.index(), i);
         }
+    }
+
+    #[test]
+    fn receipts_are_counted_per_kind_and_shard_partials_sum() {
+        let a = NodeId::from_index(0);
+        let mut m = Metrics::new(10);
+        assert!(m.received_by_kind().is_empty());
+        m.on_recv(a, MsgClass::Management, 2);
+        m.on_recv(a, MsgClass::Publication, 0);
+        m.on_recv(a, MsgClass::Management, 2);
+        assert_eq!(m.received_by_kind(), &[1, 0, 2]);
+        // A shard partial that saw a higher kind widens the merged vector;
+        // one that saw fewer kinds leaves the tail alone.
+        let mut other = Metrics::new(10);
+        other.on_recv(a, MsgClass::Subscription, 4);
+        other.on_recv(a, MsgClass::Publication, 0);
+        m.absorb(&other);
+        assert_eq!(m.received_by_kind(), &[2, 0, 2, 0, 1]);
+        let mut narrow = Metrics::new(10);
+        narrow.on_recv(a, MsgClass::Publication, 1);
+        m.absorb(&narrow);
+        assert_eq!(m.received_by_kind(), &[2, 1, 2, 0, 1]);
+        assert_eq!(
+            m.received_by_kind().iter().sum::<u64>(),
+            MsgClass::ALL.iter().map(|c| m.total_received(*c)).sum()
+        );
     }
 
     #[test]

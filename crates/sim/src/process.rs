@@ -82,8 +82,20 @@ impl MsgClass {
 /// runs sharded (the shard workers are persistent threads, so everything they
 /// own must be free of borrowed data).
 pub trait Message: Clone + fmt::Debug + Send + 'static {
+    /// Names of the message kinds [`kind`](Message::kind) indexes into — a
+    /// finer census than the three classes (one entry per protocol message
+    /// type). The default is a single anonymous kind.
+    const KINDS: &'static [&'static str] = &["msg"];
+
     /// The traffic class of this message.
     fn class(&self) -> MsgClass;
+
+    /// Index of this message's kind in [`KINDS`](Message::KINDS);
+    /// [`Metrics::received_by_kind`](crate::Metrics::received_by_kind) counts
+    /// receipts per index.
+    fn kind(&self) -> usize {
+        0
+    }
 }
 
 /// A protocol state machine: one instance per simulated node.

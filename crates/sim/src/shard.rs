@@ -275,7 +275,7 @@ impl<P: Process> Shard<P> {
                         continue;
                     }
                 }
-                self.metrics.on_recv(to, msg.class());
+                self.metrics.on_recv(to, msg.class(), msg.kind());
                 let mut ctx = Context {
                     me: to,
                     now,
