@@ -184,6 +184,17 @@ impl Overlay {
             .sum()
     }
 
+    /// Heap bytes of publication-dedup and suspicion state across alive
+    /// nodes ([`DpsNode::dedup_bytes`]): how much of this overlay is memory
+    /// of what it has already seen.
+    pub fn dedup_bytes(&self) -> usize {
+        self.sim
+            .alive()
+            .filter_map(|id| self.sim.node(id))
+            .map(|n| n.dedup_bytes())
+            .sum()
+    }
+
     /// Crashes a specific node.
     pub fn crash(&mut self, node: NodeId) {
         self.sim.crash(node);

@@ -5,9 +5,11 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dps_content::placement::choose_branch;
 use dps_content::{Event, Filter, FilterIndex, MatchScratch, Predicate};
 use dps_overlay::model::TreeModel;
+use dps_overlay::SeenCache;
 use dps_sim::NodeId;
 use dps_workload::Workload;
 use rand::SeedableRng;
+use std::hash::Hash;
 use std::hint::black_box;
 
 fn bench_matching(c: &mut Criterion) {
@@ -165,6 +167,69 @@ fn bench_tree_insert(c: &mut Criterion) {
     });
 }
 
+/// The per-node dedup cache, 128 operations an iteration (ns/iter ÷ 128 =
+/// ns per op): what every publication hop pays once or twice. The two key
+/// shapes are the ones the overlay stores, at the caps it stores them —
+/// `seen_node`'s packed publication id at `seen_cap`, `seen_route`'s id plus
+/// label id at 4 × that.
+fn bench_seen_cache(c: &mut Criterion) {
+    seen_cache_rows(c, 512, |n| (n % 61, n / 61));
+    seen_cache_rows(c, 2048, |n| (n % 61, n / 61, n % 7));
+}
+
+fn seen_cache_rows<T: Eq + Hash>(c: &mut Criterion, cap: usize, key: fn(u32) -> T) {
+    const OPS: u32 = 128;
+    let filled = |keys: u32| {
+        let mut cache = SeenCache::new(cap);
+        for n in 0..keys {
+            cache.insert(key(n));
+        }
+        cache
+    };
+    // Past the ring's last doubling, with room for the batch below the cap.
+    let half = cap as u32 / 2 + 1;
+    c.bench_function(&format!("seen_cache_{cap}_insert_below_cap_x128"), |b| {
+        b.iter_batched(
+            || filled(half),
+            |mut cache| {
+                for n in half..half + OPS {
+                    black_box(cache.insert(key(n)));
+                }
+                cache
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    let mut cache = filled(cap as u32);
+    println!(
+        "# seen_cache_{cap}: {:.1} heap bytes a key at the cap",
+        cache.heap_bytes() as f64 / cap as f64
+    );
+    let mut next = cap as u32;
+    c.bench_function(&format!("seen_cache_{cap}_insert_at_cap_x128"), |b| {
+        b.iter(|| {
+            for n in next..next + OPS {
+                black_box(cache.insert(key(n)));
+            }
+            next += OPS;
+        })
+    });
+    c.bench_function(&format!("seen_cache_{cap}_insert_duplicate_x128"), |b| {
+        b.iter(|| {
+            for n in next - OPS..next {
+                black_box(cache.insert(key(n)));
+            }
+        })
+    });
+    c.bench_function(&format!("seen_cache_{cap}_remove_absent_x128"), |b| {
+        b.iter(|| {
+            for n in next..next + OPS {
+                black_box(cache.remove(&key(n)));
+            }
+        })
+    });
+}
+
 fn bench_sim_step(c: &mut Criterion) {
     use dps::{DpsConfig, DpsNetwork};
     for n in [100usize, 250] {
@@ -242,6 +307,7 @@ criterion_group!(
     bench_inclusion,
     bench_choose_branch,
     bench_tree_insert,
+    bench_seen_cache,
     bench_sim_step,
     bench_event_queue
 );

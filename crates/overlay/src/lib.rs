@@ -52,4 +52,5 @@ pub use config::{CommKind, DpsConfig, JoinRule, TraversalKind};
 pub use label::GroupLabel;
 pub use msg::{BranchInfo, DpsMsg, GroupDescriptor, GroupRef, PubId, PubTicket, SubId, Ticket};
 pub use node::DpsNode;
+pub use seen::SeenCache;
 pub use sink::{CountingSink, NoopSink, QueueSink, StatsSink};

@@ -12,7 +12,7 @@ use rand::seq::IteratorRandom;
 use crate::config::{CommKind, TraversalKind};
 use crate::label::GroupLabel;
 use crate::msg::{DpsMsg, Ticket};
-use crate::node::{claim_beats, DpsNode, SubPhase, TreeContact, TreeLookup};
+use crate::node::{claim_beats, node_key, DpsNode, SubPhase, TreeContact, TreeLookup};
 
 impl DpsNode {
     pub(crate) fn handle_shuffle(
@@ -32,7 +32,7 @@ impl DpsNode {
 
     pub(crate) fn merge_peers(&mut self, peers: &[NodeId]) {
         for p in peers {
-            if *p != self.id && !self.peers.contains(p) && !self.suspected.contains(p) {
+            if *p != self.id && !self.peers.contains(p) && !self.suspected.contains(&node_key(*p)) {
                 self.peers.push(*p);
             }
         }
@@ -204,7 +204,7 @@ impl DpsNode {
         // Do I know a (live, as far as we can tell) contact?
         if let Some(c) = self.tree_cache.get(&attr) {
             let (contact, owner, epoch) = (c.contact, c.owner, c.epoch);
-            if !self.suspected.contains(&contact) {
+            if !self.suspected.contains(&node_key(contact)) {
                 ctx.send(
                     origin,
                     DpsMsg::TreeFound {
@@ -223,7 +223,7 @@ impl DpsNode {
             self.peers
                 .iter()
                 .copied()
-                .filter(|p| *p != origin && *p != me && !suspected.contains(p))
+                .filter(|p| *p != origin && *p != me && !suspected.contains(&node_key(*p)))
                 .choose(ctx.rng())
         };
         match next {
@@ -260,7 +260,7 @@ impl DpsNode {
         epoch: u64,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        if self.suspected.contains(&contact) {
+        if self.suspected.contains(&node_key(contact)) {
             // Stale answer naming a contact we believe dead — but the belief
             // itself may be stale (a healed partition looks exactly like a
             // crash while it holds): verify instead of refusing forever. For
@@ -373,7 +373,7 @@ impl DpsNode {
         // let every racing duplicate creation trump the established tree,
         // triggering endless dissolve/re-subscribe wars.
         let epoch = match self.known_owner_claim(&attr) {
-            Some((o, e)) if self.suspected.contains(&o) => e + 1,
+            Some((o, e)) if self.suspected.contains(&node_key(o)) => e + 1,
             Some((_, e)) => e,
             None => 0,
         };
@@ -477,7 +477,7 @@ impl DpsNode {
         if other_owner == self.id {
             return;
         }
-        if self.suspected.contains(&other_owner) {
+        if self.suspected.contains(&node_key(other_owner)) {
             // A claim naming a node we believe dead never wins — but when the
             // suspicion came from a partition (unreachability and crash are
             // indistinguishable while the cut holds), refusing forever
@@ -537,7 +537,7 @@ impl DpsNode {
         epoch: u64,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        if self.suspected.contains(&new_owner) {
+        if self.suspected.contains(&node_key(new_owner)) {
             // Never dissolve toward a dead owner — but do challenge the
             // suspicion (see `maybe_dissolve_own_tree`) and re-walk so the
             // re-check happens promptly: if the owner is alive across a

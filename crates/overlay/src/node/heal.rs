@@ -11,7 +11,7 @@ use rand::Rng;
 use crate::config::CommKind;
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId};
-use crate::node::{claim_beats, DpsNode, Probe};
+use crate::node::{claim_beats, node_key, DpsNode, Probe};
 use crate::views::{Branch, Role};
 
 impl DpsNode {
@@ -136,7 +136,7 @@ impl DpsNode {
     /// A monitored neighbor was declared dead: scrub it everywhere and run the
     /// role-specific healing of §4.3.
     pub(crate) fn on_dead(&mut self, dead: NodeId, ctx: &mut Context<'_, DpsMsg>) {
-        self.suspected.insert(dead);
+        self.suspected.insert(node_key(dead));
         self.peers.retain(|p| *p != dead);
         self.tree_cache.retain(|_, c| {
             if c.owner == Some(dead) {
@@ -211,7 +211,7 @@ impl DpsNode {
                     .co_leaders
                     .iter()
                     .copied()
-                    .find(|c| !self.suspected.contains(c));
+                    .find(|c| !self.suspected.contains(&node_key(*c)));
                 let me = self.id;
                 if first_alive == Some(me) || self.memberships[i].co_leaders.is_empty() {
                     self.promote_to_leader(i, ctx);
@@ -393,12 +393,12 @@ impl DpsNode {
         };
         let contact = self
             .known_owner(&attr)
-            .filter(|o| *o != self.id && !self.suspected.contains(o))
+            .filter(|o| *o != self.id && !self.suspected.contains(&node_key(*o)))
             .or_else(|| {
                 self.tree_cache
                     .get(&attr)
                     .map(|c| c.contact)
-                    .filter(|c| *c != self.id && !self.suspected.contains(c))
+                    .filter(|c| *c != self.id && !self.suspected.contains(&node_key(*c)))
             });
         match contact {
             Some(n) => {
@@ -743,7 +743,7 @@ impl DpsNode {
         dead: NodeId,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        self.suspected.insert(dead);
+        self.suspected.insert(node_key(dead));
         let Some(i) = self.membership_index(&label) else {
             return;
         };
@@ -921,13 +921,17 @@ impl DpsNode {
                 .members
                 .iter()
                 .copied()
-                .filter(|n| *n != me && !self.suspected.contains(n))
+                .filter(|n| *n != me && !self.suspected.contains(&node_key(*n)))
                 .choose(ctx.rng())
             {
                 targets.push(n);
             }
             for b in &m.branches {
-                if let Some(r) = b.refs.iter().find(|r| !self.suspected.contains(&r.node)) {
+                if let Some(r) = b
+                    .refs
+                    .iter()
+                    .find(|r| !self.suspected.contains(&node_key(r.node)))
+                {
                     if r.node != me {
                         targets.push(r.node);
                     }
@@ -945,7 +949,7 @@ impl DpsNode {
             let parents: Vec<GroupRef> = m
                 .predview
                 .iter()
-                .filter(|r| r.node != me && !self.suspected.contains(&r.node))
+                .filter(|r| r.node != me && !self.suspected.contains(&node_key(r.node)))
                 .take(2)
                 .cloned()
                 .collect();
@@ -980,7 +984,7 @@ impl DpsNode {
                 if let Some(r) = b
                     .refs
                     .iter()
-                    .find(|r| r.label == b.label && !self.suspected.contains(&r.node))
+                    .find(|r| r.label == b.label && !self.suspected.contains(&node_key(r.node)))
                 {
                     if r.node != me {
                         ctx.send(
@@ -1084,7 +1088,7 @@ impl DpsNode {
         };
         let m = &mut self.memberships[i];
         for n in members {
-            if !self.suspected.contains(&n) {
+            if !self.suspected.contains(&node_key(n)) {
                 m.add_member(n);
             }
         }

@@ -48,6 +48,23 @@ pub(crate) fn claim_beats(a: (NodeId, u64), b: (NodeId, u64)) -> bool {
     a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
 }
 
+/// Key of `suspected`: the dense node index as a `u32`, half the id's width
+/// (`docs/determinism.md`, the packing rule).
+fn node_key(node: NodeId) -> u32 {
+    u32::try_from(node.index()).expect("a Sim cannot hold 2^32 nodes")
+}
+
+/// Key of `seen_node`: the publication id packed into 8 bytes.
+fn pub_key(id: PubId) -> (u32, u32) {
+    (node_key(id.0), id.1)
+}
+
+/// Key of `seen_route`: the packed publication id plus the interned id of the
+/// group's label ([`Membership::route_id`]), 12 bytes.
+fn route_key(id: PubId, route_id: u32) -> (u32, u32, u32) {
+    (node_key(id.0), id.1, route_id)
+}
+
 /// Where a pending subscription currently stands.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SubPhase {
@@ -171,14 +188,14 @@ pub struct DpsNode {
     /// predicates, and this cache is consulted on every forwarded
     /// publication — cloning or hashing a `GroupLabel` per check was
     /// measurable churn.
-    pub(crate) seen_route: SeenCache<(PubId, u32)>,
+    pub(crate) seen_route: SeenCache<(u32, u32, u32)>,
     /// Intern table backing `seen_route`: each distinct group label this node
     /// ever held a membership in maps to a small dense id, consulted when a
     /// membership is taken on ([`adopt`](Self::adopt)), never per hop. Its
     /// keys are client-chosen predicates, so it keeps the keyed default
     /// hasher. Bounded by the node's group vocabulary, not by traffic.
     pub(crate) label_ids: HashMap<GroupLabel, u32>,
-    pub(crate) seen_node: SeenCache<PubId>,
+    pub(crate) seen_node: SeenCache<(u32, u32)>,
     pub(crate) active_gossip: Vec<ActiveGossip>,
     /// Recently handled matching publications `(id, event, heard_at)`, kept
     /// for [`repub_window`](crate::DpsConfig::repub_window) steps to re-flush
@@ -197,7 +214,7 @@ pub struct DpsNode {
     pub(crate) nonce_counter: u64,
     /// Recently declared-dead nodes (bounded memory), used to rank co-leaders
     /// during takeover and to avoid re-adding dead nodes from stale gossip.
-    pub(crate) suspected: SeenCache<NodeId>,
+    pub(crate) suspected: SeenCache<u32>,
     /// Step of the last suspicion-verification ping per suspect (throttle for
     /// `verify_suspect`; pruned by age, bounded).
     pub(crate) verify_at: HashMap<NodeId, Step>,
@@ -345,6 +362,12 @@ impl DpsNode {
         self.pubs_notified
     }
 
+    /// Heap bytes held by this node's three bounded caches (route dedup,
+    /// node dedup, suspicion memory) — what a publication leaves behind.
+    pub fn dedup_bytes(&self) -> usize {
+        self.seen_route.heap_bytes() + self.seen_node.heap_bytes() + self.suspected.heap_bytes()
+    }
+
     // ---- shared internals ----
 
     pub(crate) fn membership(&self, label: &GroupLabel) -> Option<&Membership> {
@@ -399,7 +422,7 @@ impl DpsNode {
             m.members
                 .iter()
                 .copied()
-                .filter(|n| *n != self.id && !self.suspected.contains(n))
+                .filter(|n| *n != self.id && !self.suspected.contains(&node_key(*n)))
                 .take(2)
                 .collect()
         } else {
@@ -429,7 +452,7 @@ impl DpsNode {
                 m.members
                     .iter()
                     .copied()
-                    .filter(|n| *n != self.id && !self.suspected.contains(n))
+                    .filter(|n| *n != self.id && !self.suspected.contains(&node_key(*n)))
                     .take(2)
                     .map(gref),
             );
@@ -475,7 +498,7 @@ impl DpsNode {
     /// plus the `Notify` upcall when one of our filters matches (§2). Returns
     /// `true` on first receipt.
     pub(crate) fn deliver_local(&mut self, id: PubId, event: &SharedEvent, now: Step) -> bool {
-        if !self.seen_node.insert(id) {
+        if !self.seen_node.insert(pub_key(id)) {
             return false;
         }
         self.pubs_received += 1;
@@ -571,7 +594,7 @@ impl Process for DpsNode {
         // and settle any outstanding probe — crashed nodes cannot send, so this
         // never masks a real failure, and under link loss it stops chatty
         // neighbors from being condemned over one missing pong.
-        let revived = self.suspected.remove(&from);
+        let revived = self.suspected.remove(&node_key(from));
         if let Some(p) = self.probes.get_mut(&from) {
             p.outstanding = None;
             p.misses = 0;
@@ -737,9 +760,9 @@ mod tests {
         let id = PubId(NodeId::from_index(7), 0);
         let lid_a = node.label_id(&a);
         let lid_b = node.label_id(&b);
-        assert!(node.seen_route.insert((id, lid_a)));
-        assert!(!node.seen_route.insert((id, lid_a)));
-        assert!(node.seen_route.insert((id, lid_b)));
+        assert!(node.seen_route.insert(route_key(id, lid_a)));
+        assert!(!node.seen_route.insert(route_key(id, lid_a)));
+        assert!(node.seen_route.insert(route_key(id, lid_b)));
 
         // A structurally equal label parsed afresh interns to the same id —
         // the property that makes the u32 a faithful stand-in for the label.

@@ -10,7 +10,7 @@ use rand::Rng;
 use crate::config::{CommKind, TraversalKind};
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId, PubTicket};
-use crate::node::{ActiveGossip, DpsNode, PendingPub, TreeLookup};
+use crate::node::{node_key, route_key, ActiveGossip, DpsNode, PendingPub, TreeLookup};
 
 /// Timeouts a publication may spend unacknowledged before it is dropped: its
 /// trees are known (discovery gives up much sooner, at `find_tree_retries`),
@@ -107,7 +107,7 @@ impl DpsNode {
             // least reaches our reachable part of the tree.
             TraversalKind::Root => self
                 .known_owner(&attr)
-                .filter(|o| !self.suspected.contains(o))
+                .filter(|o| !self.suspected.contains(&node_key(*o)))
                 .or_else(|| self.in_tree(&attr).then_some(self.id))
                 .or_else(|| self.tree_cache.get(&attr).map(|c| c.contact)),
             TraversalKind::Generic => {
@@ -174,9 +174,9 @@ impl DpsNode {
         for attr in &silent {
             if let Some(c) = self.tree_cache.remove(attr) {
                 if stubborn.contains(attr) {
-                    self.suspected.insert(c.contact);
+                    self.suspected.insert(node_key(c.contact));
                     if let Some(o) = c.owner {
-                        self.suspected.insert(o);
+                        self.suspected.insert(node_key(o));
                     }
                 }
             }
@@ -214,7 +214,7 @@ impl DpsNode {
         // suspected dead — then inject here rather than lose the event).
         if t.target.is_none() && t.mode == TraversalKind::Root && !self.owns_tree(&t.attr) {
             if let Some(owner) = self.known_owner(&t.attr) {
-                if owner != self.id && !self.suspected.contains(&owner) {
+                if owner != self.id && !self.suspected.contains(&node_key(owner)) {
                     ctx.send(owner, DpsMsg::Publish(t));
                     return;
                 }
@@ -274,7 +274,8 @@ impl DpsNode {
 
         // Each group processes a publication once (dedup keyed by the label id
         // interned beside the membership — no label hashed or cloned per hop).
-        if !self.seen_route.insert((t.id, self.memberships[i].route_id)) {
+        let route = route_key(t.id, self.memberships[i].route_id);
+        if !self.seen_route.insert(route) {
             return;
         }
 
@@ -304,7 +305,7 @@ impl DpsNode {
             let mut live = m
                 .predview
                 .iter()
-                .filter(|r| r.node != self.id && !self.suspected.contains(&r.node))
+                .filter(|r| r.node != self.id && !self.suspected.contains(&node_key(r.node)))
                 .take(fanout)
                 .peekable();
             // Every known parent is suspect: try the first anyway rather than
@@ -406,12 +407,12 @@ impl DpsNode {
                     .iter()
                     .filter(|r| r.label == *label)
                     .map(|r| r.node)
-                    .filter(|n| !suspected.contains(n))
+                    .filter(|n| !suspected.contains(&node_key(*n)))
                     .choose_multiple(ctx.rng(), k);
                 let bridge = if in_group.is_empty() {
                     refs.iter()
                         .map(|r| r.node)
-                        .find(|n| !suspected.contains(n))
+                        .find(|n| !suspected.contains(&node_key(*n)))
                         .or_else(|| refs.first().map(|r| r.node))
                 } else {
                     None
@@ -425,7 +426,7 @@ impl DpsNode {
                 // absorbs the overlap with the level-by-level flow.
                 let deeper = refs
                     .iter()
-                    .filter(|r| r.label != *label && !suspected.contains(&r.node))
+                    .filter(|r| r.label != *label && !suspected.contains(&node_key(r.node)))
                     .filter(|r| r.label.matches_event(&t.event))
                     .take(k);
                 for r in deeper {
@@ -507,7 +508,7 @@ impl DpsNode {
             .members
             .iter()
             .copied()
-            .filter(|n| *n != self.id && !self.suspected.contains(n))
+            .filter(|n| *n != self.id && !self.suspected.contains(&node_key(*n)))
             .choose_multiple(ctx.rng(), k);
         for n in targets {
             ctx.send(
@@ -563,7 +564,8 @@ impl DpsNode {
             self.deliver_local(id, &event, ctx.now());
             return;
         };
-        if !self.seen_route.insert((id, self.memberships[i].route_id)) {
+        let route = route_key(id, self.memberships[i].route_id);
+        if !self.seen_route.insert(route) {
             return;
         }
         self.deliver_local(id, &event, ctx.now());

@@ -10,7 +10,7 @@ use rand::Rng;
 use crate::config::{CommKind, JoinRule, TraversalKind};
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupDescriptor, GroupRef, SubId, Ticket};
-use crate::node::{DpsNode, PendingSub, SubPhase};
+use crate::node::{node_key, DpsNode, PendingSub, SubPhase};
 use crate::views::{Branch, Membership, Role};
 
 /// Maximum subscription retries before the node concludes no tree exists and
@@ -238,9 +238,9 @@ impl DpsNode {
                         // suspect it so walks stop returning it (a live node
                         // clears the suspicion by sending us anything).
                         if let Some(c) = self.tree_cache.get(&attr) {
-                            self.suspected.insert(c.contact);
+                            self.suspected.insert(node_key(c.contact));
                             if let Some(o) = c.owner {
-                                self.suspected.insert(o);
+                                self.suspected.insert(node_key(o));
                             }
                         }
                         self.tree_cache.remove(&attr);
@@ -291,7 +291,7 @@ impl DpsNode {
         let owns_tree = self.owns_tree(attr);
         if t.mode == TraversalKind::Root && !t.descending && !owns_tree {
             if let Some(owner) = self.known_owner(attr) {
-                if owner != self.id && !self.suspected.contains(&owner) {
+                if owner != self.id && !self.suspected.contains(&node_key(owner)) {
                     ctx.send(owner, DpsMsg::FindGroup(t));
                     return;
                 }
