@@ -14,7 +14,18 @@
 //! flushes output buffers. Driven in lockstep over a
 //! [`ChannelTransport`](crate::transport::ChannelTransport) this is fully
 //! deterministic; [`Broker::serve`] wraps it in a wall-clock loop for socket
-//! deployments.
+//! deployments, which between two idle turns waits on the listener and every
+//! session at once ([`wait_readable`]) — never on one of them, and never
+//! longer than 500 µs, so the overlay is stepped at least that often.
+//!
+//! # Answers leave last
+//!
+//! Within a turn, a session that was sent an answer (`Hello`, `Ack`, `Close`)
+//! is written to its socket after every session that was not. A client that
+//! reads the `Ack` of its publish can therefore rely on every `Deliver` the
+//! same turn emitted being in its subscriber's socket already. This orders
+//! writes, it guarantees no delivery: one that needs a later turn (credit,
+//! a full buffer, more overlay steps) still arrives after the ack.
 //!
 //! # Backpressure
 //!
@@ -34,13 +45,14 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dps::{DpsConfig, Overlay};
 use dps_content::{SharedEvent, SharedFilter};
 use dps_overlay::{PubId, QueueSink};
 use dps_sim::NodeId;
 
-use crate::transport::Listener;
+use crate::transport::{wait_readable, Listener, Source};
 use crate::wire::{self, EventBody, Fill, Frame, Link, PubRef, WireError, PROTOCOL_VERSION};
 
 /// Tuning knobs for a [`Broker`].
@@ -99,6 +111,23 @@ struct SubState {
     dropped: u64,
 }
 
+/// The longest [`Broker::serve`] waits between two turns: an idle broker
+/// still pumps — and steps the overlay — this often.
+const IDLE_WAIT: Duration = Duration::from_micros(500);
+
+/// Plain counters of what a [`Broker`] did so far ([`Broker::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BrokerStats {
+    /// [`Broker::pump`] calls.
+    pub pumps: u64,
+    /// Client frames applied by them.
+    pub frames_applied: u64,
+    /// Waits [`Broker::serve`] made after an idle turn.
+    pub waits: u64,
+    /// Those of them a readable socket ended before their 500 µs passed.
+    pub woken_early: u64,
+}
+
 struct SessionState {
     link: Link,
     /// Set once the session's `Hello` is accepted.
@@ -108,13 +137,23 @@ struct SessionState {
     closing: bool,
     /// The link died abruptly: drop without flushing.
     dead: bool,
+    /// An answer was queued this turn: the session is flushed last (module
+    /// docs, "Answers leave last").
+    answered: bool,
 }
 
 impl SessionState {
+    /// Queues an answer to something the session sent.
     fn queue(&mut self, frame: &Frame) {
+        self.answered = true;
         // Only an over-sized frame can fail here; drop the session rather
         // than send it a half-encoded stream.
         self.dead |= self.link.queue(frame).is_err();
+    }
+
+    /// Writes as much buffered output as the socket takes, never blocking.
+    fn flush(&mut self) {
+        self.dead |= self.link.flush().is_err();
     }
 }
 
@@ -136,6 +175,10 @@ pub struct Broker {
     /// reference).
     bodies: HashMap<PubId, EventBody>,
     log: Option<LogSink>,
+    stats: BrokerStats,
+    /// What `serve` waits on, rebuilt before every wait and kept between
+    /// them so that a wait allocates nothing.
+    sources: Vec<Source>,
 }
 
 impl Broker {
@@ -156,6 +199,8 @@ impl Broker {
             drain_buf: Vec::new(),
             bodies: HashMap::new(),
             log: None,
+            stats: BrokerStats::default(),
+            sources: Vec::new(),
         }
     }
 
@@ -189,9 +234,15 @@ impl Broker {
         &self.net
     }
 
+    /// What the event loop did so far.
+    pub fn stats(&self) -> BrokerStats {
+        self.stats
+    }
+
     /// One event-loop turn: accept, read+apply, step the overlay, fan out
-    /// deliveries, flush. Never blocks. Returns the number of client frames
-    /// applied, which lockstep drivers use as a settling signal.
+    /// deliveries, flush — sessions that were answered this turn last. Never
+    /// blocks. Returns the number of client frames applied, which lockstep
+    /// drivers use as a settling signal.
     pub fn pump(&mut self) -> std::io::Result<usize> {
         self.accept_pending()?;
         let mut applied = 0;
@@ -205,19 +256,41 @@ impl Broker {
         }
         self.bodies.clear();
         self.flush_and_reap();
+        self.stats.pumps += 1;
+        self.stats.frames_applied += applied as u64;
         Ok(applied)
     }
 
-    /// Wall-clock serving loop: pumps until `stop` returns true, sleeping
-    /// briefly whenever a turn was idle.
+    /// Wall-clock serving loop: pumps until `stop` returns true. After a turn
+    /// that applied nothing it waits until the listener or a session has
+    /// something to read, at most 500 µs.
     pub fn serve(&mut self, mut stop: impl FnMut() -> bool) -> std::io::Result<()> {
-        while !stop() {
-            let applied = self.pump()?;
-            if applied == 0 {
-                std::thread::sleep(std::time::Duration::from_micros(500));
+        let out = loop {
+            if stop() {
+                break Ok(());
             }
-        }
-        Ok(())
+            match self.pump() {
+                Ok(0) => self.wait_idle(),
+                Ok(_) => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.log(&format!("serve ended: {:?}", self.stats));
+        out
+    }
+
+    /// Only what the next turn would read is watched: a closing session is
+    /// no longer read (so its hang-up would end every wait at once) and a
+    /// dead one was just reaped. Output left in a buffer is retried at the
+    /// next turn, [`IDLE_WAIT`] away at most, as it always was.
+    fn wait_idle(&mut self) {
+        self.sources.clear();
+        self.sources.push(self.listener.readiness().into());
+        let read = self.sessions.values().filter(|s| !s.closing && !s.dead);
+        self.sources
+            .extend(read.map(|s| Source::from(s.link.readiness())));
+        self.stats.waits += 1;
+        self.stats.woken_early += u64::from(wait_readable(&mut self.sources, IDLE_WAIT));
     }
 
     fn accept_pending(&mut self) -> std::io::Result<()> {
@@ -232,6 +305,7 @@ impl Broker {
                     subs: BTreeMap::new(),
                     closing: false,
                     dead: false,
+                    answered: false,
                 },
             );
             self.log(&format!("session {id}: connected"));
@@ -454,7 +528,8 @@ impl Broker {
     }
 
     /// Demultiplexes the session node's matched deliveries into per-sub
-    /// queues and emits as much as credit (and the output buffer cap) allows.
+    /// queues, emits as much as credit (and the output buffer cap) allows
+    /// and, unless the session was answered this turn, writes it out.
     fn fan_out(&mut self, id: u64) {
         let Some(s) = self.sessions.get_mut(&id) else {
             return;
@@ -499,19 +574,22 @@ impl Broker {
                 st.credit -= 1;
             }
         }
+        if !s.answered {
+            s.flush();
+        }
     }
 
     /// Writes buffered output (never blocking) and reaps finished sessions.
     fn flush_and_reap(&mut self) {
         let mut done: Vec<u64> = Vec::new();
         for (id, s) in self.sessions.iter_mut() {
+            s.answered = false;
             if s.dead {
                 done.push(*id);
                 continue;
             }
-            if s.link.flush().is_err() {
-                s.dead = true;
-            } else if s.closing && s.link.out.is_empty() {
+            s.flush();
+            if !s.dead && s.closing && s.link.out.is_empty() {
                 s.link.shutdown();
                 done.push(*id);
             }

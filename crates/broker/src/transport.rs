@@ -21,12 +21,24 @@
 //! right now", `Ok(0)` from `recv` means the peer closed cleanly. The broker's
 //! event loop relies on this: it must never park inside one session's socket
 //! while other sessions have work.
+//!
+//! # Waiting
+//!
+//! What parks instead is [`wait_readable`], the one function everything that
+//! waits for a peer calls: given what each connection and the listener
+//! report through `readiness`, it blocks until any of them has something to
+//! read or a timeout passes — or, when one of them has no descriptor to
+//! watch, sleeps a short fixed period as every wait loop did before.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+pub use crate::poll::Source;
 
 /// One ordered, bidirectional byte stream (non-blocking; see module docs).
 pub trait Connection: Send {
@@ -38,6 +50,14 @@ pub trait Connection: Send {
     fn recv(&mut self, buf: &mut [u8]) -> io::Result<usize>;
     /// Closes the write side; the peer's next `recv` drains to `Ok(0)`.
     fn shutdown(&mut self);
+    /// A descriptor [`wait_readable`] can watch for this connection: once it
+    /// polls readable, `recv` returns bytes, `Ok(0)` or a hard error, and
+    /// while it does not, `recv` would return `WouldBlock`. `None` (the
+    /// default) is always legal and makes every wait that includes this
+    /// connection a short sleep.
+    fn readiness(&self) -> Option<RawFd> {
+        None
+    }
 }
 
 /// Accepts inbound [`Connection`]s (non-blocking).
@@ -46,6 +66,34 @@ pub trait Listener: Send {
     fn accept(&mut self) -> io::Result<Option<Box<dyn Connection>>>;
     /// The address this listener is bound to, for logs.
     fn local_addr(&self) -> String;
+    /// As [`Connection::readiness`]: readable means `accept` has a connection
+    /// (or an error) to return.
+    fn readiness(&self) -> Option<RawFd> {
+        None
+    }
+}
+
+/// How long [`wait_readable`] sleeps when a source has no descriptor: the
+/// period of the poll loop it then is.
+const BLIND_WAIT: Duration = Duration::from_micros(200);
+
+/// Waits until one of `sources` is readable or `timeout` passes, whichever
+/// comes first, and returns whether it was the former. Readable is
+/// level-triggered: the caller must read the source dry (to `WouldBlock`) or
+/// leave it out of the next wait, or that wait returns at once.
+///
+/// When a source has no descriptor ([`Connection::readiness`] returned
+/// `None`), or the platform has no `ppoll(2)` (anything but 64-bit Linux),
+/// nothing can wake the wait: it sleeps `min(timeout, 200 µs)` and returns
+/// `false`, so the caller is a poll loop of that period.
+pub fn wait_readable(sources: &mut [Source], timeout: Duration) -> bool {
+    if sources.iter().all(Source::has_descriptor) {
+        if let Some(ready) = crate::poll::wait(sources, timeout) {
+            return ready;
+        }
+    }
+    std::thread::sleep(timeout.min(BLIND_WAIT));
+    false
 }
 
 /// A way of reaching (and serving) brokers: names addresses, mints listeners
@@ -81,6 +129,10 @@ impl Connection for UnixConn {
     fn shutdown(&mut self) {
         let _ = self.0.shutdown(std::net::Shutdown::Write);
     }
+
+    fn readiness(&self) -> Option<RawFd> {
+        Some(self.0.as_raw_fd())
+    }
 }
 
 struct UnixAcceptor {
@@ -102,6 +154,10 @@ impl Listener for UnixAcceptor {
 
     fn local_addr(&self) -> String {
         self.path.display().to_string()
+    }
+
+    fn readiness(&self) -> Option<RawFd> {
+        Some(self.listener.as_raw_fd())
     }
 }
 
@@ -345,5 +401,86 @@ mod tests {
         drop(listener);
         assert!(!std::path::Path::new(&addr).exists(), "socket unlinked");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A listener at `addr`, a connected client and the accepted server half.
+    fn unix_pair(addr: &str) -> (Box<dyn Listener>, Box<dyn Connection>, Box<dyn Connection>) {
+        let mut listener = UnixTransport.listen(addr).unwrap();
+        let client = UnixTransport.connect(addr).unwrap();
+        let server = loop {
+            if let Some(c) = listener.accept().unwrap() {
+                break c;
+            }
+        };
+        (listener, client, server)
+    }
+
+    /// A socket path of this test's own; the listener unlinks it on drop.
+    fn scratch_addr(name: &str) -> String {
+        let file = format!("dps-ut-{}-{name}.sock", std::process::id());
+        std::env::temp_dir().join(file).display().to_string()
+    }
+
+    // The timing bounds below are an order of magnitude away from what they
+    // bound: they tell a wake from a timeout, not how fast either is.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn wait_readable_wakes_on_bytes_hang_up_and_pending_connects() {
+        let addr = scratch_addr("wake");
+        let (mut listener, mut client, mut server) = unix_pair(&addr);
+        let mut sources = [listener.readiness().into(), server.readiness().into()];
+
+        let asked = Duration::from_millis(30);
+        let t0 = std::time::Instant::now();
+        assert!(
+            !wait_readable(&mut sources, asked),
+            "nothing written, nobody waiting"
+        );
+        assert!(t0.elapsed() >= asked, "a timeout is never cut short");
+
+        let t0 = std::time::Instant::now();
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            client.send(b"late").unwrap();
+            client
+        });
+        assert!(wait_readable(&mut sources, Duration::from_secs(2)));
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "woken, not timed out"
+        );
+        let mut buf = [0u8; 8];
+        assert_eq!(server.recv(&mut buf).unwrap(), 4);
+        assert!(
+            !wait_readable(&mut sources, Duration::from_millis(1)),
+            "read dry"
+        );
+
+        // A peer that hung up is readable for good: the next `recv` says so.
+        drop(writer.join().unwrap());
+        assert!(wait_readable(&mut sources[1..], Duration::from_secs(2)));
+        assert_eq!(server.recv(&mut buf).unwrap(), 0);
+
+        // So is a listener somebody is waiting on.
+        let _second = UnixTransport.connect(&addr).unwrap();
+        assert!(wait_readable(&mut sources[..1], Duration::from_secs(2)));
+        assert!(listener.accept().unwrap().is_some());
+    }
+
+    #[test]
+    fn a_source_without_a_descriptor_turns_the_wait_into_a_short_sleep() {
+        let channel = ChannelTransport::new();
+        let _listener = channel.listen("hub").unwrap();
+        let mut conn = channel.connect("hub").unwrap();
+        assert!(conn.readiness().is_none());
+        let (_listener, mut client, server) = unix_pair(&scratch_addr("blind"));
+        client.send(b"ready").unwrap();
+
+        // Even beside a socket that is readable, and however long was asked.
+        let mut sources = [server.readiness().into(), conn.readiness().into()];
+        let t0 = std::time::Instant::now();
+        assert!(!wait_readable(&mut sources, Duration::from_secs(10)));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        conn.shutdown();
     }
 }

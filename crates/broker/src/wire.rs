@@ -411,6 +411,12 @@ impl Link {
     pub fn shutdown(&mut self) {
         self.conn.shutdown();
     }
+
+    /// What a wait watches to learn that [`Link::fill`] would read something
+    /// ([`Connection::readiness`]).
+    pub fn readiness(&self) -> Option<std::os::unix::io::RawFd> {
+        self.conn.readiness()
+    }
 }
 
 #[cfg(test)]

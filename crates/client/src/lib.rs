@@ -53,6 +53,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use dps::DpsError;
+use dps_broker::wait_readable;
 use dps_content::{SharedEvent, SharedFilter};
 
 pub use dps_broker::wire::PubRef;
@@ -106,6 +107,12 @@ trait Backend {
     /// Why the carrier is unusable, if it is.
     fn check(&self) -> Result<(), DpsError> {
         Ok(())
+    }
+    /// Called between two polls by whatever waits for one to find something:
+    /// returns after `at_most`, or sooner when polling again is worthwhile.
+    /// A carrier with nothing to watch is polled every 200 µs.
+    fn idle(&mut self, at_most: Duration) {
+        wait_readable(&mut [None.into()], at_most);
     }
 }
 
@@ -319,11 +326,12 @@ impl Subscriber {
             if let Some(d) = self.recv() {
                 return Some(d);
             }
-            let open = self.shared.borrow().inboxes.contains_key(&self.sub);
-            if Instant::now() >= deadline || !open {
+            let s = &mut *self.shared.borrow_mut();
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || !s.inboxes.contains_key(&self.sub) {
                 return None;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            s.backend.idle(left);
         }
     }
 

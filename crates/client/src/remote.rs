@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use dps::DpsError;
 use dps_broker::wire::{Fill, Frame, Link, PubRef, PROTOCOL_VERSION};
-use dps_broker::{Connection, Transport};
+use dps_broker::{wait_readable, Connection, Transport};
 use dps_content::{SharedEvent, SharedFilter};
 
 use crate::{Backend, Delivery, Session};
@@ -146,10 +146,11 @@ impl Remote {
                 return Ok(v);
             }
             self.check()?;
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(DpsError::Transport(format!("timed out waiting for {what}")));
             }
-            std::thread::sleep(Duration::from_micros(200));
+            self.idle(left);
         }
     }
 }
@@ -211,6 +212,16 @@ impl Backend for Remote {
             Some(reason) => Err(DpsError::Transport(reason.clone())),
             None => Ok(()),
         }
+    }
+
+    /// Waits on the link. Not while output is left to flush (the next pump
+    /// has work whatever arrives) nor once the link is closed (it is no
+    /// longer read, so what it holds would end every wait at once): those
+    /// are polled at the default period.
+    fn idle(&mut self, at_most: Duration) {
+        let watch = self.closed_reason.is_none() && self.link.out.is_empty();
+        let source = self.link.readiness().filter(|_| watch);
+        wait_readable(&mut [source.into()], at_most);
     }
 }
 

@@ -63,10 +63,16 @@ impl BrokerProc {
             .stderr(Stdio::inherit())
             .spawn()
             .expect("dps-broker starts");
-        // Wait for the socket to appear.
+        // Wait until a connect succeeds, not for the socket file: `bind(2)`
+        // creates the file before `listen(2)` has run, and a connect in
+        // between is refused. The probe hangs up at once; the broker logs a
+        // session that came and went.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !std::path::Path::new(&socket).exists() {
-            assert!(Instant::now() < deadline, "broker never bound {socket}");
+        while std::os::unix::net::UnixStream::connect(&socket).is_err() {
+            assert!(
+                Instant::now() < deadline,
+                "broker never listened on {socket}"
+            );
             std::thread::sleep(Duration::from_millis(10));
         }
         BrokerProc {
