@@ -78,8 +78,7 @@ impl FloodNode {
         }
         self.sink.on_contact(msg.id, self.id, ctx.now());
         if self.subs.any_match(&msg.event, &mut self.scratch) {
-            self.sink.on_notify(msg.id, self.id, ctx.now());
-            self.sink.on_deliver(msg.id, self.id, &msg.event, ctx.now());
+            self.sink.on_notify(msg.id, self.id, &msg.event, ctx.now());
         }
         for n in self.neighbors.clone() {
             ctx.send(n, msg.clone());

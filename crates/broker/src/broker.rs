@@ -33,7 +33,7 @@
 //! and `Credit` frames. A subscriber that stops granting credit (or stops
 //! reading its socket) stalls only itself: matched events queue in a bounded
 //! per-subscription buffer (oldest dropped first past
-//! [`BrokerConfig::max_pending`]), and the event loop never blocks on any one
+//! [`MAX_PENDING`]), and the event loop never blocks on any one
 //! session's socket.
 //!
 //! # One encoding per publication
@@ -70,14 +70,16 @@ pub struct BrokerConfig {
     pub warmup_steps: u64,
     /// Simulation steps advanced per [`Broker::pump`] call.
     pub steps_per_pump: u64,
-    /// Per-subscription cap on deliveries queued while out of credit; beyond
-    /// it the oldest queued delivery is dropped (and counted).
-    pub max_pending: usize,
-    /// Per-session cap on buffered outbound bytes; `Deliver` emission pauses
-    /// (keeping frames in the pending queue) while a session's buffer is
-    /// above it, so a session that stops reading cannot balloon the broker.
-    pub max_outbuf: usize,
 }
+
+/// Per-subscription cap on deliveries queued while out of credit; beyond it
+/// the oldest queued delivery is dropped (and counted).
+pub const MAX_PENDING: usize = 1024;
+
+/// Per-session cap on buffered outbound bytes; `Deliver` emission pauses
+/// (keeping frames in the pending queue) while a session's buffer is above
+/// it, so a session that stops reading cannot balloon the broker.
+pub const MAX_OUTBUF: usize = 256 * 1024;
 
 impl Default for BrokerConfig {
     fn default() -> Self {
@@ -87,8 +89,6 @@ impl Default for BrokerConfig {
             background_nodes: 8,
             warmup_steps: 60,
             steps_per_pump: 4,
-            max_pending: 1024,
-            max_outbuf: 256 * 1024,
         }
     }
 }
@@ -186,7 +186,7 @@ impl Broker {
     /// accepting on `listener`.
     pub fn new(cfg: BrokerConfig, listener: Box<dyn Listener>) -> Self {
         let queues = Arc::new(QueueSink::default());
-        let mut net = Overlay::new(cfg.net.clone(), cfg.seed, 1, queues.clone());
+        let mut net = Overlay::new(cfg.net, cfg.seed, 1, queues.clone());
         net.add_nodes(cfg.background_nodes);
         net.run(cfg.warmup_steps);
         Broker {
@@ -552,7 +552,7 @@ impl Broker {
                         pub_seq: pid.1,
                         body: body.clone(),
                     });
-                    if st.pending.len() > self.cfg.max_pending {
+                    if st.pending.len() > MAX_PENDING {
                         st.pending.pop_front();
                         st.dropped += 1;
                     }
@@ -560,7 +560,7 @@ impl Broker {
             }
         }
         for (cid, st) in s.subs.iter_mut() {
-            while st.credit > 0 && s.link.out.len() < self.cfg.max_outbuf {
+            while st.credit > 0 && s.link.out.len() < MAX_OUTBUF {
                 let Some(d) = st.pending.pop_front() else {
                     break;
                 };

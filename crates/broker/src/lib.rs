@@ -27,7 +27,7 @@ mod poll;
 pub mod transport;
 pub mod wire;
 
-pub use broker::{Broker, BrokerConfig, BrokerStats, LogSink};
+pub use broker::{Broker, BrokerConfig, BrokerStats, LogSink, MAX_OUTBUF, MAX_PENDING};
 pub use transport::{
     wait_readable, ChannelTransport, Connection, Listener, Transport, UnixTransport,
 };

@@ -8,7 +8,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dps_broker::wire::{encode, Frame, FrameReader, PROTOCOL_VERSION};
-use dps_broker::{Broker, BrokerConfig, ChannelTransport, Connection, Listener, Transport};
+use dps_broker::{
+    Broker, BrokerConfig, ChannelTransport, Connection, Listener, Transport, MAX_OUTBUF,
+    MAX_PENDING,
+};
 use dps_content::Event;
 
 /// A wire-level test client: frames out, frames (and raw bytes) in.
@@ -302,7 +305,7 @@ fn stalled_subscriber_does_not_stall_the_broker_or_other_sessions() {
         seed: 11,
         ..BrokerConfig::default()
     };
-    let (max_pending, max_outbuf) = (cfg.max_pending as u64, cfg.max_outbuf);
+    let (max_pending, max_outbuf) = (MAX_PENDING as u64, MAX_OUTBUF);
     let t = ChannelTransport::new();
     let stall = Arc::new(AtomicBool::new(false));
     let mut broker = Broker::new(
@@ -406,7 +409,7 @@ fn stalled_subscriber_does_not_stall_the_broker_or_other_sessions() {
     let early = loads(&stalled, 2);
     assert_eq!(early, all[..early.len()], "emitted until the cap, in order");
 
-    // Each queue kept the newest `max_pending` deliveries and dropped the
+    // Each queue kept the newest `MAX_PENDING` deliveries and dropped the
     // rest: the ample window releases them now that the buffer has room, the
     // small one once credit arrives.
     let newest = &all[(PUBS - max_pending) as usize..];

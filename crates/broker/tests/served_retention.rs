@@ -134,12 +134,8 @@ impl Rig {
 #[test]
 fn a_delivered_publication_leaves_under_a_kib_behind() {
     let t = ChannelTransport::new();
-    let mut cfg = BrokerConfig::default();
-    // Small, so the overlay's per-node dedup caches reach their bound (and
-    // start evicting) well inside the warm-up.
-    cfg.net.seen_cap = 16;
     let mut rig = Rig {
-        broker: Broker::new(cfg, t.listen("hub").unwrap()),
+        broker: Broker::new(BrokerConfig::default(), t.listen("hub").unwrap()),
         clients: (0..SESSIONS).map(|_| Client::connect(&t)).collect(),
         publisher: Client::connect(&t),
         published: 0,

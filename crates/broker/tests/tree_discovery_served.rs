@@ -2,10 +2,11 @@
 //! `multiplayer_game` workload subscribe `x… & y…` filters, which under the
 //! default `JoinRule::First` all join tree `x`: tree `y` never exists, yet
 //! every publication carries `y`. The publisher's node must look for that
-//! tree once per `owner_merge_every` period — not once (let alone thirteen
+//! tree once per `OWNER_MERGE_EVERY` period — not once (let alone thirteen
 //! times) per publication — and a publication must not sit in the node's
 //! pending list waiting for a tree nobody will ever create.
 
+use dps::config::{FIND_TREE_RETRIES, OWNER_MERGE_EVERY, WALK_TTL};
 use dps_broker::wire::{encode, Frame, FrameReader, PROTOCOL_VERSION};
 use dps_broker::{Broker, BrokerConfig, ChannelTransport, Connection, Transport};
 use dps_content::{Event, Filter, SharedEvent};
@@ -139,7 +140,6 @@ impl Rig {
 fn an_absent_tree_is_looked_for_per_period_not_per_publication() {
     let t = ChannelTransport::new();
     let cfg = BrokerConfig::default();
-    let net = cfg.net.clone();
     let steps_per_pump = cfg.steps_per_pump;
     let broker = Broker::new(cfg, t.listen("hub").unwrap());
     let mut rig = Rig {
@@ -179,9 +179,9 @@ fn an_absent_tree_is_looked_for_per_period_not_per_publication() {
 
     // A publication stays pending only while a lookup it waits on runs.
     // Let the traffic above conclude, and the absence it recorded lapse.
-    let lookup = (1 + net.find_tree_retries as u64) * (net.walk_ttl as u64 + 2);
+    let lookup = (1 + FIND_TREE_RETRIES as u64) * (WALK_TTL as u64 + 2);
     let lookup_turns = lookup / steps_per_pump + 3;
-    rig.turns(lookup_turns + net.owner_merge_every / steps_per_pump);
+    rig.turns(lookup_turns + OWNER_MERGE_EVERY / steps_per_pump);
     assert_eq!(rig.pending(), 0);
     // A lone publication walks for `y` itself and is gone when the lookup
     // gives up (13 walk rounds used to keep it ≈ 80 turns)...

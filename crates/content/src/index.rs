@@ -801,29 +801,19 @@ impl<H: Copy + Ord> FilterIndex<H> {
             return;
         }
         out.reserve(scratch.hit_count as usize);
-        if self.monotonic {
-            // Slot order IS handle order: emit straight off the bitmap.
-            for (w, word) in scratch.hits.iter().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let slot = (w << 6) + bits.trailing_zeros() as usize;
-                    out.push(self.handle_of[slot]);
-                    bits &= bits - 1;
-                }
+        for (w, word) in scratch.hits.iter().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let slot = (w << 6) + bits.trailing_zeros() as usize;
+                out.push(self.handle_of[slot]);
+                bits &= bits - 1;
             }
-        } else {
-            // Slot reuse or out-of-order inserts: sort by (handle, slot).
-            let mut pairs: Vec<(H, SlotId)> = Vec::with_capacity(scratch.hit_count as usize);
-            for (w, word) in scratch.hits.iter().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let slot = (w << 6) + bits.trailing_zeros() as usize;
-                    pairs.push((self.handle_of[slot], slot as SlotId));
-                    bits &= bits - 1;
-                }
-            }
-            pairs.sort_unstable();
-            out.extend(pairs.iter().map(|(h, _)| *h));
+        }
+        // Monotonic: slot order IS handle order. Otherwise (slot reuse or
+        // out-of-order inserts) sort in place; equal handles are
+        // indistinguishable, so no slot tiebreak is needed.
+        if !self.monotonic {
+            out.sort_unstable();
         }
     }
 

@@ -56,7 +56,7 @@ pub use dps_content::{
     AttrName, AttrType, Event, Filter, Op, ParseError, Predicate, SharedEvent, SharedFilter, Value,
 };
 pub use dps_overlay::{
-    model, CommKind, CountingSink, DpsConfig, DpsMsg, DpsNode, GroupLabel, JoinRule, PubId,
+    config, model, CommKind, CountingSink, DpsConfig, DpsMsg, DpsNode, GroupLabel, JoinRule, PubId,
     QueueSink, StatsSink, SubId, TraversalKind,
 };
 pub use dps_sim::{

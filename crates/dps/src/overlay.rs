@@ -7,6 +7,7 @@ use std::sync::Arc;
 use dps_content::{SharedEvent, SharedFilter};
 
 use crate::error::DpsError;
+use dps_overlay::config::PEER_VIEW;
 use dps_overlay::{DpsConfig, DpsNode, GroupLabel, JoinRule, PubId, StatsSink, SubId};
 use dps_sim::{FaultPlan, LatencyModel, Metrics, NodeId, Sim, SimSnapshot, Step};
 use rand::rngs::StdRng;
@@ -28,9 +29,7 @@ pub struct GroupSnapshot {
 /// pure function of the seed and the sequence of driver calls.
 pub struct Overlay {
     sim: Sim<DpsNode>,
-    /// The one config allocation every node shares (see
-    /// `DpsNode::with_shared_config`): joins clone the `Arc`, not the config.
-    cfg: Arc<DpsConfig>,
+    cfg: DpsConfig,
     sink: Arc<dyn StatsSink>,
     rng: StdRng,
     /// Reusable buffer for peer sampling (avoids per-join allocations).
@@ -43,7 +42,7 @@ impl Overlay {
     pub fn new(cfg: DpsConfig, seed: u64, shards: usize, sink: Arc<dyn StatsSink>) -> Self {
         Overlay {
             sim: Sim::new_sharded(seed, shards),
-            cfg: Arc::new(cfg),
+            cfg,
             sink,
             rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
             scratch: Vec::new(),
@@ -55,9 +54,9 @@ impl Overlay {
     /// discoverable in both directions).
     pub fn add_node(&mut self) -> NodeId {
         // Both samples are drawn from the pre-join population.
-        let sample = self.sample_alive(self.cfg.peer_view.min(8));
+        let sample = self.sample_alive(PEER_VIEW.min(8));
         let introducers = self.sample_alive(3);
-        let mut node = DpsNode::with_shared_config(self.cfg.clone(), self.sink.clone());
+        let mut node = DpsNode::with_sink(self.cfg, self.sink.clone());
         node.seed_peers(sample);
         let id = self.sim.add_node(node);
         // Symmetric introduction: a few existing peers learn about the newcomer.

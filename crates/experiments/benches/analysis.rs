@@ -1,6 +1,7 @@
 //! §5.1 — compares the analytical message-complexity closed forms against the
 //! simulated per-event publication message counts, on the same overlay.
 
+use dps::config::INTER_GROUP_FANOUT;
 use dps::{CommKind, DpsConfig, DpsNetwork, JoinRule, MsgClass, TraversalKind};
 use dps_analysis::{complexity, reliability};
 use dps_experiments::{banner, output, Scale};
@@ -40,7 +41,7 @@ fn main() {
         cfg.join_rule = JoinRule::Explicit;
         let label = cfg.label();
         let k = cfg.gossip_fanout as u64;
-        let kp = cfg.inter_group_fanout as u64;
+        let kp = INTER_GROUP_FANOUT as u64;
         let mut net = DpsNetwork::new(cfg, 4000 + ci as u64);
         let nodes = net.add_nodes(n);
         net.run(30);

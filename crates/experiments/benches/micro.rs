@@ -170,7 +170,7 @@ fn bench_tree_insert(c: &mut Criterion) {
 /// The per-node dedup cache, 128 operations an iteration (ns/iter ÷ 128 =
 /// ns per op): what every publication hop pays once or twice. The two key
 /// shapes are the ones the overlay stores, at the caps it stores them —
-/// `seen_node`'s packed publication id at `seen_cap`, `seen_route`'s id plus
+/// `seen_node`'s packed publication id at `SEEN_CAP`, `seen_route`'s id plus
 /// label id at 4 × that.
 fn bench_seen_cache(c: &mut Criterion) {
     seen_cache_rows(c, 512, |n| (n % 61, n / 61));

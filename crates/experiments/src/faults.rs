@@ -161,7 +161,6 @@ pub fn loss_sweep(scale: Scale) -> Vec<LossPoint> {
     let mut cells = Vec::new();
     for (ci, cfg) in fault_configs().into_iter().enumerate() {
         for loss in losses {
-            let cfg = cfg.clone();
             cells.push(move || loss_cell(cfg, ci, loss, n, steps));
         }
     }

@@ -128,7 +128,6 @@ pub fn fig3a(scale: Scale) -> Vec<Fig3aPoint> {
     let mut cells = Vec::new();
     for cfg in fig3a_configs() {
         for (pi, p) in ps.iter().enumerate() {
-            let cfg = cfg.clone();
             let p = *p;
             cells.push(move || fig3a_cell(cfg, p, pi, n, steps));
         }

@@ -10,7 +10,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dps::model::ForestModel;
-use dps::{CommKind, DpsConfig, DpsNode, JoinRule, NodeId, PubId, StatsSink, TraversalKind};
+use dps::{
+    CommKind, DpsConfig, DpsNode, JoinRule, NodeId, PubId, SharedEvent, StatsSink, TraversalKind,
+};
 use dps_sim::{Sim, Step};
 use dps_workload::Workload;
 use rand::rngs::StdRng;
@@ -33,7 +35,7 @@ impl StatsSink for TallySink {
         *self.contacted.lock().unwrap().entry(id).or_insert(0) += 1;
     }
 
-    fn on_notify(&self, _id: PubId, _node: NodeId, _now: Step) {}
+    fn on_notify(&self, _id: PubId, _node: NodeId, _event: &SharedEvent, _now: Step) {}
 }
 
 impl TallySink {
@@ -96,7 +98,7 @@ pub fn run_workload(w: &Workload, scale: Scale, seed: u64) -> Table1Row {
     let mut nodes: Vec<NodeId> = Vec::with_capacity(n);
     for _ in 0..n {
         let s: Arc<dyn StatsSink> = sink.clone();
-        let mut node = DpsNode::with_sink(cfg.clone(), s);
+        let mut node = DpsNode::with_sink(cfg, s);
         let sample: Vec<NodeId> = nodes.iter().copied().choose_multiple(&mut rng, 8);
         node.seed_peers(sample);
         let id = sim.add_node(node);

@@ -38,13 +38,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod config;
 mod label;
 mod msg;
 mod seen;
 mod sink;
 mod views;
 
+pub mod config;
 pub mod model;
 pub mod node;
 

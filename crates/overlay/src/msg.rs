@@ -74,7 +74,7 @@ pub struct Ticket {
     /// root, so later hops do not bounce the ticket back to the owner.
     pub descending: bool,
     /// Hop budget, decremented at every forward; exhaustion aborts the traversal
-    /// (the origin retries after `request_timeout`).
+    /// (the origin retries after `REQUEST_TIMEOUT`).
     pub ttl: u32,
 }
 

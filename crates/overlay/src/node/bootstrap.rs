@@ -9,7 +9,10 @@ use dps_content::AttrName;
 use dps_sim::{Context, NodeId};
 use rand::seq::IteratorRandom;
 
-use crate::config::{CommKind, TraversalKind};
+use crate::config::{
+    CommKind, TraversalKind, FIND_TREE_RETRIES, OWNER_MERGE_EVERY, PEER_VIEW, PROBE_TIMEOUT,
+    REQUEST_TIMEOUT, WALK_TTL,
+};
 use crate::label::GroupLabel;
 use crate::msg::{DpsMsg, Ticket};
 use crate::node::{claim_beats, node_key, DpsNode, SubPhase, TreeContact, TreeLookup};
@@ -37,16 +40,14 @@ impl DpsNode {
             }
         }
         // Trim oldest-first beyond capacity (newest information is freshest).
-        let cap = self.cfg.peer_view;
-        if self.peers.len() > cap {
-            self.peers.drain(0..self.peers.len() - cap);
+        if self.peers.len() > PEER_VIEW {
+            self.peers.drain(0..self.peers.len() - PEER_VIEW);
         }
     }
 
     fn trim_peers(&mut self, _ctx: &mut Context<'_, DpsMsg>) {
-        let cap = self.cfg.peer_view;
-        if self.peers.len() > cap {
-            self.peers.drain(0..self.peers.len() - cap);
+        if self.peers.len() > PEER_VIEW {
+            self.peers.drain(0..self.peers.len() - PEER_VIEW);
         }
     }
 
@@ -77,8 +78,7 @@ impl DpsNode {
     /// Launches one walk pair for `attr`, `misses` pairs having ended empty
     /// before it.
     fn send_walk(&mut self, attr: AttrName, misses: u32, ctx: &mut Context<'_, DpsMsg>) {
-        let deadline = ctx.now() + self.cfg.request_timeout;
-        let ttl = self.cfg.walk_ttl;
+        let deadline = ctx.now() + REQUEST_TIMEOUT;
         let origin = self.id;
         // Two parallel walks ("random walks", §4.1): a single walk dies
         // whenever one hop lands on a crashed peer, which is common under churn.
@@ -88,7 +88,7 @@ impl DpsNode {
                 DpsMsg::FindTree {
                     attr: attr.clone(),
                     origin,
-                    ttl,
+                    ttl: WALK_TTL,
                 },
             );
         }
@@ -104,13 +104,13 @@ impl DpsNode {
     ///
     /// Waiting subscriptions become due at once: `retry_due_subscriptions`,
     /// next in this tick, counts the round on each and has it walk again or —
-    /// past `find_tree_retries` — create the tree (§4.1).
+    /// past `FIND_TREE_RETRIES` — create the tree (§4.1).
     ///
     /// With only publications waiting, the walk is repeated
-    /// `find_tree_retries` times and then they skip the attribute: no tree
+    /// `FIND_TREE_RETRIES` times and then they skip the attribute: no tree
     /// means no subscriber on it. If that last pair was *answered* empty —
-    /// `walk_ttl` hops met nobody who knows the tree, where a lost walk says
-    /// nothing — the absence is remembered for one `owner_merge_every`
+    /// `WALK_TTL` hops met nobody who knows the tree, where a lost walk says
+    /// nothing — the absence is remembered for one `OWNER_MERGE_EVERY`
     /// period, so the publications that follow do not each walk again.
     pub(crate) fn tick_lookups(&mut self, ctx: &mut Context<'_, DpsMsg>) {
         let now = ctx.now();
@@ -141,7 +141,7 @@ impl DpsNode {
                 // owner's duplicate check, a request served some other way).
                 continue;
             }
-            if misses < self.cfg.find_tree_retries {
+            if misses < FIND_TREE_RETRIES {
                 self.send_walk(attr, misses + 1, ctx);
                 continue;
             }
@@ -150,7 +150,7 @@ impl DpsNode {
             }
             self.pending_pubs.retain(|p| !p.attrs.is_empty());
             if answered {
-                let until = now + self.cfg.owner_merge_every;
+                let until = now + OWNER_MERGE_EVERY;
                 self.lookups.push((attr, TreeLookup::Absent { until }));
             }
         }
@@ -426,7 +426,6 @@ impl DpsNode {
     /// and a sparse single walk left healed partitions fragmented for hundreds
     /// of steps.
     pub(crate) fn owner_merge_walk(&mut self, ctx: &mut Context<'_, DpsMsg>) {
-        let ttl = self.cfg.walk_ttl;
         let origin = self.id;
         for attr in self.owned_attrs() {
             for peer in self.peer_sample(ctx, 2) {
@@ -435,7 +434,7 @@ impl DpsNode {
                     DpsMsg::FindTree {
                         attr: attr.clone(),
                         origin,
-                        ttl,
+                        ttl: WALK_TTL,
                     },
                 );
             }
@@ -511,7 +510,7 @@ impl DpsNode {
     /// the rest of a run, and each of those must not cost a fresh ping.
     pub(crate) fn verify_suspect(&mut self, suspect: NodeId, ctx: &mut Context<'_, DpsMsg>) {
         let now = ctx.now();
-        let window = 2 * self.cfg.probe_timeout.max(1);
+        let window = 2 * PROBE_TIMEOUT;
         if let Some(&at) = self.verify_at.get(&suspect) {
             if now.saturating_sub(at) < window {
                 return;

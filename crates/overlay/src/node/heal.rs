@@ -8,7 +8,10 @@ use dps_sim::{Context, NodeId};
 use rand::seq::IteratorRandom;
 use rand::Rng;
 
-use crate::config::CommKind;
+use crate::config::{
+    CommKind, CO_LEADERS, GROUP_VIEW_CAP, HEARTBEAT_MAX, HEARTBEAT_MIN, OWNER_MERGE_EVERY,
+    PROBE_RETRIES, PROBE_TIMEOUT, REQUEST_TIMEOUT, VIEW_DEPTH, VIEW_EXCHANGE_EVERY, WALK_TTL,
+};
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId};
 use crate::node::{claim_beats, node_key, DpsNode, Probe};
@@ -53,7 +56,7 @@ impl DpsNode {
     }
 
     /// Drives the heartbeat machinery: schedule pings (per-edge period drawn
-    /// uniformly from `[heartbeat_min, heartbeat_max]`, §5.2), time out missing
+    /// uniformly from `HEARTBEAT_MIN..=HEARTBEAT_MAX`, §5.2), time out missing
     /// pongs and trigger healing.
     pub(crate) fn tick_probes(&mut self, ctx: &mut Context<'_, DpsMsg>) {
         let now = ctx.now();
@@ -64,9 +67,7 @@ impl DpsNode {
             self.probes.retain(|k, _| targets.binary_search(k).is_ok());
             for t in &targets {
                 if !self.probes.contains_key(t) {
-                    let every = ctx
-                        .rng()
-                        .random_range(self.cfg.heartbeat_min..=self.cfg.heartbeat_max);
+                    let every = ctx.rng().random_range(HEARTBEAT_MIN..=HEARTBEAT_MAX);
                     let phase = ctx.rng().random_range(0..every);
                     self.probes.insert(
                         *t,
@@ -81,14 +82,12 @@ impl DpsNode {
             }
         }
         self.monitor_buf = targets;
-        let timeout = self.cfg.probe_timeout;
-        let retries = self.cfg.probe_retries;
         let mut dead: Vec<NodeId> = Vec::new();
         let mut pings: Vec<(NodeId, u64)> = Vec::new();
         for (t, p) in self.probes.iter_mut() {
             match p.outstanding {
-                Some((_, sent)) if now.saturating_sub(sent) > timeout => {
-                    if p.misses >= retries {
+                Some((_, sent)) if now.saturating_sub(sent) > PROBE_TIMEOUT => {
+                    if p.misses >= PROBE_RETRIES {
                         dead.push(*t);
                     } else {
                         // Re-probe before condemning: a single lost pong must
@@ -271,7 +270,6 @@ impl DpsNode {
     /// Top up the co-leader list from ordinary members.
     fn recruit_co_leaders(&mut self, i: usize) {
         let me = self.id;
-        let kc = self.cfg.co_leaders;
         let m = &mut self.memberships[i];
         let candidates: Vec<NodeId> = m
             .members
@@ -280,7 +278,7 @@ impl DpsNode {
             .filter(|n| *n != me && !m.co_leaders.contains(n))
             .collect();
         for c in candidates {
-            if m.co_leaders.len() >= kc {
+            if m.co_leaders.len() >= CO_LEADERS {
                 break;
             }
             m.co_leaders.push(c);
@@ -295,7 +293,7 @@ impl DpsNode {
         let before = self.memberships[i].co_leaders.len();
         self.recruit_co_leaders(i);
         let changed = self.memberships[i].co_leaders.len() != before
-            || self.memberships[i].co_leaders.len() < self.cfg.co_leaders;
+            || self.memberships[i].co_leaders.len() < CO_LEADERS;
         if changed {
             let m = &self.memberships[i];
             let info = DpsMsg::GroupInfo {
@@ -348,13 +346,12 @@ impl DpsNode {
             }
             m.branches = kept;
         }
-        let depth = self.cfg.view_depth;
         for (label, refs) in adoptions {
             let info = BranchInfo {
                 label: label.clone(),
                 refs: refs.clone(),
             };
-            self.memberships[i].upsert_branch(&info, depth);
+            self.memberships[i].upsert_branch(&info, VIEW_DEPTH);
             let parent = self.descriptor(&self.memberships[i]);
             let chain = {
                 let mut v = self.own_refs(&self.memberships[i]);
@@ -418,10 +415,9 @@ impl DpsNode {
                     self.create_tree(attr.clone(), ctx);
                 }
                 let root_label = GroupLabel::Root(attr);
-                let depth = self.cfg.view_depth;
                 let me = self.id;
                 if let Some(root) = self.membership_mut(&root_label) {
-                    root.upsert_branch(&branch, depth);
+                    root.upsert_branch(&branch, VIEW_DEPTH);
                 }
                 let m = &mut self.memberships[i];
                 m.owner = me;
@@ -568,8 +564,7 @@ impl DpsNode {
                     ctx.send(fresh[0], intro(incumbents.clone()));
                 }
             }
-            let depth = self.cfg.view_depth;
-            self.memberships[i].upsert_branch(&branch, depth);
+            self.memberships[i].upsert_branch(&branch, VIEW_DEPTH);
             self.send_new_parent_for(i, &branch, ctx);
             if !was_live {
                 self.flush_recent_to_branch(i, &branch, ctx);
@@ -587,12 +582,11 @@ impl DpsNode {
             return;
         }
         // We are the designated predecessor: graft the orphan here.
-        let depth = self.cfg.view_depth;
         let was_live = self.memberships[i]
             .branch(&branch.label)
             .and_then(Branch::primary)
             .is_some();
-        self.memberships[i].upsert_branch(&branch, depth);
+        self.memberships[i].upsert_branch(&branch, VIEW_DEPTH);
         self.send_new_parent_for(i, &branch, ctx);
         if !was_live {
             self.flush_recent_to_branch(i, &branch, ctx);
@@ -794,15 +788,14 @@ impl DpsNode {
             }
         }
 
-        let exch = self.cfg.view_exchange_every.max(1);
-        if (now + phase).is_multiple_of(exch) {
+        if (now + phase).is_multiple_of(VIEW_EXCHANGE_EVERY) {
             match self.cfg.comm {
                 CommKind::Leader => self.leader_view_exchange(ctx),
                 CommKind::Epidemic => self.epidemic_merge_push(ctx),
             }
             // Expire blocks whose CreateDone was lost to a crash, flushing the
             // withheld events toward whatever contact the branch still has.
-            let limit = 2 * self.cfg.request_timeout;
+            let limit = 2 * REQUEST_TIMEOUT;
             for i in 0..self.memberships.len() {
                 for bi in 0..self.memberships[i].branches.len() {
                     let b = &mut self.memberships[i].branches[bi];
@@ -824,8 +817,7 @@ impl DpsNode {
             }
         }
 
-        let merge = self.cfg.owner_merge_every.max(1);
-        if (now + phase).is_multiple_of(merge) {
+        if (now + phase).is_multiple_of(OWNER_MERGE_EVERY) {
             self.owner_merge_walk(ctx);
         }
     }
@@ -846,7 +838,7 @@ impl DpsNode {
             // Down: each child receives our identity plus our own predecessors.
             let mut chain = self.own_refs(m);
             chain.extend(m.predview.iter().cloned());
-            chain.truncate(self.cfg.view_depth + self.cfg.co_leaders + 2);
+            chain.truncate(VIEW_DEPTH + CO_LEADERS + 2);
             for b in &m.branches {
                 if let Some(n) = b.primary() {
                     if n != me {
@@ -979,7 +971,7 @@ impl DpsNode {
             }
             let mut chain = self.own_refs(m);
             chain.extend(m.predview.iter().cloned());
-            chain.truncate(self.cfg.view_depth + 3);
+            chain.truncate(VIEW_DEPTH + 3);
             for b in &m.branches {
                 if let Some(r) = b
                     .refs
@@ -1011,8 +1003,6 @@ impl DpsNode {
         branch: BranchInfo,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        let depth = self.cfg.view_depth;
-        let ttl = self.cfg.walk_ttl;
         let Some(i) = self.membership_index(&parent_label) else {
             return;
         };
@@ -1025,7 +1015,13 @@ impl DpsNode {
             let next = via.entry();
             self.memberships[i].remove_branch(&branch.label);
             if let Some(n) = next {
-                ctx.send(n, DpsMsg::Reattach { branch, ttl });
+                ctx.send(
+                    n,
+                    DpsMsg::Reattach {
+                        branch,
+                        ttl: WALK_TTL,
+                    },
+                );
             }
             return;
         }
@@ -1033,7 +1029,7 @@ impl DpsNode {
             .branch(&branch.label)
             .and_then(Branch::primary)
             .is_some();
-        self.memberships[i].upsert_branch(&branch, depth);
+        self.memberships[i].upsert_branch(&branch, VIEW_DEPTH);
         if !was_live {
             // The child went silent long enough to lose its direct entry (or
             // was never attached here): besides restoring the pointer, replay
@@ -1075,13 +1071,8 @@ impl DpsNode {
         ctx: &mut Context<'_, DpsMsg>,
     ) {
         let epidemic = self.cfg.comm == CommKind::Epidemic;
-        let cap = if epidemic {
-            self.cfg.group_view_cap
-        } else {
-            usize::MAX
-        };
-        let depth = self.cfg.view_depth;
-        let pv_cap = self.cfg.view_depth + self.cfg.co_leaders + 2;
+        let cap = if epidemic { GROUP_VIEW_CAP } else { usize::MAX };
+        let pv_cap = VIEW_DEPTH + CO_LEADERS + 2;
         let me = self.id;
         let Some(i) = self.membership_index(&label) else {
             return;
@@ -1096,7 +1087,7 @@ impl DpsNode {
         m.merge_predview(&predview, pv_cap);
         for b in branches {
             if b.label != label {
-                m.upsert_branch(&b, depth);
+                m.upsert_branch(&b, VIEW_DEPTH);
             }
         }
         // A leader absorbing members it did not know (a demoted same-label
@@ -1129,7 +1120,7 @@ impl DpsNode {
         // exchange is idempotent.
         if epidemic {
             let now = ctx.now();
-            let window = 4 * self.cfg.view_exchange_every;
+            let window = 4 * VIEW_EXCHANGE_EVERY;
             let missing: Vec<(PubId, SharedEvent)> = self
                 .recent_pubs
                 .iter()

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use dps_content::{AttrName, Filter, FilterIndex, MatchScratch, SharedEvent};
 use dps_sim::{Context, NodeId, Process, Step};
 
-use crate::config::DpsConfig;
+use crate::config::{DpsConfig, CO_LEADERS, PEER_VIEW, REPUB_WINDOW, SEEN_CAP, VIEW_DEPTH};
 use crate::label::GroupLabel;
 use crate::msg::{DpsMsg, GroupDescriptor, GroupRef, PubId, SubId};
 use crate::seen::SeenCache;
@@ -38,7 +38,7 @@ use crate::views::{Membership, Role};
 
 pub use crate::views::{Branch, Membership as GroupMembership, Role as GroupRole};
 
-/// Hard cap on the recent-publication re-flush buffer (the `repub_window` age
+/// Hard cap on the recent-publication re-flush buffer (the `REPUB_WINDOW` age
 /// limit is the primary bound; this caps pathological publish rates).
 pub(crate) const RECENT_PUBS_CAP: usize = 32;
 
@@ -119,7 +119,7 @@ pub(crate) enum TreeLookup {
 
 /// A publication this node is actively gossiping within one group (epidemic
 /// mode): one fan-out round per step with probability `p0 / (1 + rounds)`,
-/// retired after `gossip_rounds` rounds (§4.2.2's decaying forward).
+/// retired after `GOSSIP_ROUNDS` rounds (§4.2.2's decaying forward).
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveGossip {
     pub label: GroupLabel,
@@ -133,14 +133,14 @@ pub(crate) struct ActiveGossip {
 /// succview structure are periodically monitored for failures").
 #[derive(Debug, Clone)]
 pub(crate) struct Probe {
-    /// Probing period, drawn uniformly from `[heartbeat_min, heartbeat_max]`.
+    /// Probing period, drawn uniformly from `HEARTBEAT_MIN..=HEARTBEAT_MAX`.
     pub every: Step,
     /// Next step at which to send a ping.
     pub next_at: Step,
     /// Outstanding ping: (nonce, sent_at).
     pub outstanding: Option<(u64, Step)>,
     /// Consecutive unanswered pings (a pong resets it); the neighbor is
-    /// declared dead only past `probe_retries`.
+    /// declared dead only past `PROBE_RETRIES`.
     pub misses: u32,
 }
 
@@ -156,11 +156,7 @@ pub(crate) struct TreeContact {
 /// A DPS protocol node. See the [module docs](self).
 pub struct DpsNode {
     pub(crate) id: NodeId,
-    /// Shared, immutable protocol configuration. Behind an `Arc` so a
-    /// network's nodes all point at one allocation instead of each carrying
-    /// a ~200-byte copy — at metro scale (100k+ nodes) the per-node copy is
-    /// pure waste, and no code path ever mutates a node's config.
-    pub(crate) cfg: Arc<DpsConfig>,
+    pub(crate) cfg: DpsConfig,
     pub(crate) sink: Arc<dyn StatsSink>,
 
     // Bootstrap substrate.
@@ -198,7 +194,7 @@ pub struct DpsNode {
     pub(crate) seen_node: SeenCache<(u32, u32)>,
     pub(crate) active_gossip: Vec<ActiveGossip>,
     /// Recently handled matching publications `(id, event, heard_at)`, kept
-    /// for [`repub_window`](crate::DpsConfig::repub_window) steps to re-flush
+    /// for [`REPUB_WINDOW`](crate::config::REPUB_WINDOW) steps to re-flush
     /// into branches repaired after a failure (see `flush_recent_to_branch`).
     pub(crate) recent_pubs: VecDeque<(PubId, SharedEvent, Step)>,
     pub(crate) pubs_received: u64,
@@ -239,14 +235,6 @@ impl DpsNode {
 
     /// Creates a node reporting delivery milestones to `sink`.
     pub fn with_sink(cfg: DpsConfig, sink: Arc<dyn StatsSink>) -> Self {
-        DpsNode::with_shared_config(Arc::new(cfg), sink)
-    }
-
-    /// Creates a node sharing an existing configuration allocation — the
-    /// bulk-construction path: the `dps` facade hands every node the same
-    /// `Arc`, so a 100k-node network stores one config, not 100k copies.
-    pub fn with_shared_config(cfg: Arc<DpsConfig>, sink: Arc<dyn StatsSink>) -> Self {
-        let seen_cap = cfg.seen_cap;
         DpsNode {
             id: NodeId::from_index(0), // fixed up in on_start
             cfg,
@@ -261,9 +249,9 @@ impl DpsNode {
             pending_subs: Vec::new(),
             pending_pubs: Vec::new(),
             lookups: Vec::new(),
-            seen_route: SeenCache::new(seen_cap * 4),
+            seen_route: SeenCache::new(SEEN_CAP * 4),
             label_ids: HashMap::new(),
-            seen_node: SeenCache::new(seen_cap),
+            seen_node: SeenCache::new(SEEN_CAP),
             active_gossip: Vec::new(),
             recent_pubs: VecDeque::new(),
             pubs_received: 0,
@@ -284,9 +272,8 @@ impl DpsNode {
                 self.peers.push(p);
             }
         }
-        let cap = self.cfg.peer_view;
-        if self.peers.len() > cap {
-            self.peers.truncate(cap);
+        if self.peers.len() > PEER_VIEW {
+            self.peers.truncate(PEER_VIEW);
         }
     }
 
@@ -295,11 +282,6 @@ impl DpsNode {
     /// This node's id (valid after `on_start`).
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &DpsConfig {
-        &self.cfg
     }
 
     /// Active subscriptions, in subscription-id order.
@@ -505,8 +487,7 @@ impl DpsNode {
         self.sink.on_contact(id, self.id, now);
         if self.subs.any_match(event, &mut self.sub_scratch) {
             self.pubs_notified += 1;
-            self.sink.on_notify(id, self.id, now);
-            self.sink.on_deliver(id, self.id, event, now);
+            self.sink.on_notify(id, self.id, event, now);
         }
         true
     }
@@ -546,12 +527,11 @@ impl DpsNode {
     }
 
     /// Remembers a publication this node processed, for post-repair
-    /// re-flushes. Bounded: entries older than `repub_window` retire, and the
+    /// re-flushes. Bounded: entries older than `REPUB_WINDOW` retire, and the
     /// buffer never exceeds [`RECENT_PUBS_CAP`].
     pub(crate) fn remember_pub(&mut self, id: PubId, event: &SharedEvent, now: Step) {
-        let window = self.cfg.repub_window;
         while let Some((_, _, at)) = self.recent_pubs.front() {
-            if now.saturating_sub(*at) > window {
+            if now.saturating_sub(*at) > REPUB_WINDOW {
                 self.recent_pubs.pop_front();
             } else {
                 break;
@@ -699,7 +679,7 @@ impl Process for DpsNode {
             }
             DpsMsg::LeaderGone { label, dead } => self.handle_leader_gone(label, dead, ctx),
             DpsMsg::ParentChain { child_label, chain } => {
-                let cap = self.cfg.view_depth + self.cfg.co_leaders;
+                let cap = VIEW_DEPTH + CO_LEADERS;
                 if let Some(m) = self.membership_mut(&child_label) {
                     m.set_predview(chain, cap + 2);
                 }

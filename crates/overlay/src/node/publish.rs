@@ -7,13 +7,16 @@ use dps_sim::{Context, NodeId};
 use rand::seq::IteratorRandom;
 use rand::Rng;
 
-use crate::config::{CommKind, TraversalKind};
+use crate::config::{
+    CommKind, TraversalKind, GOSSIP_P0, GOSSIP_ROUNDS, INTER_GROUP_FANOUT, REPUB_WINDOW,
+    REQUEST_TIMEOUT,
+};
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId, PubTicket};
 use crate::node::{node_key, route_key, ActiveGossip, DpsNode, PendingPub, TreeLookup};
 
 /// Timeouts a publication may spend unacknowledged before it is dropped: its
-/// trees are known (discovery gives up much sooner, at `find_tree_retries`),
+/// trees are known (discovery gives up much sooner, at `FIND_TREE_RETRIES`),
 /// yet every contact tried stayed silent.
 const MAX_PUB_RETRIES: u32 = 12;
 
@@ -24,10 +27,10 @@ impl DpsNode {
     ///
     /// A tree not yet known to this node is discovered by random walks first,
     /// one lookup per attribute however many publications wait on it. If the
-    /// walks and their [`find_tree_retries`](crate::DpsConfig::find_tree_retries)
+    /// walks and their [`FIND_TREE_RETRIES`](crate::config::FIND_TREE_RETRIES)
     /// retries find nothing, the attribute is skipped — no tree means no
     /// subscriber on that attribute — and stays skipped, without walking
-    /// again, for one [`owner_merge_every`](crate::DpsConfig::owner_merge_every)
+    /// again, for one [`OWNER_MERGE_EVERY`](crate::config::OWNER_MERGE_EVERY)
     /// period or until this node hears of the tree (`TreeFound`,
     /// `OwnerAnnounce`, joining it), whichever is first.
     /// The event is wrapped into a [`SharedEvent`] here (or handed over
@@ -60,7 +63,7 @@ impl DpsNode {
                 id,
                 event,
                 attrs,
-                deadline: ctx.now() + self.cfg.request_timeout,
+                deadline: ctx.now() + REQUEST_TIMEOUT,
                 retries: 0,
             });
         }
@@ -126,7 +129,7 @@ impl DpsNode {
     }
 
     /// Retries publications no tree member acknowledged within
-    /// `request_timeout` (from `on_tick`). Discovery is not retried here: an
+    /// `REQUEST_TIMEOUT` (from `on_tick`). Discovery is not retried here: an
     /// attribute still being walked for belongs to its lookup
     /// (`tick_lookups`), which resends on `TreeFound` and drops the
     /// attribute when it gives up.
@@ -135,7 +138,6 @@ impl DpsNode {
         if self.pending_pubs.iter().all(|p| p.deadline > now) {
             return;
         }
-        let timeout = self.cfg.request_timeout;
         let mut silent: Vec<AttrName> = Vec::new();
         let mut resend: Vec<(PubId, SharedEvent, Vec<AttrName>)> = Vec::new();
         self.pending_pubs.retain_mut(|p| {
@@ -146,7 +148,7 @@ impl DpsNode {
             if p.retries > MAX_PUB_RETRIES {
                 return false;
             }
-            p.deadline = now + timeout;
+            p.deadline = now + REQUEST_TIMEOUT;
             for attr in &p.attrs {
                 if !silent.contains(attr) {
                     silent.push(attr.clone());
@@ -401,14 +403,13 @@ impl DpsNode {
                 // `k'` random live-believed entries of the child group (random,
                 // not first-k: under churn the head of the ref list is exactly
                 // the stalest part), deeper refs as a fallback bridge.
-                let k = self.cfg.inter_group_fanout.max(1);
                 let suspected = &self.suspected;
                 let in_group: Vec<NodeId> = refs
                     .iter()
                     .filter(|r| r.label == *label)
                     .map(|r| r.node)
                     .filter(|n| !suspected.contains(&node_key(*n)))
-                    .choose_multiple(ctx.rng(), k);
+                    .choose_multiple(ctx.rng(), INTER_GROUP_FANOUT);
                 let bridge = if in_group.is_empty() {
                     refs.iter()
                         .map(|r| r.node)
@@ -428,7 +429,7 @@ impl DpsNode {
                     .iter()
                     .filter(|r| r.label != *label && !suspected.contains(&node_key(r.node)))
                     .filter(|r| r.label.matches_event(&t.event))
-                    .take(k);
+                    .take(INTER_GROUP_FANOUT);
                 for r in deeper {
                     let mut express = t.clone();
                     express.target = Some(r.label.clone());
@@ -469,7 +470,7 @@ impl DpsNode {
 
     /// Starts gossiping a freshly received publication within group `i`: one
     /// fan-out round now (§4.2.2's infection step), then one round per step
-    /// with probability `p0 / (1 + r)` until `gossip_rounds` rounds elapsed
+    /// with probability `p0 / (1 + r)` until `GOSSIP_ROUNDS` rounds elapsed
     /// (see [`tick_gossip`](Self::tick_gossip)). The decay counts *this
     /// node's* forwards — a receiver at the infection frontier always starts
     /// at full probability, which keeps the epidemic supercritical in large
@@ -484,14 +485,12 @@ impl DpsNode {
         ctx: &mut Context<'_, DpsMsg>,
     ) {
         self.gossip_round(i, id, event, ctx);
-        if self.cfg.gossip_rounds > 1 {
-            self.active_gossip.push(ActiveGossip {
-                label: self.memberships[i].label.clone(),
-                id,
-                event: event.clone(),
-                rounds: 1,
-            });
-        }
+        self.active_gossip.push(ActiveGossip {
+            label: self.memberships[i].label.clone(),
+            id,
+            event: event.clone(),
+            rounds: 1,
+        });
     }
 
     /// One gossip round: forward to `k` random live-believed group members.
@@ -524,25 +523,23 @@ impl DpsNode {
 
     /// Drives the per-step gossip rounds of every active publication (from
     /// `on_tick`). Round `r` fires with probability `p0 / (1 + r)`; a
-    /// publication retires after `gossip_rounds` rounds or when we leave the
+    /// publication retires after `GOSSIP_ROUNDS` rounds or when we leave the
     /// group. Each round resamples its `k` targets, so members that crashed
     /// since the last round cost one wasted send, not the whole infection.
     pub(crate) fn tick_gossip(&mut self, ctx: &mut Context<'_, DpsMsg>) {
         if self.active_gossip.is_empty() {
             return;
         }
-        let p0 = self.cfg.gossip_p0;
-        let max_rounds = self.cfg.gossip_rounds;
         let mut items = std::mem::take(&mut self.active_gossip);
         items.retain_mut(|g| {
             let Some(i) = self.membership_index(&g.label) else {
                 return false;
             };
-            if ctx.rng().random::<f64>() < p0 / (1 + g.rounds) as f64 {
+            if ctx.rng().random::<f64>() < GOSSIP_P0 / (1 + g.rounds) as f64 {
                 self.gossip_round(i, g.id, &g.event, ctx);
             }
             g.rounds += 1;
-            g.rounds < max_rounds
+            g.rounds < GOSSIP_ROUNDS
         });
         // `items` was detached while rounds ran; anything pushed meanwhile
         // (there is nothing today) would sit in `active_gossip` — keep both.
@@ -599,11 +596,9 @@ impl DpsNode {
         ctx: &mut Context<'_, DpsMsg>,
     ) {
         let now = ctx.now();
-        let window = self.cfg.repub_window;
-        let fresh = self
-            .recent_pubs
-            .iter()
-            .filter(|(_, ev, at)| now.saturating_sub(*at) <= window && b.label.matches_event(ev));
+        let fresh = self.recent_pubs.iter().filter(|(_, ev, at)| {
+            now.saturating_sub(*at) <= REPUB_WINDOW && b.label.matches_event(ev)
+        });
         for (id, event, _) in fresh {
             let ticket = PubTicket {
                 id: *id,

@@ -7,7 +7,10 @@ use dps_sim::{Context, NodeId};
 use rand::seq::IteratorRandom;
 use rand::Rng;
 
-use crate::config::{CommKind, JoinRule, TraversalKind};
+use crate::config::{
+    CommKind, JoinRule, TraversalKind, CO_LEADERS, FIND_TREE_RETRIES, GOSSIP_P0, GROUP_VIEW_CAP,
+    REQUEST_TIMEOUT, SUB_GOSSIP_FANOUT, TRAVERSAL_TIMEOUT, VIEW_DEPTH, WALK_TTL,
+};
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupDescriptor, GroupRef, SubId, Ticket};
 use crate::node::{node_key, DpsNode, PendingSub, SubPhase};
@@ -159,7 +162,7 @@ impl DpsNode {
             sub_id,
             pred,
             phase: SubPhase::FindingTree,
-            deadline: ctx.now() + self.cfg.request_timeout,
+            deadline: ctx.now() + REQUEST_TIMEOUT,
             retries: 0,
         });
         self.drive_subscription(sub_id, ctx);
@@ -181,7 +184,7 @@ impl DpsNode {
         let attr = pred.name().clone();
         let has_contact = self.in_tree(&attr) || self.tree_cache.contains_key(&attr);
         if has_contact && self.send_find_group(sub_id, pred, ctx) {
-            let deadline = ctx.now() + self.cfg.traversal_timeout;
+            let deadline = ctx.now() + TRAVERSAL_TIMEOUT;
             if let Some(p) = self.pending_subs.iter_mut().find(|p| p.sub_id == sub_id) {
                 p.phase = SubPhase::Traversing;
                 p.deadline = deadline;
@@ -191,7 +194,7 @@ impl DpsNode {
         // No known contact: walk for the tree.
         if let Some(p) = self.pending_subs.iter_mut().find(|p| p.sub_id == sub_id) {
             p.phase = SubPhase::FindingTree;
-            p.deadline = ctx.now() + self.cfg.request_timeout;
+            p.deadline = ctx.now() + REQUEST_TIMEOUT;
         }
         self.start_walk(attr, ctx);
     }
@@ -212,9 +215,9 @@ impl DpsNode {
             p.retries += 1;
             p.deadline = now
                 + if matches!(p.phase, SubPhase::Traversing) {
-                    self.cfg.traversal_timeout
+                    TRAVERSAL_TIMEOUT
                 } else {
-                    self.cfg.request_timeout
+                    REQUEST_TIMEOUT
                 };
             let retries = p.retries;
             let phase = p.phase.clone();
@@ -222,7 +225,7 @@ impl DpsNode {
             let attr = pred.name().clone();
             match phase {
                 SubPhase::FindingTree => {
-                    if retries > self.cfg.find_tree_retries {
+                    if retries > FIND_TREE_RETRIES {
                         // §4.1: "If there is no tree for an attribute ... a new
                         // tree is created and the first subscriber becomes its
                         // owner."
@@ -458,7 +461,7 @@ impl DpsNode {
             self.pending_subs.retain(|p| p.sub_id != sub_id);
             return;
         }
-        let deadline = ctx.now() + self.cfg.request_timeout;
+        let deadline = ctx.now() + REQUEST_TIMEOUT;
         if let Some(p) = self.pending_subs.iter_mut().find(|p| p.sub_id == sub_id) {
             p.phase = SubPhase::Joining(group.clone());
             p.deadline = deadline;
@@ -498,13 +501,11 @@ impl DpsNode {
             return;
         }
         let epidemic = self.cfg.comm == CommKind::Epidemic;
-        let kc = self.cfg.co_leaders;
-        let cap = self.cfg.group_view_cap;
         let me = self.id;
         let m = &mut self.memberships[i];
         m.add_member(member);
-        if epidemic && m.members.len() > cap {
-            let excess = m.members.len() - cap;
+        if epidemic && m.members.len() > GROUP_VIEW_CAP {
+            let excess = m.members.len() - GROUP_VIEW_CAP;
             m.members.retain({
                 let mut dropped = 0;
                 move |n| {
@@ -518,7 +519,11 @@ impl DpsNode {
             });
         }
         let mut co_leader = false;
-        if !epidemic && member != me && m.co_leaders.len() < kc && !m.co_leaders.contains(&member) {
+        if !epidemic
+            && member != me
+            && m.co_leaders.len() < CO_LEADERS
+            && !m.co_leaders.contains(&member)
+        {
             m.co_leaders.push(member);
             co_leader = true;
         }
@@ -604,8 +609,7 @@ impl DpsNode {
             return;
         }
         self.pending_subs.retain(|p| p.sub_id != sub_id);
-        let cap = self.cfg.view_depth + self.cfg.co_leaders + 2;
-        let depth = self.cfg.view_depth;
+        let cap = VIEW_DEPTH + CO_LEADERS + 2;
         if let Some(m) = self.membership_mut(&group.label) {
             m.sub_ids.push(sub_id);
             return;
@@ -626,7 +630,7 @@ impl DpsNode {
         m.add_member(self.id);
         m.set_predview(predview, cap);
         for b in succviews {
-            m.upsert_branch(&b, depth);
+            m.upsert_branch(&b, VIEW_DEPTH);
         }
         let attr = group.label.attr().clone();
         self.adopt(m);
@@ -644,8 +648,7 @@ impl DpsNode {
         let label = GroupLabel::Pred(ticket.pred.clone());
         let pending = self.pending_subs.iter().any(|p| p.sub_id == sub_id);
         self.pending_subs.retain(|p| p.sub_id != sub_id);
-        let cap = self.cfg.view_depth + self.cfg.co_leaders + 2;
-        let depth = self.cfg.view_depth;
+        let cap = VIEW_DEPTH + CO_LEADERS + 2;
 
         if let Some(m) = self.membership_mut(&label) {
             // Already in (or leading) this group — e.g. duplicate answers from two
@@ -672,7 +675,7 @@ impl DpsNode {
                     .filter(|r| r.label == b.label)
                     .map(|r| r.node)
                     .collect::<Vec<_>>();
-                self.memberships[idx].upsert_branch(&b, depth);
+                self.memberships[idx].upsert_branch(&b, VIEW_DEPTH);
                 let parent_desc = self.descriptor(&self.memberships[idx]);
                 let chain = self.memberships[idx].predview.clone();
                 for n in to {
@@ -712,8 +715,6 @@ impl DpsNode {
         child: BranchInfo,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        let depth = self.cfg.view_depth;
-        let ttl = self.cfg.walk_ttl;
         let Some(i) = self.membership_index(&parent_label) else {
             return;
         };
@@ -734,12 +735,18 @@ impl DpsNode {
                 }
             }
             if let Some(n) = next {
-                ctx.send(n, DpsMsg::Reattach { branch: child, ttl });
+                ctx.send(
+                    n,
+                    DpsMsg::Reattach {
+                        branch: child,
+                        ttl: WALK_TTL,
+                    },
+                );
             }
             return;
         }
         let m = &mut self.memberships[i];
-        let bi = m.upsert_branch(&child, depth);
+        let bi = m.upsert_branch(&child, VIEW_DEPTH);
         m.branches[bi].blocked = false;
         let buffered = std::mem::take(&mut m.branches[bi].buffered);
         let b = &self.memberships[i].branches[bi];
@@ -754,7 +761,7 @@ impl DpsNode {
         parent: GroupDescriptor,
         parent_chain: Vec<GroupRef>,
     ) {
-        let cap = self.cfg.view_depth + self.cfg.co_leaders + 2;
+        let cap = VIEW_DEPTH + CO_LEADERS + 2;
         let Some(m) = self.membership_mut(&child_label) else {
             return;
         };
@@ -784,7 +791,6 @@ impl DpsNode {
         new_members: Vec<NodeId>,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        let fanout = self.cfg.sub_gossip_fanout;
         let label = self.memberships[i].label.clone();
         let me = self.id;
         let targets: Vec<NodeId> = self.memberships[i]
@@ -792,7 +798,7 @@ impl DpsNode {
             .iter()
             .copied()
             .filter(|n| *n != me && !new_members.contains(n))
-            .choose_multiple(ctx.rng(), fanout);
+            .choose_multiple(ctx.rng(), SUB_GOSSIP_FANOUT);
         for to in targets {
             ctx.send(
                 to,
@@ -808,7 +814,6 @@ impl DpsNode {
 
     /// Gossips our branch set within the group (epidemic branch agreement).
     pub(crate) fn gossip_branches(&mut self, i: usize, ctx: &mut Context<'_, DpsMsg>) {
-        let fanout = self.cfg.sub_gossip_fanout;
         let label = self.memberships[i].label.clone();
         let branches: Vec<BranchInfo> = self.memberships[i]
             .branches
@@ -821,7 +826,7 @@ impl DpsNode {
             .iter()
             .copied()
             .filter(|n| *n != me)
-            .choose_multiple(ctx.rng(), fanout);
+            .choose_multiple(ctx.rng(), SUB_GOSSIP_FANOUT);
         for to in targets {
             ctx.send(
                 to,
@@ -843,8 +848,6 @@ impl DpsNode {
         hops: u32,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        let cap = self.cfg.group_view_cap;
-        let depth = self.cfg.view_depth;
         let me = self.id;
         let Some(i) = self.membership_index(&label) else {
             return;
@@ -858,26 +861,25 @@ impl DpsNode {
                     newly.push(*n);
                 }
             }
-            m.evict_members_to_cap(cap, me, ctx.rng());
+            m.evict_members_to_cap(GROUP_VIEW_CAP, me, ctx.rng());
             for b in branches {
-                m.upsert_branch(&b, depth);
+                m.upsert_branch(&b, VIEW_DEPTH);
             }
         }
         if newly.is_empty() {
             return;
         }
         // Forward with the decaying probability p0 / (1 + hops).
-        let p = self.cfg.gossip_p0 / (1 + hops) as f64;
+        let p = GOSSIP_P0 / (1 + hops) as f64;
         if ctx.rng().random::<f64>() >= p {
             return;
         }
-        let fanout = self.cfg.sub_gossip_fanout;
         let targets: Vec<NodeId> = self.memberships[i]
             .members
             .iter()
             .copied()
             .filter(|n| *n != me && !newly.contains(n))
-            .choose_multiple(ctx.rng(), fanout);
+            .choose_multiple(ctx.rng(), SUB_GOSSIP_FANOUT);
         for to in targets {
             ctx.send(
                 to,

@@ -65,8 +65,8 @@ impl Hasher for IdHasher {
 /// owns no heap memory; the ring doubles up to `cap` (never past it) and the
 /// table is rebuilt beside it, at twice the ring's room — the difference
 /// between a metro-scale population fitting in RAM or not: every `DpsNode`
-/// carries three of these (route dedup at `4 × seen_cap`, node dedup at
-/// `seen_cap`, suspicion memory) and most nodes see a handful of keys.
+/// carries three of these (route dedup at `4 × SEEN_CAP`, node dedup at
+/// `SEEN_CAP`, suspicion memory) and most nodes see a handful of keys.
 /// Capacity is invisible to behavior (insert/evict order is unchanged), so
 /// traces stay byte-identical.
 ///

@@ -24,16 +24,14 @@ pub trait StatsSink: Send + Sync {
     /// `node` received publication `id` for the first time (it was *contacted*)
     /// at step `now`.
     fn on_contact(&self, id: PubId, node: NodeId, now: Step);
-    /// `node` received publication `id` at step `now` and it matched one of
-    /// its subscription filters (the `Notify` upcall of the paper).
-    fn on_notify(&self, id: PubId, node: NodeId, now: Step);
-    /// Like [`on_notify`](StatsSink::on_notify), but carrying the event body,
-    /// called at the same site. Default: ignored — counting-only sinks never
-    /// touch the payload, so the simulator's zero-copy fan-out is unaffected.
-    /// Session hosts (`dps-client`'s in-process `Hub` and the broker)
-    /// queue the payload for *watched* nodes ([`QueueSink`]): a reference to
-    /// the publication's one allocation, never a copy.
-    fn on_deliver(&self, _id: PubId, _node: NodeId, _event: &SharedEvent, _now: Step) {}
+    /// `node` received publication `id`, carrying `event`, at step `now` and
+    /// it matched one of its subscription filters (the `Notify` upcall of the
+    /// paper). Counting-only sinks never touch the payload, so the
+    /// simulator's zero-copy fan-out is unaffected. Session hosts
+    /// (`dps-client`'s in-process `Hub` and the broker) queue it for
+    /// *watched* nodes ([`QueueSink`]): a reference to the publication's one
+    /// allocation, never a copy.
+    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, now: Step);
 }
 
 /// A sink that ignores everything.
@@ -42,7 +40,7 @@ pub struct NoopSink;
 
 impl StatsSink for NoopSink {
     fn on_contact(&self, _id: PubId, _node: NodeId, _now: Step) {}
-    fn on_notify(&self, _id: PubId, _node: NodeId, _now: Step) {}
+    fn on_notify(&self, _id: PubId, _node: NodeId, _event: &SharedEvent, _now: Step) {}
 }
 
 /// The payload half of delivery, and the whole sink of a served overlay (the
@@ -85,9 +83,8 @@ impl QueueSink {
 
 impl StatsSink for QueueSink {
     fn on_contact(&self, _id: PubId, _node: NodeId, _now: Step) {}
-    fn on_notify(&self, _id: PubId, _node: NodeId, _now: Step) {}
 
-    fn on_deliver(&self, id: PubId, node: NodeId, event: &SharedEvent, _now: Step) {
+    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, _now: Step) {
         if let Some(w) = self.watched.lock().unwrap().get_mut(&node) {
             if w.seen.insert(id) {
                 w.queue.push((id, event.clone()));
@@ -183,7 +180,7 @@ impl StatsSink for CountingSink {
         self.inner.lock().unwrap().contacts.insert((id, node));
     }
 
-    fn on_notify(&self, id: PubId, node: NodeId, now: Step) {
+    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, now: Step) {
         // First notify wins: the entry API keeps the earliest step even if a
         // slower redundant path re-delivers the publication later.
         self.inner
@@ -192,16 +189,17 @@ impl StatsSink for CountingSink {
             .notifies
             .entry((id, node))
             .or_insert(now);
-    }
-
-    fn on_deliver(&self, id: PubId, node: NodeId, event: &SharedEvent, now: Step) {
-        self.queues.on_deliver(id, node, event, now);
+        self.queues.on_notify(id, node, event, now);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ev() -> SharedEvent {
+        SharedEvent::new("a = 1".parse().unwrap())
+    }
 
     #[test]
     fn counting_sink_records_pairs() {
@@ -212,7 +210,7 @@ mod tests {
         s.on_contact(p, n1, 3);
         s.on_contact(p, n1, 4); // dedup
         s.on_contact(p, n2, 3);
-        s.on_notify(p, n2, 5);
+        s.on_notify(p, n2, &ev(), 5);
         assert_eq!(s.contacted(p), 2);
         assert_eq!(s.notified(p), 1);
         assert!(s.was_notified(p, n2));
@@ -228,8 +226,8 @@ mod tests {
         let p = PubId(NodeId::from_index(0), 1);
         let n = NodeId::from_index(1);
         assert_eq!(s.notify_step(p, n), None);
-        s.on_notify(p, n, 7);
-        s.on_notify(p, n, 12); // a slower redundant path re-delivers
+        s.on_notify(p, n, &ev(), 7);
+        s.on_notify(p, n, &ev(), 12); // a slower redundant path re-delivers
         assert_eq!(s.notify_step(p, n), Some(7));
     }
 
@@ -240,12 +238,12 @@ mod tests {
         let q = PubId(NodeId::from_index(0), 2);
         let n1 = NodeId::from_index(1);
         let n2 = NodeId::from_index(2);
-        let ev = SharedEvent::new("a = 1".parse().unwrap());
+        let ev = ev();
         s.watch(n1);
-        s.on_deliver(p, n1, &ev, 3);
-        s.on_deliver(p, n1, &ev, 9); // redundant re-delivery: deduped
-        s.on_deliver(q, n1, &ev, 4);
-        s.on_deliver(p, n2, &ev, 3); // unwatched: dropped
+        s.on_notify(p, n1, &ev, 3);
+        s.on_notify(p, n1, &ev, 9); // redundant re-delivery: deduped
+        s.on_notify(q, n1, &ev, 4);
+        s.on_notify(p, n2, &ev, 3); // unwatched: dropped
         let mut got = Vec::new();
         s.drain_deliveries(n1, &mut got);
         assert_eq!(got.len(), 2);
@@ -258,7 +256,7 @@ mod tests {
         s.drain_deliveries(n2, &mut got);
         assert!(got.is_empty());
         s.unwatch(n1);
-        s.on_deliver(q, n1, &ev, 5);
+        s.on_notify(q, n1, &ev, 5);
         s.drain_deliveries(n1, &mut got);
         assert!(got.is_empty(), "unwatch discards and stops retention");
     }
@@ -267,6 +265,11 @@ mod tests {
     fn noop_sink_is_silent() {
         let s = NoopSink;
         s.on_contact(PubId(NodeId::from_index(0), 0), NodeId::from_index(0), 1);
-        s.on_notify(PubId(NodeId::from_index(0), 0), NodeId::from_index(0), 1);
+        s.on_notify(
+            PubId(NodeId::from_index(0), 0),
+            NodeId::from_index(0),
+            &ev(),
+            1,
+        );
     }
 }

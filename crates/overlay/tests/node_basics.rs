@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use dps_overlay::config::GROUP_VIEW_CAP;
 use dps_overlay::{CommKind, CountingSink, DpsConfig, DpsNode, JoinRule, StatsSink, TraversalKind};
 use dps_sim::{MsgClass, NodeId, Sim};
 
@@ -13,7 +14,7 @@ fn network(cfg: DpsConfig, n: usize, seed: u64) -> (Sim<DpsNode>, Vec<NodeId>, A
     let mut nodes = Vec::new();
     for _ in 0..n {
         let s: Arc<dyn StatsSink> = sink.clone();
-        let mut node = DpsNode::with_sink(cfg.clone(), s);
+        let mut node = DpsNode::with_sink(cfg, s);
         node.seed_peers(nodes.clone());
         let id = sim.add_node(node);
         nodes.push(id);
@@ -158,27 +159,30 @@ fn publication_messages_are_classified_as_publication() {
 fn epidemic_members_keep_partial_views() {
     let mut c = DpsConfig::named(TraversalKind::Root, CommKind::Epidemic);
     c.join_rule = JoinRule::First;
-    c.group_view_cap = 4;
-    let (mut sim, nodes, _) = network(c, 10, 6);
-    for node in &nodes[..8] {
+    let (mut sim, nodes, _) = network(c, 24, 6);
+    for node in &nodes[..22] {
         sim.invoke(*node, |n, ctx| {
             n.subscribe("a > 1".parse::<dps_content::Filter>().unwrap(), ctx);
         });
         sim.run(60);
     }
     sim.run(400);
-    for node in &nodes[..8] {
+    let mut largest = 0;
+    for node in &nodes[..22] {
         let nd = sim.node(*node).unwrap();
         for m in nd.memberships() {
             if !m.label.is_root() {
                 assert!(
-                    m.members.len() <= 4 + 1,
+                    m.members.len() <= GROUP_VIEW_CAP + 1,
                     "epidemic groupview must stay bounded, got {}",
                     m.members.len()
                 );
+                largest = largest.max(m.members.len());
             }
         }
     }
+    // More subscribers than the cap: a view that never filled would not test it.
+    assert!(largest >= GROUP_VIEW_CAP, "largest groupview {largest}");
 }
 
 #[test]

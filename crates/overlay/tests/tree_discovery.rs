@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use dps_content::{Event, Filter};
+use dps_overlay::config::{FIND_TREE_RETRIES, OWNER_MERGE_EVERY, WALK_TTL};
 use dps_overlay::{CountingSink, DpsConfig, DpsNode, PubId, StatsSink};
 use dps_sim::{MsgClass, NodeId, Sim};
 
@@ -46,11 +47,9 @@ fn management(sim: &Sim<DpsNode>) -> u64 {
     sim.metrics().total_sent(MsgClass::Management)
 }
 
-/// The most messages one walk pair can cost: two walks of `walk_ttl + 1`
+/// The most messages one walk pair can cost: two walks of `WALK_TTL + 1`
 /// hops, one answer each.
-fn pair_cost(cfg: &DpsConfig) -> u64 {
-    2 * (cfg.walk_ttl as u64 + 2)
-}
+const PAIR_COST: u64 = 2 * (WALK_TTL as u64 + 2);
 
 /// Management messages sent while one node publishes `event` once a step for
 /// `pubs` steps (and 100 more to drain) into a 12-node overlay whose only
@@ -75,16 +74,15 @@ fn management_while_publishing(event: &str, pubs: u64) -> u64 {
 
 #[test]
 fn publishing_on_an_absent_tree_costs_walks_not_publications() {
-    let cfg = DpsConfig::default();
     let pubs = 200;
     let without = management_while_publishing("x = 5", pubs);
     let with = management_while_publishing("x = 5 & y = 5", pubs);
-    // One lookup of `1 + find_tree_retries` pairs, then nothing until the
-    // remembered absence lapses `owner_merge_every` steps later: the window
+    // One lookup of `1 + FIND_TREE_RETRIES` pairs, then nothing until the
+    // remembered absence lapses `OWNER_MERGE_EVERY` steps later: the window
     // holds at most this many lookups, whatever is published inside it.
     let window = pubs + 100;
-    let lookups = window / cfg.owner_merge_every + 1;
-    let bound = lookups * (1 + cfg.find_tree_retries as u64) * pair_cost(&cfg);
+    let lookups = window / OWNER_MERGE_EVERY + 1;
+    let bound = lookups * (1 + FIND_TREE_RETRIES as u64) * PAIR_COST;
     let extra = with.saturating_sub(without);
     assert!(
         extra <= bound,
@@ -92,10 +90,7 @@ fn publishing_on_an_absent_tree_costs_walks_not_publications() {
          more than the {bound} that {lookups} lookups can"
     );
     // And it did walk: the attribute is not silently ignored.
-    assert!(
-        extra >= pair_cost(&cfg) / 2,
-        "only {extra}: no walk at all?"
-    );
+    assert!(extra >= PAIR_COST / 2, "only {extra}: no walk at all?");
 }
 
 #[test]
@@ -122,7 +117,6 @@ fn subscriptions_issued_together_share_one_walk() {
 
 #[test]
 fn a_remembered_absence_ends_within_one_owner_period() {
-    let cfg = DpsConfig::default();
     let (mut sim, nodes, sink) = network(12, 23);
     let (publisher, subscriber) = (nodes[7], nodes[2]);
     subscribe(&mut sim, nodes[0], "x > 0");
@@ -135,7 +129,7 @@ fn a_remembered_absence_ends_within_one_owner_period() {
         sim.run(1);
     };
     // Long enough for the lookup of `y` to run out of retries.
-    let lookup = (1 + cfg.find_tree_retries as u64) * (cfg.walk_ttl as u64 + 2);
+    let lookup = (1 + FIND_TREE_RETRIES as u64) * (WALK_TTL as u64 + 2);
     for _ in 0..lookup + 5 {
         step(&mut sim, &mut log);
     }
@@ -147,7 +141,7 @@ fn a_remembered_absence_ends_within_one_owner_period() {
     // A subscriber on `y` appears while that belief holds.
     subscribe(&mut sim, subscriber, "y > 0");
     let mut placed_at = None;
-    for _ in 0..(2 * lookup + 3 * cfg.owner_merge_every) {
+    for _ in 0..(2 * lookup + 3 * OWNER_MERGE_EVERY) {
         step(&mut sim, &mut log);
         if placed_at.is_none() && sim.node(subscriber).unwrap().pending_subscriptions() == 0 {
             placed_at = Some(sim.now());
@@ -157,22 +151,22 @@ fn a_remembered_absence_ends_within_one_owner_period() {
     sim.run(100);
 
     // Worst case the publisher hears nothing and believes the absence until
-    // it lapses, `owner_merge_every` steps after it was recorded — so at most
+    // it lapses, `OWNER_MERGE_EVERY` steps after it was recorded — so at most
     // that long after the subscription settled; the publication that finds
     // the belief lapsed walks, waits for the answer and is delivered.
     let slack = 5;
-    let from = placed_at + cfg.owner_merge_every + slack;
+    let from = placed_at + OWNER_MERGE_EVERY + slack;
     let owed: Vec<PubId> = log
         .iter()
         .filter(|(at, _)| *at >= from)
         .map(|(_, id)| *id)
         .collect();
-    assert!(owed.len() as u64 >= cfg.owner_merge_every);
+    assert!(owed.len() as u64 >= OWNER_MERGE_EVERY);
     for id in &owed {
         assert!(
             sink.was_notified(*id, subscriber),
             "{id:?}, published ≥ {} steps after the subscription settled, never arrived",
-            cfg.owner_merge_every + slack
+            OWNER_MERGE_EVERY + slack
         );
     }
     // The `x` side never noticed any of it.

@@ -157,7 +157,7 @@ impl ScenarioRun {
     /// Like [`new`](Self::new) with an explicit shard count (tests pin it).
     pub fn with_shards(spec: &ScenarioSpec, shards: usize) -> Result<Self, SpecError> {
         let compiled = compile(spec)?;
-        let mut net = DpsNetwork::new_sharded(compiled.cfg.clone(), compiled.seed, shards);
+        let mut net = DpsNetwork::new_sharded(compiled.cfg, compiled.seed, shards);
         // The latency model must go in before the first node: `set_latency`
         // insists on a fresh simulation, and `add_nodes` already enqueues the
         // nodes' start-up sends.

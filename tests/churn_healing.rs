@@ -132,7 +132,7 @@ fn owner_crash_rebuilds_root() {
         .try_publish(publisher, "a = 20".parse::<dps::Event>().unwrap())
         .unwrap();
     // The publisher may hold a stale contact for the dead owner; entry-hop acks
-    // re-walk and resend every request_timeout steps.
+    // re-walk and resend every REQUEST_TIMEOUT steps.
     net.run(350);
     let mut delivered = 0;
     for n in [nodes[0], nodes[2]] {
@@ -287,7 +287,7 @@ fn epidemic_overlay_survives_a_storm() {
         .try_publish(publisher, "a = 100".parse::<dps::Event>().unwrap())
         .unwrap();
     // The publisher's cached contacts may be dead; entry-hop acks re-walk and
-    // resend every `request_timeout` steps, so allow a few rounds.
+    // resend every `REQUEST_TIMEOUT` steps, so allow a few rounds.
     net.run(250);
 
     let report = net

@@ -2,7 +2,7 @@
 //! a publication leaves behind on the overlay that routed it.
 //!
 //! Every node a publication touches remembers it twice — once per node
-//! (`seen_node`, `seen_cap` keys) and once per group it was routed through
+//! (`seen_node`, `SEEN_CAP` keys) and once per group it was routed through
 //! (`seen_route`, 4 × that) — so until the caps are reached dedup state *is*
 //! the overlay's growth per publication (ARCHITECTURE.md, "Memory layout at
 //! metro scale"). `SeenCache` holds each key once, in a ring, behind a table
@@ -133,11 +133,7 @@ fn a_remembered_publication_costs_its_packed_key_and_one_table_slot() {
     const PUBLISHERS: usize = 4;
 
     let sink = Arc::new(QueueSink::default());
-    let cfg = DpsConfig {
-        heartbeat_min: 1000,
-        heartbeat_max: 1000,
-        ..DpsConfig::named(TraversalKind::Root, CommKind::Leader)
-    };
+    let cfg = DpsConfig::named(TraversalKind::Root, CommKind::Leader);
     let mut net = Overlay::new(cfg, 0xA110C, 1, sink.clone());
     let nodes = net.add_nodes(NODES);
     let game = Workload::multiplayer_game();
