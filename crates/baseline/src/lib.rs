@@ -27,7 +27,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use dps_content::{Event, Filter, FilterIndex, MatchScratch, SharedEvent};
-use dps_overlay::{CountingSink, PubId, StatsSink};
+use dps_overlay::{CountingSink, PubId, StatsSink, SubId};
 use dps_sim::{Context, Message, MsgClass, NodeId, Process, Sim};
 use rand::Rng;
 
@@ -50,9 +50,10 @@ impl Message for Flood {
 pub struct FloodNode {
     id: NodeId,
     neighbors: Vec<NodeId>,
-    subs: FilterIndex<u32>,
+    subs: FilterIndex<SubId>,
     next_sub: u32,
     scratch: MatchScratch,
+    matched: Vec<SubId>,
     seen: HashSet<PubId>,
     sink: Arc<CountingSink>,
     next_pub: u32,
@@ -66,6 +67,7 @@ impl FloodNode {
             subs: FilterIndex::new(),
             next_sub: 0,
             scratch: MatchScratch::new(),
+            matched: Vec::new(),
             seen: HashSet::new(),
             sink,
             next_pub: 0,
@@ -77,8 +79,11 @@ impl FloodNode {
             return;
         }
         self.sink.on_contact(msg.id, self.id, ctx.now());
-        if self.subs.any_match(&msg.event, &mut self.scratch) {
-            self.sink.on_notify(msg.id, self.id, &msg.event, ctx.now());
+        self.subs
+            .matching_into(&msg.event, &mut self.scratch, &mut self.matched);
+        if !self.matched.is_empty() {
+            self.sink
+                .on_notify(msg.id, self.id, &msg.event, &self.matched, ctx.now());
         }
         for n in self.neighbors.clone() {
             ctx.send(n, msg.clone());
@@ -136,7 +141,7 @@ impl BroadcastNet {
     /// Installs a subscription (purely local in a broadcast system).
     pub fn subscribe(&mut self, node: NodeId, filter: Filter) {
         if let Some(n) = self.sim.node_mut(node) {
-            let id = n.next_sub;
+            let id = SubId(node, n.next_sub);
             n.next_sub += 1;
             n.subs.insert(id, filter);
         }

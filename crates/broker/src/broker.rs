@@ -48,7 +48,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dps::{DpsConfig, Overlay};
-use dps_content::{SharedEvent, SharedFilter};
 use dps_overlay::{PubId, QueueSink};
 use dps_sim::NodeId;
 
@@ -103,7 +102,6 @@ struct PendingDeliver {
 
 struct SubState {
     overlay: dps::SubId,
-    filter: SharedFilter,
     credit: u32,
     pending: VecDeque<PendingDeliver>,
     /// Deliveries dropped off the front of `pending`; logged when the
@@ -133,6 +131,8 @@ struct SessionState {
     /// Set once the session's `Hello` is accepted.
     node: Option<NodeId>,
     subs: BTreeMap<u64, SubState>,
+    /// The client's id of each live subscription, by the overlay's.
+    clients: HashMap<dps::SubId, u64>,
     /// A `Close` has been queued: flush, then drop the link.
     closing: bool,
     /// The link died abruptly: drop without flushing.
@@ -169,7 +169,6 @@ pub struct Broker {
     sessions: BTreeMap<u64, SessionState>,
     next_session: u64,
     cfg: BrokerConfig,
-    drain_buf: Vec<(PubId, SharedEvent)>,
     /// Encoded events of the publications fanned out so far in this `pump`;
     /// cleared at the end of every turn (queued deliveries keep their own
     /// reference).
@@ -196,7 +195,6 @@ impl Broker {
             sessions: BTreeMap::new(),
             next_session: 1,
             cfg,
-            drain_buf: Vec::new(),
             bodies: HashMap::new(),
             log: None,
             stats: BrokerStats::default(),
@@ -303,6 +301,7 @@ impl Broker {
                     link: Link::new(conn),
                     node: None,
                     subs: BTreeMap::new(),
+                    clients: HashMap::new(),
                     closing: false,
                     dead: false,
                     answered: false,
@@ -403,15 +402,15 @@ impl Broker {
                     self.ack_err(id, seq, &format!("subscription id {sub} already in use"));
                     return;
                 }
-                match self.net.try_subscribe(node, filter.clone()) {
+                match self.net.try_subscribe(node, filter) {
                     Ok(overlay) => {
                         self.queues.watch(node);
                         let s = self.sessions.get_mut(&id).expect("session exists");
+                        s.clients.insert(overlay, sub);
                         s.subs.insert(
                             sub,
                             SubState {
                                 overlay,
-                                filter,
                                 credit,
                                 pending: VecDeque::new(),
                                 dropped: 0,
@@ -434,6 +433,7 @@ impl Broker {
                         let out = self.net.try_unsubscribe(node, overlay);
                         let s = self.sessions.get_mut(&id).expect("session exists");
                         let ended = s.subs.remove(&sub).expect("looked up above");
+                        s.clients.remove(&overlay);
                         if s.subs.is_empty() {
                             self.queues.unwatch(node);
                         }
@@ -514,6 +514,7 @@ impl Broker {
         let s = self.sessions.get_mut(&id).expect("session exists");
         let node = s.node.take();
         let subs = std::mem::take(&mut s.subs);
+        s.clients.clear();
         for (sub, st) in &subs {
             self.log_dropped(id, *sub, st.dropped);
         }
@@ -527,38 +528,40 @@ impl Broker {
         }
     }
 
-    /// Demultiplexes the session node's matched deliveries into per-sub
-    /// queues, emits as much as credit (and the output buffer cap) allows
-    /// and, unless the session was answered this turn, writes it out.
+    /// Queues each of the session node's drained deliveries on the
+    /// subscriptions the node matched it to, emits as much as credit (and
+    /// the output buffer cap) allows and, unless the session was answered
+    /// this turn, writes it out.
     fn fan_out(&mut self, id: u64) {
         let Some(s) = self.sessions.get_mut(&id) else {
             return;
         };
         let Some(node) = s.node else { return };
-        self.drain_buf.clear();
-        self.queues.drain_deliveries(node, &mut self.drain_buf);
-        for (pid, event) in self.drain_buf.drain(..) {
-            // Looked up (or encoded) at the first match only: each further
-            // matching subscription costs a reference and a queue slot.
+        let bodies = &mut self.bodies;
+        self.queues.drain(node, |pid, event, matched| {
+            // Looked up (or encoded) at the first subscription only: each
+            // further one costs a reference and a queue slot.
             let mut body: Option<EventBody> = None;
-            for st in s.subs.values_mut() {
-                if st.filter.matches(&event) {
-                    let body = body.get_or_insert_with(|| {
-                        let shared = self.bodies.entry(pid);
-                        shared.or_insert_with(|| EventBody::encode(&event)).clone()
-                    });
-                    st.pending.push_back(PendingDeliver {
-                        publisher: pid.0.index() as u64,
-                        pub_seq: pid.1,
-                        body: body.clone(),
-                    });
-                    if st.pending.len() > MAX_PENDING {
-                        st.pending.pop_front();
-                        st.dropped += 1;
-                    }
+            for overlay in matched {
+                // A subscription cancelled since its node matched is gone.
+                let Some(st) = s.clients.get(overlay).and_then(|c| s.subs.get_mut(c)) else {
+                    continue;
+                };
+                let body = body.get_or_insert_with(|| {
+                    let shared = bodies.entry(pid);
+                    shared.or_insert_with(|| EventBody::encode(event)).clone()
+                });
+                st.pending.push_back(PendingDeliver {
+                    publisher: pid.0.index() as u64,
+                    pub_seq: pid.1,
+                    body: body.clone(),
+                });
+                if st.pending.len() > MAX_PENDING {
+                    st.pending.pop_front();
+                    st.dropped += 1;
                 }
             }
-        }
+        });
         for (cid, st) in s.subs.iter_mut() {
             while st.credit > 0 && s.link.out.len() < MAX_OUTBUF {
                 let Some(d) = st.pending.pop_front() else {

@@ -139,25 +139,21 @@ fn end_to_end_delivery_over_channels() {
         }
     ));
 
-    sub.send(&Frame::Subscribe {
-        seq: 1,
-        sub: 10,
-        filter: "price > 100".parse::<dps::Filter>().unwrap().into(),
-        credit: 64,
-    });
+    for (seq, id, filter) in [(1, 10, "price > 100"), (2, 11, "volume > 0")] {
+        sub.send(&Frame::Subscribe {
+            seq,
+            sub: id,
+            filter: filter.parse::<dps::Filter>().unwrap().into(),
+            credit: 64,
+        });
+    }
     settle(&mut broker, &mut [&mut sub, &mut pubc], 60);
-    assert!(
-        matches!(
-            sub.frames[1],
-            Frame::Ack {
-                seq: 1,
-                error: None,
-                ..
-            }
-        ),
-        "subscribe is acked: {:?}",
-        sub.frames
-    );
+    let ok = |c: &TestClient| {
+        let acks = c.acks().into_iter();
+        acks.filter(|f| matches!(f, Frame::Ack { error: None, .. }))
+            .count()
+    };
+    assert_eq!(ok(&sub), 2, "both subscribes are acked: {:?}", sub.frames);
 
     for (seq, event) in [(1, "price = 150"), (2, "price = 50"), (3, "price = 101")] {
         pubc.send(&Frame::Publish {
@@ -177,6 +173,30 @@ fn end_to_end_delivery_over_channels() {
         ],
         "exactly the matching events, in publish order"
     );
+
+    // One session, two subscriptions: a delivery reaches exactly the ones
+    // its node matched, and an ended one nothing more.
+    let mut publish = |sub: &mut TestClient, seq, event: &str| {
+        let before = sub.deliveries().len();
+        pubc.send(&Frame::Publish {
+            seq,
+            event: ev(event).into(),
+        });
+        settle(&mut broker, &mut [&mut *sub, &mut pubc], 80);
+        sub.deliveries().split_off(before)
+    };
+    let both = "price = 120 & volume = 5".to_string();
+    assert_eq!(
+        publish(&mut sub, 4, &both),
+        [(10, both.clone()), (11, both.clone())]
+    );
+    assert_eq!(
+        publish(&mut sub, 5, "volume = 9"),
+        [(11, "volume = 9".to_string())]
+    );
+    sub.send(&Frame::Unsubscribe { seq: 3, sub: 11 });
+    assert_eq!(publish(&mut sub, 6, &both), [(10, both.clone())]);
+    assert_eq!(ok(&sub), 3, "the unsubscribe is acked");
 }
 
 /// Attribute order on the wire is free: a peer that writes `y` before `x`

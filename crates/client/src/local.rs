@@ -1,6 +1,6 @@
 //! The in-process backend: a [`Hub`] owns one [`DpsNetwork`]; each session
-//! is a dedicated node on it whose watched deliveries are demultiplexed to
-//! the session's subscriptions by filter.
+//! is a dedicated node on it whose watched deliveries go to the session's
+//! subscriptions the node matched them to.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -46,7 +46,6 @@ impl Hub {
             net: self.net.clone(),
             node,
             subs: Vec::new(),
-            drain_buf: Vec::new(),
         };
         Ok(Session::over(Box::new(local), node.index() as u64))
     }
@@ -82,11 +81,8 @@ impl Hub {
 struct Local {
     net: Rc<RefCell<DpsNetwork>>,
     node: NodeId,
-    /// Live subscriptions, oldest first: the session's id, the overlay's id
-    /// and the filter deliveries are demultiplexed by.
-    subs: Vec<(u64, SubId, SharedFilter)>,
-    /// Scratch for draining the sink's watch queue.
-    drain_buf: Vec<(PubId, SharedEvent)>,
+    /// Live subscriptions, oldest first: the session's id and the overlay's.
+    subs: Vec<(u64, SubId)>,
 }
 
 impl Backend for Local {
@@ -95,7 +91,7 @@ impl Backend for Local {
         let id = net.try_subscribe(self.node, filter.clone())?;
         // Payload retention starts with the first subscriber.
         net.sink().watch(self.node);
-        self.subs.push((sub, id, filter.clone()));
+        self.subs.push((sub, id));
         Ok(())
     }
 
@@ -105,7 +101,7 @@ impl Backend for Local {
         let Some(at) = self.subs.iter().position(|s| s.0 == sub) else {
             return Ok(());
         };
-        let (_, id, _) = self.subs.remove(at);
+        let (_, id) = self.subs.remove(at);
         let mut net = self.net.borrow_mut();
         let out = net.try_unsubscribe(self.node, id);
         if self.subs.is_empty() {
@@ -122,23 +118,20 @@ impl Backend for Local {
         })
     }
 
-    /// Each watched delivery fans out to every subscription whose filter
-    /// matches.
+    /// Each watched delivery goes to the live subscriptions the node
+    /// matched it to.
     fn poll(&mut self, deliver: &mut dyn FnMut(u64, Delivery)) -> Result<(), DpsError> {
         let net = self.net.borrow();
-        net.sink().drain_deliveries(self.node, &mut self.drain_buf);
-        for (PubId(publisher, seq), event) in self.drain_buf.drain(..) {
-            for (sub, _, filter) in &self.subs {
-                if filter.matches(&event) {
-                    let delivery = Delivery {
-                        publisher: publisher.index() as u64,
-                        seq,
-                        event: event.clone(),
-                    };
-                    deliver(*sub, delivery);
-                }
+        net.sink().drain(self.node, |id, event, matched| {
+            for (sub, _) in self.subs.iter().filter(|(_, s)| matched.contains(s)) {
+                let delivery = Delivery {
+                    publisher: id.0.index() as u64,
+                    seq: id.1,
+                    event: event.clone(),
+                };
+                deliver(*sub, delivery);
             }
-        }
+        });
         Ok(())
     }
 
@@ -146,7 +139,7 @@ impl Backend for Local {
 
     fn close(&mut self) -> Result<(), DpsError> {
         let mut net = self.net.borrow_mut();
-        for (_, id, _) in self.subs.drain(..) {
+        for (_, id) in self.subs.drain(..) {
             // Best effort, as in `unsubscribe`.
             let _ = net.try_unsubscribe(self.node, id);
         }

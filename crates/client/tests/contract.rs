@@ -48,6 +48,16 @@ fn session_contract(open: &dyn Fn() -> Session, advance: &dyn Fn()) {
     assert_eq!((rest[0].publisher, rest[0].seq), (third.node, third.seq));
     assert!(prices.recv().is_none() && volumes.drain().is_empty());
 
+    // A subscription receives exactly what its node matched while it was
+    // live: one opened after a publication reached the session gets none of
+    // it, however well it matches, and the earlier one gets it once.
+    publisher.publish(event("volume = 3")).unwrap();
+    advance();
+    let late = trader.subscriber(filter("volume > 1")).unwrap();
+    assert!(late.drain().is_empty(), "opened after it arrived");
+    assert_eq!(volumes.drain().len(), 1, "live when it arrived");
+    late.close().unwrap();
+
     // A refused request is an error, not the end of the session. The one
     // place the backends differ: in process the refusal is the overlay's
     // typed error; a broker's `Ack` carries only that error's text, which

@@ -827,20 +827,6 @@ impl<H: Copy + Ord> FilterIndex<H> {
         out
     }
 
-    /// Whether **any** filter in the index matches `event` (the per-node
-    /// delivery test: a notification fires if at least one subscription
-    /// matches).
-    pub fn any_match(&self, event: &Event, scratch: &mut MatchScratch) -> bool {
-        if !self.empty.is_empty() {
-            return true;
-        }
-        if self.len == 0 {
-            return false;
-        }
-        self.count_hits(event, scratch);
-        scratch.hit_count > 0
-    }
-
     /// Runs the counting pass for `event`, leaving the matched slots in the
     /// `scratch.hits` bitmap (empty filters included).
     fn count_hits(&self, event: &Event, scratch: &mut MatchScratch) {
@@ -1024,10 +1010,8 @@ mod tests {
         let mut idx: FilterIndex<u32> = FilterIndex::new();
         idx.insert(9, Filter::all());
         assert_eq!(idx.matching(&Event::empty()), vec![9]);
-        let mut scratch = MatchScratch::new();
-        assert!(idx.any_match(&Event::empty(), &mut scratch));
         idx.remove(9);
-        assert!(!idx.any_match(&Event::empty(), &mut scratch));
+        assert!(idx.matching(&Event::empty()).is_empty());
     }
 
     #[test]

@@ -54,14 +54,6 @@ proptest! {
         prop_assert_eq!(idx.matching(&e), oracle(&pop, &e));
     }
 
-    /// `any_match` agrees with "some filter matches".
-    #[test]
-    fn any_match_equals_scan_any(pop in population(), e in st::event()) {
-        let idx = build(&pop);
-        let mut scratch = MatchScratch::new();
-        prop_assert_eq!(idx.any_match(&e, &mut scratch), !oracle(&pop, &e).is_empty());
-    }
-
     /// Scratch reuse across a sequence of events never leaks state between
     /// queries (the epoch-stamping must isolate them).
     #[test]

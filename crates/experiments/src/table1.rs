@@ -35,7 +35,7 @@ impl StatsSink for TallySink {
         *self.contacted.lock().unwrap().entry(id).or_insert(0) += 1;
     }
 
-    fn on_notify(&self, _id: PubId, _node: NodeId, _event: &SharedEvent, _now: Step) {}
+    fn on_notify(&self, _: PubId, _: NodeId, _: &SharedEvent, _: &[dps::SubId], _: Step) {}
 }
 
 impl TallySink {

@@ -171,6 +171,8 @@ pub struct DpsNode {
     pub(crate) subs: FilterIndex<SubId>,
     /// Reusable scratch for `subs` queries (allocation-free steady state).
     pub(crate) sub_scratch: MatchScratch,
+    /// The subscriptions the publication being delivered matched, reused.
+    pub(crate) matched: Vec<SubId>,
     pub(crate) memberships: Vec<Membership>,
     pub(crate) pending_subs: Vec<PendingSub>,
     pub(crate) pending_pubs: Vec<PendingPub>,
@@ -245,6 +247,7 @@ impl DpsNode {
             next_pub: 0,
             subs: FilterIndex::new(),
             sub_scratch: MatchScratch::new(),
+            matched: Vec::new(),
             memberships: Vec::new(),
             pending_subs: Vec::new(),
             pending_pubs: Vec::new(),
@@ -477,17 +480,19 @@ impl DpsNode {
     }
 
     /// Records local receipt of a publication at step `now`: instrumentation
-    /// plus the `Notify` upcall when one of our filters matches (§2). Returns
-    /// `true` on first receipt.
+    /// plus the `Notify` upcall naming the subscriptions that match (§2).
+    /// Returns `true` on first receipt.
     pub(crate) fn deliver_local(&mut self, id: PubId, event: &SharedEvent, now: Step) -> bool {
         if !self.seen_node.insert(pub_key(id)) {
             return false;
         }
         self.pubs_received += 1;
         self.sink.on_contact(id, self.id, now);
-        if self.subs.any_match(event, &mut self.sub_scratch) {
+        self.subs
+            .matching_into(event, &mut self.sub_scratch, &mut self.matched);
+        if !self.matched.is_empty() {
             self.pubs_notified += 1;
-            self.sink.on_notify(id, self.id, event, now);
+            self.sink.on_notify(id, self.id, event, &self.matched, now);
         }
         true
     }

@@ -8,7 +8,7 @@ use rand::seq::IteratorRandom;
 use rand::Rng;
 
 use crate::config::{
-    CommKind, JoinRule, TraversalKind, CO_LEADERS, FIND_TREE_RETRIES, GOSSIP_P0, GROUP_VIEW_CAP,
+    CommKind, TraversalKind, CO_LEADERS, FIND_TREE_RETRIES, GOSSIP_P0, GROUP_VIEW_CAP,
     REQUEST_TIMEOUT, SUB_GOSSIP_FANOUT, TRAVERSAL_TIMEOUT, VIEW_DEPTH, WALK_TTL,
 };
 use crate::label::GroupLabel;
@@ -21,8 +21,10 @@ use crate::views::{Branch, Membership, Role};
 const MAX_SUB_RETRIES: u32 = 8;
 
 impl DpsNode {
-    /// Issues a subscription, joining the overlay with the filter's predicate
-    /// selected by the configured [`JoinRule`].
+    /// Issues a subscription, joining the overlay with the filter's first
+    /// predicate. Drivers that choose the predicate (`dps::Overlay` under
+    /// [`JoinRule::Explicit`](crate::JoinRule::Explicit)) call
+    /// [`subscribe_with`](Self::subscribe_with).
     ///
     /// # Panics
     ///
@@ -33,10 +35,7 @@ impl DpsNode {
         filter: impl Into<SharedFilter>,
         ctx: &mut Context<'_, DpsMsg>,
     ) -> SubId {
-        let idx = match self.cfg.join_rule {
-            JoinRule::First | JoinRule::Explicit => 0,
-        };
-        self.subscribe_with(filter, idx, ctx)
+        self.subscribe_with(filter, 0, ctx)
     }
 
     /// Issues a subscription joining via the predicate at `join_idx` (the paper:

@@ -5,7 +5,9 @@
 //! received publication matches one of the node's own subscriptions ("delivered" /
 //! `Notify`, Figures 3(a)–(b)). Both milestones carry the simulation step at
 //! which they happened, so harnesses can compute publish→deliver latency
-//! distributions. The default sink does nothing and costs nothing.
+//! distributions. A `Notify` also names the subscriptions that matched, so a
+//! session host delivers to exactly those and matches nothing itself. The
+//! default sink does nothing and costs nothing.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
@@ -13,7 +15,7 @@ use std::sync::Mutex;
 use dps_content::SharedEvent;
 use dps_sim::{NodeId, Step};
 
-use crate::msg::PubId;
+use crate::msg::{PubId, SubId};
 use crate::seen::IdBuild;
 
 /// Observer of protocol-level delivery milestones.
@@ -25,13 +27,13 @@ pub trait StatsSink: Send + Sync {
     /// at step `now`.
     fn on_contact(&self, id: PubId, node: NodeId, now: Step);
     /// `node` received publication `id`, carrying `event`, at step `now` and
-    /// it matched one of its subscription filters (the `Notify` upcall of the
-    /// paper). Counting-only sinks never touch the payload, so the
-    /// simulator's zero-copy fan-out is unaffected. Session hosts
-    /// (`dps-client`'s in-process `Hub` and the broker) queue it for
+    /// it matched the node's live subscriptions `subs` (never empty, in id
+    /// order): the `Notify` upcall of the paper. Counting-only sinks touch
+    /// neither, so the simulator's zero-copy fan-out is unaffected. Session
+    /// hosts (`dps-client`'s in-process `Hub` and the broker) queue both for
     /// *watched* nodes ([`QueueSink`]): a reference to the publication's one
-    /// allocation, never a copy.
-    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, now: Step);
+    /// allocation, never a copy, and the ids it is delivered to.
+    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, subs: &[SubId], now: Step);
 }
 
 /// A sink that ignores everything.
@@ -40,7 +42,7 @@ pub struct NoopSink;
 
 impl StatsSink for NoopSink {
     fn on_contact(&self, _id: PubId, _node: NodeId, _now: Step) {}
-    fn on_notify(&self, _id: PubId, _node: NodeId, _event: &SharedEvent, _now: Step) {}
+    fn on_notify(&self, _: PubId, _: NodeId, _: &SharedEvent, _: &[SubId], _: Step) {}
 }
 
 /// The payload half of delivery, and the whole sink of a served overlay (the
@@ -57,7 +59,10 @@ pub struct QueueSink {
 #[derive(Debug, Default)]
 struct WatchQueue {
     seen: HashSet<PubId, IdBuild>,
-    queue: Vec<(PubId, SharedEvent)>,
+    /// Oldest first, each with the end of its matched ids in `subs`.
+    queue: Vec<(PubId, SharedEvent, usize)>,
+    /// Every queued publication's ids, back to back: none allocates its own.
+    subs: Vec<SubId>,
 }
 
 impl QueueSink {
@@ -72,22 +77,34 @@ impl QueueSink {
         self.watched.lock().unwrap().remove(&node);
     }
 
-    /// Moves everything queued for `node` since the last drain into `into`
-    /// (oldest first). A node that is not watched drains nothing.
-    pub fn drain_deliveries(&self, node: NodeId, into: &mut Vec<(PubId, SharedEvent)>) {
+    /// Hands everything queued for `node` since the last drain to `f`, oldest
+    /// first, with the ids it matched. A node that is not watched drains
+    /// nothing. `f` runs under the sink's lock and must not call the sink.
+    pub fn drain(&self, node: NodeId, mut f: impl FnMut(PubId, &SharedEvent, &[SubId])) {
         if let Some(w) = self.watched.lock().unwrap().get_mut(&node) {
-            into.append(&mut w.queue);
+            let mut start = 0;
+            for (id, event, end) in w.queue.drain(..) {
+                f(id, &event, &w.subs[start..end]);
+                start = end;
+            }
+            w.subs.clear();
         }
+    }
+
+    /// [`drain`](Self::drain) into `into`, without the ids.
+    pub fn drain_deliveries(&self, node: NodeId, into: &mut Vec<(PubId, SharedEvent)>) {
+        self.drain(node, |id, event, _| into.push((id, event.clone())));
     }
 }
 
 impl StatsSink for QueueSink {
     fn on_contact(&self, _id: PubId, _node: NodeId, _now: Step) {}
 
-    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, _now: Step) {
+    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, subs: &[SubId], _now: Step) {
         if let Some(w) = self.watched.lock().unwrap().get_mut(&node) {
             if w.seen.insert(id) {
-                w.queue.push((id, event.clone()));
+                w.subs.extend_from_slice(subs);
+                w.queue.push((id, event.clone(), w.subs.len()));
             }
         }
     }
@@ -180,7 +197,7 @@ impl StatsSink for CountingSink {
         self.inner.lock().unwrap().contacts.insert((id, node));
     }
 
-    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, now: Step) {
+    fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, subs: &[SubId], now: Step) {
         // First notify wins: the entry API keeps the earliest step even if a
         // slower redundant path re-delivers the publication later.
         self.inner
@@ -189,7 +206,7 @@ impl StatsSink for CountingSink {
             .notifies
             .entry((id, node))
             .or_insert(now);
-        self.queues.on_notify(id, node, event, now);
+        self.queues.on_notify(id, node, event, subs, now);
     }
 }
 
@@ -210,7 +227,7 @@ mod tests {
         s.on_contact(p, n1, 3);
         s.on_contact(p, n1, 4); // dedup
         s.on_contact(p, n2, 3);
-        s.on_notify(p, n2, &ev(), 5);
+        s.on_notify(p, n2, &ev(), &[SubId(n2, 0)], 5);
         assert_eq!(s.contacted(p), 2);
         assert_eq!(s.notified(p), 1);
         assert!(s.was_notified(p, n2));
@@ -226,8 +243,8 @@ mod tests {
         let p = PubId(NodeId::from_index(0), 1);
         let n = NodeId::from_index(1);
         assert_eq!(s.notify_step(p, n), None);
-        s.on_notify(p, n, &ev(), 7);
-        s.on_notify(p, n, &ev(), 12); // a slower redundant path re-delivers
+        s.on_notify(p, n, &ev(), &[SubId(n, 0)], 7);
+        s.on_notify(p, n, &ev(), &[SubId(n, 0)], 12); // a slower redundant path re-delivers
         assert_eq!(s.notify_step(p, n), Some(7));
     }
 
@@ -238,38 +255,31 @@ mod tests {
         let q = PubId(NodeId::from_index(0), 2);
         let n1 = NodeId::from_index(1);
         let n2 = NodeId::from_index(2);
+        let (a, b) = (SubId(n1, 0), SubId(n1, 1));
         let ev = ev();
         s.watch(n1);
-        s.on_notify(p, n1, &ev, 3);
-        s.on_notify(p, n1, &ev, 9); // redundant re-delivery: deduped
-        s.on_notify(q, n1, &ev, 4);
-        s.on_notify(p, n2, &ev, 3); // unwatched: dropped
+        s.on_notify(p, n1, &ev, &[a, b], 3);
+        s.on_notify(p, n1, &ev, &[a], 9); // redundant re-delivery: deduped
+        s.on_notify(q, n1, &ev, &[b], 4);
+        s.on_notify(p, n2, &ev, &[SubId(n2, 0)], 3); // unwatched: dropped
         let mut got = Vec::new();
-        s.drain_deliveries(n1, &mut got);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, p);
-        assert_eq!(got[1].0, q);
-        assert_eq!(got[0].1, ev);
-        got.clear();
+        s.drain(n1, |id, e, subs| got.push((id, e.clone(), subs.to_vec())));
+        assert_eq!(got, [(p, ev.clone(), vec![a, b]), (q, ev.clone(), vec![b])]);
+        let mut got = Vec::new();
         s.drain_deliveries(n1, &mut got);
         assert!(got.is_empty(), "drain consumes");
         s.drain_deliveries(n2, &mut got);
         assert!(got.is_empty());
         s.unwatch(n1);
-        s.on_notify(q, n1, &ev, 5);
+        s.on_notify(q, n1, &ev, &[a], 5);
         s.drain_deliveries(n1, &mut got);
         assert!(got.is_empty(), "unwatch discards and stops retention");
     }
 
     #[test]
     fn noop_sink_is_silent() {
-        let s = NoopSink;
-        s.on_contact(PubId(NodeId::from_index(0), 0), NodeId::from_index(0), 1);
-        s.on_notify(
-            PubId(NodeId::from_index(0), 0),
-            NodeId::from_index(0),
-            &ev(),
-            1,
-        );
+        let (s, n) = (NoopSink, NodeId::from_index(0));
+        s.on_contact(PubId(n, 0), n, 1);
+        s.on_notify(PubId(n, 0), n, &ev(), &[SubId(n, 0)], 1);
     }
 }
