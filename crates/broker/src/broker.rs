@@ -38,10 +38,19 @@
 //!
 //! # One encoding per publication
 //!
-//! A queued delivery is a `(publisher, pub_seq, body)` record whose body is
-//! the event's JSON, encoded at most once per [`Broker::pump`] and shared by
+//! A delivery is a `(publisher, pub_seq, body)` record whose body is the
+//! event's JSON, encoded at most once per [`Broker::pump`] and shared by
 //! every subscription and session the publication reaches in that turn;
 //! [`wire::write_deliver`] splices it into each session's output buffer.
+//! A delivery whose subscription has credit and nothing queued is written
+//! the moment it is drained, so while credit and [`MAX_OUTBUF`] allow, a
+//! session's frames of one publication leave back to back, in the order its
+//! node named the subscriptions; any other waits in its subscription's queue
+//! and leaves oldest first. Each subscription's own frames are always in
+//! order — that is the only order promised. The back-to-back run is what
+//! lets the session's [`wire::FrameReader`] decode the event once for all
+//! of its frames: one encoding and, on the other end, one decoding per
+//! publication.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -528,10 +537,12 @@ impl Broker {
         }
     }
 
-    /// Queues each of the session node's drained deliveries on the
-    /// subscriptions the node matched it to, emits as much as credit (and
-    /// the output buffer cap) allows and, unless the session was answered
-    /// this turn, writes it out.
+    /// Hands each of the session node's drained deliveries to the
+    /// subscriptions the node matched it to: written straight into the
+    /// output buffer where the subscription has credit and nothing queued
+    /// (module docs, "One encoding per publication"), queued otherwise. Then
+    /// emits as much of the queues as credit (and the output buffer cap)
+    /// allows and, unless the session was answered this turn, writes it out.
     fn fan_out(&mut self, id: u64) {
         let Some(s) = self.sessions.get_mut(&id) else {
             return;
@@ -540,20 +551,32 @@ impl Broker {
         let bodies = &mut self.bodies;
         self.queues.drain(node, |pid, event, matched| {
             // Looked up (or encoded) at the first subscription only: each
-            // further one costs a reference and a queue slot.
+            // further one costs a reference and a frame or a queue slot.
             let mut body: Option<EventBody> = None;
             for overlay in matched {
                 // A subscription cancelled since its node matched is gone.
-                let Some(st) = s.clients.get(overlay).and_then(|c| s.subs.get_mut(c)) else {
+                let Some(&cid) = s.clients.get(overlay) else {
                     continue;
                 };
+                let st = s.subs.get_mut(&cid).expect("a client id names a live sub");
                 let body = body.get_or_insert_with(|| {
                     let shared = bodies.entry(pid);
                     shared.or_insert_with(|| EventBody::encode(event)).clone()
                 });
+                let (publisher, pub_seq) = (pid.0.index() as u64, pid.1);
+                if st.credit > 0 && st.pending.is_empty() && s.link.out.len() < MAX_OUTBUF {
+                    let out = &mut s.link.out;
+                    if wire::write_deliver(out, cid, publisher, pub_seq, body).is_ok() {
+                        st.credit -= 1;
+                        continue;
+                    }
+                    // Only an over-sized frame can fail here; as in `queue`,
+                    // the session is dropped.
+                    s.dead = true;
+                }
                 st.pending.push_back(PendingDeliver {
-                    publisher: pid.0.index() as u64,
-                    pub_seq: pid.1,
+                    publisher,
+                    pub_seq,
                     body: body.clone(),
                 });
                 if st.pending.len() > MAX_PENDING {
@@ -569,8 +592,6 @@ impl Broker {
                 };
                 let out = &mut s.link.out;
                 if wire::write_deliver(out, *cid, d.publisher, d.pub_seq, &d.body).is_err() {
-                    // Only an over-sized frame can fail here; as in `queue`,
-                    // the session is dropped.
                     s.dead = true;
                     return;
                 }

@@ -9,13 +9,14 @@
 //!
 //! A broker fans one publication out to many subscriptions, so the `event`
 //! member of its `Deliver` frames is encoded once ([`EventBody`]) and
-//! [`write_deliver`] splices those shared bytes into each frame.
+//! [`write_deliver`] splices those shared bytes into each frame; on the
+//! receiving end a [`FrameReader`] decodes that event once for a run of such
+//! frames and hands each of them the same [`SharedEvent`].
 //!
 //! The full grammar, version rules and credit/close semantics are documented
 //! in `docs/protocol.md` at the repository root.
 
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::Arc;
 
 use dps_content::{SharedEvent, SharedFilter};
@@ -205,11 +206,34 @@ impl EventBody {
     }
 }
 
-/// What a `Deliver` body holds besides its three numbers and the event.
-const DELIVER_FIXED: usize = r#"{"Deliver":{"sub":,"publisher":,"pub_seq":,"event":}}"#.len();
+/// The body of a `Deliver` as [`write_deliver`] spells it: these pieces, with
+/// `sub`, `publisher`, `pub_seq` and the event between them in that order.
+/// [`FrameReader`] recognises the same layout, so writer and reader share it.
+const DELIVER: [&[u8]; 5] = [
+    br#"{"Deliver":{"sub":"#,
+    br#","publisher":"#,
+    br#","pub_seq":"#,
+    br#","event":"#,
+    b"}}",
+];
 
 fn decimal_len(n: u64) -> usize {
     n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends `n` in decimal, as `u64`'s `Display` writes it.
+fn write_decimal(out: &mut VecDeque<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(&digits[at..]);
 }
 
 /// Appends one `Deliver` frame (prefix + body) to `out`, byte for byte what
@@ -224,10 +248,9 @@ pub fn write_deliver(
     pub_seq: u32,
     body: &EventBody,
 ) -> Result<(), WireError> {
-    let len = DELIVER_FIXED
-        + decimal_len(sub)
-        + decimal_len(publisher)
-        + decimal_len(u64::from(pub_seq))
+    let numbers = [sub, publisher, u64::from(pub_seq)];
+    let len = DELIVER.iter().map(|piece| piece.len()).sum::<usize>()
+        + numbers.iter().map(|&n| decimal_len(n)).sum::<usize>()
         + body.0.len();
     if len > MAX_FRAME as usize {
         return Err(WireError::FrameTooLarge {
@@ -238,23 +261,47 @@ pub fn write_deliver(
     let start = out.len();
     out.reserve(4 + len);
     out.extend((len as u32).to_be_bytes());
-    write!(
-        out,
-        r#"{{"Deliver":{{"sub":{sub},"publisher":{publisher},"pub_seq":{pub_seq},"event":"#
-    )
-    .expect("writing to a VecDeque cannot fail");
+    for (piece, n) in DELIVER.iter().zip(numbers) {
+        out.extend(*piece);
+        write_decimal(out, n);
+    }
+    out.extend(DELIVER[3]);
     out.extend(body.0.as_bytes());
-    out.extend(b"}}");
+    out.extend(DELIVER[4]);
     debug_assert_eq!(out.len() - start, 4 + len, "the prefix counts the body");
     Ok(())
 }
 
-/// Decodes the first complete frame of `buf`, returning it and the number of
-/// bytes it occupied. `Ok(None)` means the buffer holds only a frame prefix or
-/// a partial body — feed more bytes and retry. Errors are terminal for the
-/// connection: a hostile prefix ([`WireError::FrameTooLarge`]) or a body that
-/// is not a [`Frame`] ([`WireError::Decode`]).
-pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
+/// The decimal [`write_decimal`] writes at the front of `bytes`, and what
+/// follows it: at least one digit, no leading zero, no more than `u64::MAX`.
+/// Anything else is `None`, whether or not JSON would read it as a number.
+fn read_decimal(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    let digits = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+    let (number, rest) = bytes.split_at(digits);
+    if number.is_empty() || (number[0] == b'0' && digits > 1) {
+        return None;
+    }
+    let mut n: u64 = 0;
+    for d in number {
+        n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+    }
+    Some((n, rest))
+}
+
+/// A `Deliver` body spelled byte for byte as [`write_deliver`] spells it:
+/// its `sub`, `publisher` and `pub_seq`, and the bytes of its `event` member.
+/// `None` for any other body, decodable or not.
+fn canonical_deliver(body: &[u8]) -> Option<(u64, u64, u32, &[u8])> {
+    let rest = body.strip_prefix(DELIVER[0])?;
+    let (sub, rest) = read_decimal(rest)?;
+    let (publisher, rest) = read_decimal(rest.strip_prefix(DELIVER[1])?)?;
+    let (pub_seq, rest) = read_decimal(rest.strip_prefix(DELIVER[2])?)?;
+    let event = rest.strip_prefix(DELIVER[3])?.strip_suffix(DELIVER[4])?;
+    Some((sub, publisher, u32::try_from(pub_seq).ok()?, event))
+}
+
+/// The body of the first frame of `buf`, once it is complete (see [`decode`]).
+fn frame_body(buf: &[u8]) -> Result<Option<&[u8]>, WireError> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -265,24 +312,50 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
             max: MAX_FRAME,
         });
     }
-    let need = 4 + len as usize;
-    if buf.len() < need {
-        return Ok(None);
-    }
-    let body = std::str::from_utf8(&buf[4..need])
+    Ok(buf.get(4..4 + len as usize))
+}
+
+fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
+    let body = std::str::from_utf8(body)
         .map_err(|e| WireError::Decode(format!("frame body is not UTF-8: {e}")))?;
-    let frame = serde_json::from_str(body).map_err(|e| WireError::Decode(e.to_string()))?;
-    Ok(Some((frame, need)))
+    serde_json::from_str(body).map_err(|e| WireError::Decode(e.to_string()))
+}
+
+/// Decodes the first complete frame of `buf`, returning it and the number of
+/// bytes it occupied. `Ok(None)` means the buffer holds only a frame prefix or
+/// a partial body — feed more bytes and retry. Errors are terminal for the
+/// connection: a hostile prefix ([`WireError::FrameTooLarge`]) or a body that
+/// is not a [`Frame`] ([`WireError::Decode`]).
+pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
+    match frame_body(buf)? {
+        Some(body) => Ok(Some((decode_body(body)?, 4 + body.len()))),
+        None => Ok(None),
+    }
 }
 
 /// Incremental frame reassembly over a byte stream: feed it whatever chunks
 /// the transport produces, take complete frames out. Never allocates based on
 /// the length prefix — a hostile prefix errors out at 4 bytes read.
+///
+/// It also decodes each publication's event once. The reader remembers the
+/// `event` member bytes of the last `Deliver` it decoded that is spelled byte
+/// for byte as [`write_deliver`] spells it, and the event they decoded to. A
+/// following `Deliver` of that spelling whose `event` bytes are the same
+/// gets the same [`SharedEvent`] (a reference, not a parse) and has only its
+/// three numbers read. Every other frame — another event, another spelling,
+/// another frame type — is read by [`decode`], so what the reader returns,
+/// errors included, is exactly what [`decode`] returns frame by frame. A
+/// broker writes a session's `Deliver`s of one publication back to back, so
+/// the last event is the one worth remembering.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by decoded frames (compacted lazily).
     consumed: usize,
+    /// The `event` member bytes of the last canonical `Deliver` decoded, and
+    /// the event they hold.
+    last_event: Vec<u8>,
+    last: Option<SharedEvent>,
 }
 
 impl FrameReader {
@@ -305,13 +378,36 @@ impl FrameReader {
     /// "need more bytes"; errors mean the stream is unrecoverable and the
     /// connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        match decode(&self.buf[self.consumed..])? {
-            Some((frame, used)) => {
-                self.consumed += used;
-                Ok(Some(frame))
+        let Some(body) = frame_body(&self.buf[self.consumed..])? else {
+            return Ok(None);
+        };
+        let used = 4 + body.len();
+        let canonical = canonical_deliver(body);
+        let frame = match (canonical, &self.last) {
+            // These event bytes, between these same pieces, decoded to a
+            // `Deliver` before — so they hold one event and nothing else (a
+            // repeated or unknown member is a decode error) — and the numbers
+            // read here are the ones `decode` would read.
+            (Some((sub, publisher, pub_seq, event)), Some(last)) if event == self.last_event => {
+                Frame::Deliver {
+                    sub,
+                    publisher,
+                    pub_seq,
+                    event: last.clone(),
+                }
             }
-            None => Ok(None),
-        }
+            _ => {
+                let frame = decode_body(body)?;
+                if let (Some((.., bytes)), Frame::Deliver { event, .. }) = (canonical, &frame) {
+                    self.last_event.clear();
+                    self.last_event.extend_from_slice(bytes);
+                    self.last = Some(event.clone());
+                }
+                frame
+            }
+        };
+        self.consumed += used;
+        Ok(Some(frame))
     }
 
     /// Called at EOF: a cleanly drained reader returns `Ok(())`; leftover

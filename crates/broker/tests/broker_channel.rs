@@ -318,6 +318,82 @@ fn loads(c: &TestClient, sub: u64) -> Vec<u64> {
         .collect()
 }
 
+/// A session's frames of one publication leave back to back, which is what
+/// lets its reader decode the event once. One session holds three
+/// subscriptions that match both of two publications made in one turn: it
+/// reads the first publication three times, then the second three times. A
+/// subscription out of credit takes nothing from the others' run, and once
+/// credit comes it receives its backlog oldest first. No subscription ever
+/// sees its own frames out of order.
+#[test]
+fn a_sessions_frames_of_one_publication_leave_back_to_back() {
+    let t = ChannelTransport::new();
+    let mut broker = broker_on(&t, "hub", 7);
+    let mut sub = TestClient::connect(&t, "hub");
+    let mut pubc = TestClient::connect(&t, "hub");
+    sub.hello();
+    pubc.hello();
+    settle(&mut broker, &mut [&mut sub, &mut pubc], 3);
+    // Client ids out of subscription order; sub 20's window closes after
+    // the first two publications.
+    for (seq, id, filter, credit) in [
+        (1, 30, "load > 0", 64),
+        (2, 10, "load < 100", 64),
+        (3, 20, "load > 1", 2),
+    ] {
+        sub.send(&Frame::Subscribe {
+            seq,
+            sub: id,
+            filter: filter.parse::<dps::Filter>().unwrap().into(),
+            credit,
+        });
+    }
+    settle(&mut broker, &mut [&mut sub, &mut pubc], 60);
+    assert_eq!(sub.acks().len(), 3, "every subscribe is acked");
+
+    let mut publish_two = |sub: &mut TestClient, first: u64| {
+        let before = sub.deliveries().len();
+        for load in [first, first + 1] {
+            pubc.send(&Frame::Publish {
+                seq: load,
+                event: ev(&format!("load = {load}")).into(),
+            });
+        }
+        settle(&mut broker, &mut [&mut *sub, &mut pubc], 80);
+        let got = sub.deliveries().split_off(before);
+        let subs: Vec<u64> = got.iter().map(|(s, _)| *s).collect();
+        let events: Vec<String> = got.into_iter().map(|(_, e)| e).collect();
+        (subs, events)
+    };
+    let load = |n: u64| format!("load = {n}");
+
+    let (subs, events) = publish_two(&mut sub, 2);
+    assert_eq!(
+        events,
+        [2, 2, 2, 3, 3, 3].map(load),
+        "one publication, then the other"
+    );
+    let mut first_run = subs[..3].to_vec();
+    first_run.sort_unstable();
+    assert_eq!(first_run, [10, 20, 30]);
+    assert_eq!(
+        subs[..3],
+        subs[3..],
+        "the session's subscriptions, in one order"
+    );
+
+    let (subs, events) = publish_two(&mut sub, 4);
+    assert_eq!(events, [4, 4, 5, 5].map(load), "sub 20 is out of credit");
+    assert!(!subs.contains(&20), "{subs:?}");
+
+    sub.send(&Frame::Credit { sub: 20, more: 8 });
+    settle(&mut broker, &mut [&mut sub, &mut pubc], 5);
+    assert_eq!(loads(&sub, 20), [2, 3, 4, 5], "its backlog, oldest first");
+    for id in [10, 30] {
+        assert_eq!(loads(&sub, id), [2, 3, 4, 5], "sub {id} in order");
+    }
+}
+
 #[test]
 fn stalled_subscriber_does_not_stall_the_broker_or_other_sessions() {
     const PUBS: u64 = 10_000;

@@ -4,7 +4,10 @@
 //! The decoder reads a frame in one pass with no tree in between, so it is
 //! also held against inputs this repository's encoder never writes: mutated
 //! bytes, members in any order, arbitrary whitespace, pathological nesting,
-//! numbers at and past the edges of their fields, escaped strings.
+//! numbers at and past the edges of their fields, escaped strings. The
+//! `FrameReader`, which decodes a run of `Deliver`s of one event once, is held
+//! against `decode` itself: whatever the stream, it reads exactly the frames
+//! and the error that `decode` reads frame by frame.
 //!
 //! Every property draws a fixed number of cases from a generator seeded by
 //! the test's name (the vendored proptest's only mode), so each run — CI's
@@ -681,5 +684,179 @@ fn pretty_printed_v1_frames_still_decode() {
         let (back, used) = decode(&bytes).unwrap().expect("complete");
         assert_eq!(used, bytes.len());
         assert_eq!(back, frame);
+    }
+}
+
+/// Numbers at the edges of a `u64` field, and anywhere between.
+fn edge_u64() -> impl Strategy<Value = u64> {
+    const EDGES: [u64; 7] = [0, 1, 9, 10, 4_294_967_295, 4_294_967_296, u64::MAX];
+    prop_oneof![
+        proptest::sample::select(&EDGES[..]),
+        0u64..u64::MAX,
+        0u64..1 << 10
+    ]
+}
+
+/// Numbers at the edges of a `u32` field, and anywhere between.
+fn edge_u32() -> impl Strategy<Value = u32> {
+    const EDGES: [u32; 6] = [0, 1, 9, 10, u32::MAX - 1, u32::MAX];
+    prop_oneof![
+        proptest::sample::select(&EDGES[..]),
+        0u32..u32::MAX,
+        0u32..1 << 10
+    ]
+}
+
+/// Number spellings the `Deliver` writer never uses: past the edges of a
+/// field (`u32::MAX + 1` is past only `pub_seq`'s), leading zeros, signs,
+/// fractions, exponents, nothing at all.
+const ODD_NUMBERS: [&str; 12] = [
+    "18446744073709551616",
+    "99999999999999999999",
+    "4294967296",
+    "00",
+    "01",
+    "007",
+    "-0",
+    "-1",
+    "1.0",
+    "1e3",
+    "",
+    " 1",
+];
+
+/// One `Deliver` of a stream: the event it carries (an index into the
+/// stream's few events, so publications repeat and interleave), its numbers,
+/// how it is spelled, and a draw the spelling may use.
+type Item = (usize, u64, u64, u32, u32, u32);
+
+/// The body of `item`'s frame. Most are spelled as the broker writes them;
+/// the rest pretty-printed, with members reordered and whitespace added, with
+/// a number spelled oddly, with whitespace or one byte changed inside the
+/// event, or as some other frame altogether.
+fn spelled(events: &[SharedEvent], others: &[Frame], item: Item) -> Vec<u8> {
+    let (e, sub, publisher, pub_seq, how, pick) = item;
+    let event = events[e % events.len()].clone();
+    let json = EventBody::encode(&event);
+    let mut out = VecDeque::new();
+    write_deliver(&mut out, sub, publisher, pub_seq, &json).unwrap();
+    let mut canonical: Vec<u8> = out.into_iter().skip(4).collect();
+    // Where the event member's bytes start: it ends right before the `}}`.
+    let event_at = canonical.len() - 2 - json.as_str().len();
+    let in_event = event_at + pick as usize % json.as_str().len();
+    let frame = Frame::Deliver {
+        sub,
+        publisher,
+        pub_seq,
+        event,
+    };
+    match how {
+        0..=6 => canonical,
+        7 => serde_json::to_string_pretty(&frame).unwrap().into_bytes(),
+        8 => {
+            let mut body = String::new();
+            let mut picks = (0..8).map(|i| pick.rotate_left(4 * i)).cycle();
+            scrambled(&serde::Serialize::to_json(&frame), &mut picks, &mut body);
+            body.into_bytes()
+        }
+        9 => {
+            let mut numbers = [sub.to_string(), publisher.to_string(), pub_seq.to_string()];
+            numbers[pick as usize % 3] = ODD_NUMBERS[pick as usize / 3 % ODD_NUMBERS.len()].into();
+            let [sub, publisher, pub_seq] = numbers;
+            format!(
+                r#"{{"Deliver":{{"sub":{sub},"publisher":{publisher},"pub_seq":{pub_seq},"event":{}}}}}"#,
+                json.as_str()
+            )
+            .into_bytes()
+        }
+        10 => {
+            canonical.insert(in_event, [b' ', b'\n', b'\t'][(pick >> 16) as usize % 3]);
+            canonical
+        }
+        11 | 12 => {
+            let byte = (pick >> 24) as u8;
+            canonical[in_event] = if canonical[in_event] == byte {
+                !byte
+            } else {
+                byte
+            };
+            canonical
+        }
+        _ => encode(&others[pick as usize % others.len()]).unwrap()[4..].to_vec(),
+    }
+}
+
+/// What `decode` reads from `stream`, frame by frame, up to its first error.
+fn decoded_one_by_one(stream: &[u8]) -> Vec<Result<Frame, WireError>> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    loop {
+        match decode(&stream[at..]) {
+            Ok(Some((frame, used))) => {
+                out.push(Ok(frame));
+                at += used;
+            }
+            Ok(None) => return out,
+            Err(e) => {
+                out.push(Err(e));
+                return out;
+            }
+        }
+    }
+}
+
+/// What one `FrameReader` reads from `stream` fed in pieces of `sizes`
+/// (cycled), up to its first error.
+fn read_in_pieces(stream: &[u8], sizes: &[usize]) -> Vec<Result<Frame, WireError>> {
+    let mut r = FrameReader::new();
+    let mut out = Vec::new();
+    let mut at = 0;
+    for size in sizes.iter().cycle() {
+        if at == stream.len() {
+            break;
+        }
+        let end = (at + size).min(stream.len());
+        r.feed(&stream[at..end]);
+        at = end;
+        loop {
+            match r.next_frame() {
+                Ok(Some(frame)) => out.push(Ok(frame)),
+                Ok(None) => break,
+                Err(e) => {
+                    out.push(Err(e));
+                    return out;
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The reader decodes a publication's event once and hands later
+    /// `Deliver`s of it the same event, but it never reads anything `decode`
+    /// would not: over streams of repeated and interleaved publications, in
+    /// every spelling, and fed one byte or a few at a time, it yields exactly
+    /// the frames and the error `decode` yields frame by frame.
+    #[test]
+    fn reader_reads_exactly_what_decode_reads(
+        events in proptest::collection::vec(prop_oneof![st::full_event(), hostile_event()], 1..=3),
+        others in proptest::collection::vec(frame(), 1..=2),
+        items in proptest::collection::vec(
+            (0usize..8, edge_u64(), edge_u64(), edge_u32(), 0u32..16, 0u32..u32::MAX),
+            1..=24,
+        ),
+        sizes in proptest::collection::vec(1usize..160, 1..=8),
+    ) {
+        let events: Vec<SharedEvent> = events.into_iter().map(SharedEvent::new).collect();
+        let mut stream = Vec::new();
+        for item in items {
+            stream.extend(framed(&spelled(&events, &others, item)));
+        }
+        let want = decoded_one_by_one(&stream);
+        prop_assert_eq!(&read_in_pieces(&stream, &[1]), &want);
+        prop_assert_eq!(&read_in_pieces(&stream, &sizes), &want);
     }
 }

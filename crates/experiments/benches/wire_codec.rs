@@ -5,15 +5,18 @@
 //! benchmark's `wire.*_ns_per_deliver` counters. The `Deliver` is the one the
 //! `fanout_wide` workload sends (two integer coordinates, ≈ 110 bytes); the
 //! `Publish` carries the same event and the `Subscribe` a game-workload
-//! filter (two ranges, four predicates). The last row reads the largest
-//! scenario spec under `scenarios/` — the decoder's other consumer.
+//! filter (two ranges, four predicates). `wire_read_fanout` reads what a
+//! `fanout_wide` session reads — each publication's `Deliver`s back to back,
+//! one per matching subscription — through one `FrameReader`, which decodes
+//! the event once per publication. The last row reads the largest scenario
+//! spec under `scenarios/` — the decoder's other consumer.
 //!
 //! Each iteration of a frame row handles [`BATCH`] frames, so the stand-in
 //! criterion's per-iteration clock reads are a fraction of a percent of what
 //! is timed: ns per frame is ns/iter ÷ [`BATCH`].
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dps_broker::wire::{decode, encode, Frame};
+use dps_broker::wire::{decode, encode, Frame, FrameReader};
 use dps_content::{Event, Filter, Value};
 use dps_scenarios::ScenarioSpec;
 
@@ -22,6 +25,10 @@ const BATCH: usize = 256;
 
 /// The largest spec in the scenario library (1 251 bytes).
 const SPEC: &str = include_str!("../../../scenarios/latency/jittery-partition-heal.json");
+
+/// Publications in the reader row's batch; each reaches `BATCH / FANOUT_PUBS`
+/// subscriptions.
+const FANOUT_PUBS: usize = 16;
 
 /// Frame `i` of a batch: the numbers vary as they do between deliveries.
 fn frames(kind: &str) -> Vec<Frame> {
@@ -88,6 +95,36 @@ fn bench_wire_codec(c: &mut Criterion) {
             })
         });
     }
+
+    // Deliver `i` of the "deliver" batch carries publication `i`'s event.
+    let deliver = frames("deliver");
+    let per_pub = BATCH / FANOUT_PUBS;
+    let stream: Vec<u8> = (0..BATCH)
+        .flat_map(|i| {
+            let Frame::Deliver { event, .. } = &deliver[i / per_pub] else {
+                unreachable!("a Deliver batch")
+            };
+            let frame = Frame::Deliver {
+                sub: (i % per_pub) as u64,
+                publisher: 3,
+                pub_seq: 1000 + (i / per_pub) as u32,
+                event: event.clone(),
+            };
+            encode(&frame).expect("small frames encode")
+        })
+        .collect();
+    let mut reader = FrameReader::new();
+    c.bench_function(&format!("wire_read_fanout_x{BATCH}"), |b| {
+        b.iter(|| {
+            // In the pieces a `Link` reads a socket in.
+            for piece in stream.chunks(4096) {
+                reader.feed(black_box(piece));
+                while let Some(frame) = reader.next_frame().expect("own encoding decodes") {
+                    black_box(frame);
+                }
+            }
+        })
+    });
 
     c.bench_function("scenario_spec_from_json_str", |b| {
         b.iter(|| ScenarioSpec::from_json_str(black_box(SPEC)).expect("a valid spec"))
