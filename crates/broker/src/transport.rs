@@ -9,7 +9,10 @@
 //!   deployments (and the CI smoke job);
 //! - [`ChannelTransport`]: an in-process byte-queue transport, for
 //!   deterministic lockstep tests — no kernel, no scheduler, byte-identical
-//!   runs.
+//!   runs. A pipe moves bytes in one copy each way (a `send` appends its
+//!   buffer, a `recv` copies out all that is queued and fits), and a `recv`
+//!   on an empty open pipe returns a `WouldBlock` that allocates nothing:
+//!   the broker reads every session every turn, so most reads find nothing.
 //!
 //! TCP or QUIC drop in later by implementing the same three traits; nothing
 //! in the broker or client names a socket type.
@@ -221,13 +224,13 @@ impl Connection for ChannelConn {
             return if p.closed {
                 Ok(0)
             } else {
-                Err(io::Error::new(io::ErrorKind::WouldBlock, "no bytes queued"))
+                Err(io::ErrorKind::WouldBlock.into())
             };
         }
+        // `read` would stop at the end of the deque's front half;
+        // `read_exact` copies from both.
         let n = buf.len().min(p.bytes.len());
-        for b in buf.iter_mut().take(n) {
-            *b = p.bytes.pop_front().unwrap();
-        }
+        p.bytes.read_exact(&mut buf[..n])?;
         Ok(n)
     }
 

@@ -11,12 +11,19 @@
 //! the event once per publication. The last row reads the largest scenario
 //! spec under `scenarios/` — the decoder's other consumer.
 //!
-//! Each iteration of a frame row handles [`BATCH`] frames, so the stand-in
-//! criterion's per-iteration clock reads are a fraction of a percent of what
-//! is timed: ns per frame is ns/iter ÷ [`BATCH`].
+//! The two `channel_*` rows time the in-process transport the frames cross
+//! in the lockstep workloads: `channel_kib_round_trip` sends 1 KiB and reads
+//! it back out with a 4 KiB buffer, as the benchmark's
+//! `transport.channel_ns_per_kib` does, and `channel_recv_empty` is the
+//! `recv` the broker makes on every idle session every turn.
+//!
+//! Each iteration of a frame or channel row handles [`BATCH`] frames or
+//! calls, so the stand-in criterion's per-iteration clock reads are a
+//! fraction of a percent of what is timed: ns per frame is ns/iter ÷ [`BATCH`].
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dps_broker::wire::{decode, encode, Frame, FrameReader};
+use dps_broker::{ChannelTransport, Transport};
 use dps_content::{Event, Filter, Value};
 use dps_scenarios::ScenarioSpec;
 
@@ -122,6 +129,34 @@ fn bench_wire_codec(c: &mut Criterion) {
                 while let Some(frame) = reader.next_frame().expect("own encoding decodes") {
                     black_box(frame);
                 }
+            }
+        })
+    });
+
+    let channel = ChannelTransport::new();
+    let mut listener = channel.listen("bench").expect("a fresh address");
+    let mut tx = channel.connect("bench").expect("a listener");
+    let mut rx = listener
+        .accept()
+        .expect("channel accept")
+        .expect("one pending connection");
+    let kib = [7u8; 1024];
+    let mut buf = [0u8; 4096];
+    c.bench_function(&format!("channel_kib_round_trip_x{BATCH}"), |b| {
+        b.iter(|| {
+            for _ in 0..BATCH {
+                tx.send(black_box(&kib)).expect("open");
+                let mut got = 0;
+                while got < kib.len() {
+                    got += rx.recv(&mut buf).expect("bytes queued");
+                }
+            }
+        })
+    });
+    c.bench_function(&format!("channel_recv_empty_x{BATCH}"), |b| {
+        b.iter(|| {
+            for _ in 0..BATCH {
+                black_box(rx.recv(&mut buf).is_err());
             }
         })
     });

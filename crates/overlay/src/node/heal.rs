@@ -877,16 +877,19 @@ impl DpsNode {
                     );
                 }
             }
-            // Mirror to co-leaders.
+            // Mirror to co-leaders, built only when there is one to send to.
             let m = &self.memberships[i];
+            if m.co_leaders.iter().all(|c| *c == me) {
+                continue;
+            }
             let push = DpsMsg::ViewPush {
-                label: label.clone(),
+                label,
                 members: m.members.clone(),
                 predview: m.predview.clone(),
                 branches: m.branches.iter().map(Branch::info).collect(),
                 recent: self.recent_digest(),
             };
-            for c in m.co_leaders.clone() {
+            for &c in &m.co_leaders {
                 if c != me {
                     ctx.send(c, push.clone());
                 }
