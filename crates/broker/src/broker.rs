@@ -194,7 +194,7 @@ impl Broker {
     /// accepting on `listener`.
     pub fn new(cfg: BrokerConfig, listener: Box<dyn Listener>) -> Self {
         let queues = Arc::new(QueueSink::default());
-        let mut net = Overlay::new(cfg.net, cfg.seed, 1, queues.clone());
+        let mut net = Overlay::new(cfg.net, cfg.seed, queues.clone());
         net.add_nodes(cfg.background_nodes);
         net.run(cfg.warmup_steps);
         Broker {

@@ -12,8 +12,7 @@ use crate::{Backend, Delivery, PubRef, Session};
 
 /// An in-process session host: a [`DpsNetwork`] that applications attach to
 /// through [`Session`] handles. Cloning a `Hub` is cheap (it shares the one
-/// network); `Hub` is single-threaded by design — the simulation itself
-/// spreads across cores via [`DpsNetwork::new_sharded`].
+/// network); `Hub` is single-threaded by design.
 #[derive(Clone, Debug)]
 pub struct Hub {
     net: Rc<RefCell<DpsNetwork>>,
@@ -144,6 +143,9 @@ impl Backend for Local {
             let _ = net.try_unsubscribe(self.node, id);
         }
         net.sink().unwatch(self.node);
+        // Retire the node, as a broker's teardown does: the overlay heals
+        // around it.
+        net.crash(self.node);
         Ok(())
     }
 }

@@ -113,6 +113,13 @@ fn hub_sessions_keep_the_contract() {
         publisher.publish(event("a = 1")).unwrap_err(),
         DpsError::NodeDead(node)
     );
+
+    // `close` retires the session's node, as a broker's teardown does.
+    let closing = hub.open_session().unwrap();
+    let node = NodeId::from_index(closing.id() as usize);
+    assert!(hub.with_network(|n| n.sim().is_alive(node)));
+    closing.close().unwrap();
+    assert!(!hub.with_network(|n| n.sim().is_alive(node)));
 }
 
 /// A `Subscriber` dropped without `close()` must not stay registered: its

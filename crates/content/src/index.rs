@@ -41,7 +41,7 @@
 //! **Determinism.** Matches are yielded sorted by handle (ties — one handle
 //! inserted twice — by insertion slot), whatever the internal hash-map or
 //! posting order is; every consumer therefore observes the same result
-//! sequence across runs, shards and threads. The index is differential-tested
+//! sequence across runs and threads. The index is differential-tested
 //! against the linear scan under proptest (`tests/index_differential.rs`),
 //! which is the scan's only remaining job: the index is the one runtime
 //! matcher.

@@ -86,19 +86,9 @@ impl DpsNetwork {
     /// Creates an empty network; all nodes will run `cfg`. Runs are a pure
     /// function of `seed` and the sequence of driver calls.
     pub fn new(cfg: DpsConfig, seed: u64) -> Self {
-        DpsNetwork::new_sharded(cfg, seed, 1)
-    }
-
-    /// Creates an empty network whose simulation executes on `shards`
-    /// parallel shards (the `DPS_SHARDS` knob of the experiment runners).
-    /// Every observable outcome — delivery reports, metrics, group snapshots
-    /// — is **byte-identical** to [`DpsNetwork::new`] with the same seed;
-    /// sharding only spreads one run's work across cores. The facade itself
-    /// stays synchronous: driver calls run between steps, exactly as before.
-    pub fn new_sharded(cfg: DpsConfig, seed: u64, shards: usize) -> Self {
         let sink = Arc::new(CountingSink::new());
         DpsNetwork {
-            core: Overlay::new(cfg, seed, shards, sink.clone()),
+            core: Overlay::new(cfg, seed, sink.clone()),
             sink,
             oracle: ForestModel::new(),
             filters: FilterIndex::new(),

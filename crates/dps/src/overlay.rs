@@ -37,11 +37,10 @@ pub struct Overlay {
 }
 
 impl Overlay {
-    /// Creates an empty overlay simulated on `shards` execution shards (no
-    /// outcome depends on how many); nodes will run `cfg` and report to `sink`.
-    pub fn new(cfg: DpsConfig, seed: u64, shards: usize, sink: Arc<dyn StatsSink>) -> Self {
+    /// Creates an empty overlay; nodes will run `cfg` and report to `sink`.
+    pub fn new(cfg: DpsConfig, seed: u64, sink: Arc<dyn StatsSink>) -> Self {
         Overlay {
-            sim: Sim::new_sharded(seed, shards),
+            sim: Sim::new(seed),
             cfg,
             sink,
             rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
@@ -199,8 +198,7 @@ impl Overlay {
         self.sim.crash(node);
     }
 
-    /// Crashes a uniformly random alive node; returns it. Shard-aware with
-    /// the same global-id-order guarantee as [`random_alive`](Self::random_alive).
+    /// Crashes a uniformly random alive node; returns it.
     pub fn crash_random(&mut self) -> Option<NodeId> {
         let n = self.sim.alive_count();
         if n == 0 {
@@ -212,10 +210,8 @@ impl Overlay {
     }
 
     /// A uniformly random alive node (e.g. the next publisher), drawn from the
-    /// simulation's driver RNG. Allocation-free; shard-aware: the pick walks
-    /// the alive set in **global id order** (never shard-major order), so the
-    /// chosen node — and therefore the whole scenario — is identical whatever
-    /// [`shards`](Self::shards) is.
+    /// simulation's driver RNG. Allocation-free: the pick walks the alive set
+    /// in id order.
     pub fn random_alive(&mut self) -> Option<NodeId> {
         let n = self.sim.alive_count();
         if n == 0 {
@@ -223,11 +219,6 @@ impl Overlay {
         }
         let k = rand::Rng::random_range(self.sim.rng(), 0..n);
         self.sim.nth_alive(k)
-    }
-
-    /// Number of execution shards the underlying simulation runs on.
-    pub fn shards(&self) -> usize {
-        self.sim.shard_count()
     }
 
     // ---- link faults: partitions and lossy links ----
@@ -313,7 +304,7 @@ impl Overlay {
         Ok(())
     }
 
-    /// Message-traffic metrics from the simulator (merged across shards).
+    /// Message-traffic metrics from the simulator.
     pub fn metrics(&self) -> Metrics {
         self.sim.metrics()
     }

@@ -4,10 +4,9 @@
 //! prints the per-phase rows and persists them as JSON under
 //! `target/experiments/scenario_<name>.json`.
 //!
-//! Independent scenarios fan out across `DPS_THREADS` workers; each run
-//! executes on `DPS_SHARDS` simulation shards. Rows are byte-identical
-//! whatever either knob is — the CI `scenario-matrix` job `cmp`s the output
-//! across both, and the metro smoke job does the same at 100k nodes.
+//! Independent scenarios fan out across `DPS_THREADS` workers. Rows are
+//! byte-identical whatever that knob is — the CI `scenario-matrix` job `cmp`s
+//! the output at one and two workers.
 //!
 //! After the table the runner prints a throughput summary (wall time and
 //! steps/sec per scenario, process peak RSS) to stdout only — never into the
@@ -80,10 +79,9 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "=== scenario matrix: {} specs from {} [DPS_SHARDS={}, DPS_THREADS={}] ===",
+        "=== scenario matrix: {} specs from {} [DPS_THREADS={}] ===",
         specs.len(),
         dir.display(),
-        dps_scenarios::env::shards(),
         dps_scenarios::env::threads(),
     );
     let cells: Vec<_> = specs

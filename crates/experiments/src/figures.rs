@@ -33,9 +33,7 @@ pub fn fig3a_configs() -> Vec<DpsConfig> {
 
 /// Builds a converged overlay of `n` nodes with `subs_per_node` workload-2
 /// subscriptions each (the paper's dependability setup). Shared with the
-/// fault-injection runners in [`crate::faults`]. The simulation runs on
-/// `DPS_SHARDS` execution shards — results are byte-identical whatever that
-/// is, so every runner built on this inherits intra-run parallelism for free.
+/// fault-injection runners in [`crate::faults`].
 pub(crate) fn build_overlay(
     cfg: DpsConfig,
     n: usize,
@@ -43,7 +41,7 @@ pub(crate) fn build_overlay(
     seed: u64,
 ) -> DpsNetwork {
     let w = Workload::multiplayer_game();
-    let mut net = DpsNetwork::new_sharded(cfg, seed, crate::shard_count());
+    let mut net = DpsNetwork::new(cfg, seed);
     dps_scenarios::build_overlay(&mut net, n, subs_per_node, seed, |rng| w.subscription(rng));
     net.run(150);
     net
@@ -330,7 +328,7 @@ fn load_run(mut cfg: DpsConfig, scale: Scale, seed: u64) -> Vec<LoadPoint> {
     let steps = scale.pick(400u64, 1500, 3000);
     let sub_every = scale.pick(100u64, 150, 300);
     let w = Workload::multiplayer_game();
-    let mut net = DpsNetwork::new_sharded(cfg, seed, crate::shard_count());
+    let mut net = DpsNetwork::new(cfg, seed);
     let nodes = net.add_nodes(n);
     net.run(30);
     let mut w_rng = StdRng::seed_from_u64(seed ^ 0xfeed);
@@ -351,8 +349,8 @@ fn load_run(mut cfg: DpsConfig, scale: Scale, seed: u64) -> Vec<LoadPoint> {
         net.run(1);
     }
     let population = net.sim().alive_ids();
-    // One merged-metrics snapshot serves both series (metrics() clones the
-    // full collector since the shard split).
+    // One metrics snapshot serves both series (metrics() clones the full
+    // collector).
     let metrics = net.metrics();
     let in_series = metrics.series(dps_sim::Dir::Recv, &MsgClass::ALL, Some(&population));
     let out_series = metrics.series(dps_sim::Dir::Sent, &MsgClass::ALL, Some(&population));

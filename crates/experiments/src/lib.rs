@@ -19,13 +19,6 @@
 //! [`run_cells`]; `DPS_THREADS` caps the worker count (default: available
 //! parallelism). Results are collected in cell order, so the output rows — and
 //! the JSON written by the bench targets — are byte-identical to a serial run.
-//!
-//! Orthogonally, `DPS_SHARDS` (default 1) sets how many execution shards each
-//! simulation runs on ([`shard_count`]): shards parallelize *within* one run
-//! where threads parallelize *across* runs. Shard layout never changes any
-//! result (per-node RNG streams + canonical merge order in `dps-sim`), so the
-//! JSON stays byte-identical across both knobs and the effective parallelism
-//! is their product.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -120,7 +113,7 @@ pub fn banner(title: &str, scale: Scale) {
 /// number recorded next to `BENCH_micro.json` for the metro tier: it bounds
 /// what the whole run — nodes, queues, bookkeeping — ever held in RAM.
 /// Diagnostics only; never fold it into result JSON (the CI determinism jobs
-/// `cmp` those byte-for-byte across shard/thread counts).
+/// `cmp` those byte-for-byte across thread counts).
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -133,17 +126,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// ([`dps_scenarios::env::threads`]), they do not silently fall back.
 pub fn thread_count() -> usize {
     dps_scenarios::env::threads()
-}
-
-/// Execution-shard count for each simulation: `DPS_SHARDS` if set (≥ 1),
-/// default 1 (classic serial stepping). Orthogonal to `DPS_THREADS`: threads
-/// parallelize *across* independent scenario cells, shards parallelize
-/// *within* one run. Results are byte-identical whatever either is set to —
-/// sharding only spreads a step's work across cores — so the effective
-/// parallelism is `DPS_SHARDS × DPS_THREADS` when enough cells are in flight.
-/// Malformed values abort ([`dps_scenarios::env::shards`]).
-pub fn shard_count() -> usize {
-    dps_scenarios::env::shards()
 }
 
 /// Runs independent scenario cells on a scoped thread pool and returns their

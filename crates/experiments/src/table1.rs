@@ -90,7 +90,7 @@ pub fn run_workload(w: &Workload, scale: Scale, seed: u64) -> Table1Row {
     cfg.join_rule = JoinRule::Explicit;
 
     let sink = Arc::new(TallySink::default());
-    let mut sim: Sim<DpsNode> = Sim::new_sharded(seed, crate::shard_count());
+    let mut sim: Sim<DpsNode> = Sim::new(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
     let mut oracle = ForestModel::new();
 

@@ -5,10 +5,7 @@
 //! the declared overlay, the lowered [`dps_sim::FaultPlan`] is installed in one shot
 //! (shifted onto the absolute timeline), and each phase then advances step by
 //! step, applying churn events, burst subscriptions and publications in a
-//! fixed order. The simulation executes on [`crate::env::shards`] execution
-//! shards (`DPS_SHARDS`) — rows are byte-identical whatever that is, because
-//! the underlying engine guarantees shard-count invariance and every driver
-//! choice draws from shard-independent RNG streams.
+//! fixed order.
 //!
 //! Measurement happens after a drain, so the per-phase delivered ratios see
 //! fully settled deliveries (deep chains deliver one hop per step).
@@ -149,15 +146,9 @@ pub struct ScenarioRun {
 impl ScenarioRun {
     /// Compiles `spec`, builds the declared overlay (nodes, setup
     /// subscriptions, convergence) and installs the lowered fault schedule.
-    /// The simulation runs on `DPS_SHARDS` execution shards.
     pub fn new(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        ScenarioRun::with_shards(spec, crate::env::shards())
-    }
-
-    /// Like [`new`](Self::new) with an explicit shard count (tests pin it).
-    pub fn with_shards(spec: &ScenarioSpec, shards: usize) -> Result<Self, SpecError> {
         let compiled = compile(spec)?;
-        let mut net = DpsNetwork::new_sharded(compiled.cfg, compiled.seed, shards);
+        let mut net = DpsNetwork::new(compiled.cfg, compiled.seed);
         // The latency model must go in before the first node: `set_latency`
         // insists on a fresh simulation, and `add_nodes` already enqueues the
         // nodes' start-up sends.
@@ -338,8 +329,7 @@ fn subscription(compiled: &CompiledScenario, rng: &mut StdRng) -> Filter {
     }
 }
 
-/// Compiles and executes `spec` end to end. Honors `DPS_SHARDS`; rows are
-/// byte-identical whatever it is set to.
+/// Compiles and executes `spec` end to end.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, SpecError> {
     Ok(ScenarioRun::new(spec)?.finish())
 }

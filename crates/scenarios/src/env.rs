@@ -1,34 +1,9 @@
 //! Strict parsers for the execution-environment knobs.
 //!
-//! Unknown or malformed values **fail loudly**: a typo like `DPS_SHARDS=fuor`
+//! Unknown or malformed values **fail loudly**: a typo like `DPS_THREADS=fuor`
 //! must abort the run, not silently fall back to a default and measure
 //! something else than asked. The pure `parse_*` functions are unit-testable;
 //! the readers panic with the parse error.
-
-/// Parses a `DPS_SHARDS` value: unset means 1, otherwise an integer ≥ 1.
-pub fn parse_shards(raw: Option<&str>) -> Result<usize, String> {
-    match raw {
-        None => Ok(1),
-        Some(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!(
-                "DPS_SHARDS={s:?} is not a valid shard count (expected an integer >= 1)"
-            )),
-        },
-    }
-}
-
-/// Execution-shard count for each simulation, from `DPS_SHARDS`.
-///
-/// # Panics
-///
-/// Panics on a malformed value — see the [module docs](self).
-pub fn shards() -> usize {
-    match parse_shards(std::env::var("DPS_SHARDS").ok().as_deref()) {
-        Ok(n) => n,
-        Err(e) => panic!("{e}"),
-    }
-}
 
 /// Parses a `DPS_THREADS` value: unset means "use available parallelism"
 /// (`None`), otherwise an integer ≥ 1.
@@ -65,17 +40,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_parsing_is_strict() {
-        assert_eq!(parse_shards(None), Ok(1));
-        assert_eq!(parse_shards(Some("4")), Ok(4));
-        assert_eq!(parse_shards(Some(" 2 ")), Ok(2));
-        assert!(parse_shards(Some("0")).unwrap_err().contains("DPS_SHARDS"));
-        assert!(parse_shards(Some("fuor")).is_err());
-        assert!(parse_shards(Some("-1")).is_err());
-        assert!(parse_shards(Some("2.5")).is_err());
-    }
-
-    #[test]
     fn thread_parsing_is_strict() {
         assert_eq!(parse_threads(None), Ok(None));
         assert_eq!(parse_threads(Some("8")), Ok(Some(8)));
@@ -83,5 +47,12 @@ mod tests {
             .unwrap_err()
             .contains("DPS_THREADS"));
         assert!(parse_threads(Some("many")).is_err());
+    }
+
+    #[test]
+    fn thread_parsing_trims_and_rejects_signs_and_fractions() {
+        assert_eq!(parse_threads(Some(" 2 ")), Ok(Some(2)));
+        assert!(parse_threads(Some("-1")).is_err());
+        assert!(parse_threads(Some("2.5")).is_err());
     }
 }

@@ -19,12 +19,11 @@
 //!   phase, emitting one measured [`PhaseRow`] per phase; [`ScenarioRun`]
 //!   exposes the phase boundaries to tests that assert protocol internals
 //!   mid-scenario;
-//! * [`mod@env`] — strict `DPS_SHARDS` / `DPS_THREADS` parsing (typos abort, they
-//!   do not silently fall back to defaults).
+//! * [`mod@env`] — strict `DPS_THREADS` parsing (a typo aborts, it does not
+//!   silently fall back to the default).
 //!
 //! Runs are deterministic: a spec plus its seed fully determines every row,
-//! byte-identical whatever `DPS_SHARDS` is (the engine below guarantees
-//! shard-count invariance). The library of named specs lives under
+//! byte for byte. The library of named specs lives under
 //! `scenarios/` at the repository root; the `scenarios` bin in
 //! `dps-experiments` sweeps it and persists per-scenario JSON rows.
 //!

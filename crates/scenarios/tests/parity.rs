@@ -8,9 +8,6 @@
 //! the compiler's scheduled windows cover exactly the delivery steps the
 //! imperative sequence covers. Every measured quantity is compared through
 //! its serialized JSON form.
-//!
-//! A second pin re-runs the spec on 4 execution shards and compares the rows
-//! byte-for-byte — `run_scenario` honors `DPS_SHARDS` without changing a bit.
 
 use dps::{CommKind, DpsConfig, DpsNetwork, DropReason, JoinRule, TraversalKind};
 use dps_scenarios::{ScenarioRun, ScenarioSpec};
@@ -74,7 +71,7 @@ fn hand_built() -> Measures {
     let mut cfg = DpsConfig::named(TraversalKind::Root, CommKind::Epidemic).with_fanout(2);
     cfg.join_rule = JoinRule::Explicit;
     let w = Workload::multiplayer_game();
-    let mut net = DpsNetwork::new_sharded(cfg, SEED, 1);
+    let mut net = DpsNetwork::new(cfg, SEED);
     let nodes = net.add_nodes(NODES);
     net.run(30);
     let mut sub_rng = StdRng::seed_from_u64(SEED ^ 0xabcd);
@@ -159,8 +156,8 @@ fn hand_built() -> Measures {
     }
 }
 
-fn spec_driven(shards: usize) -> Measures {
-    let report = ScenarioRun::with_shards(&spec(), shards).unwrap().finish();
+fn spec_driven() -> Measures {
+    let report = ScenarioRun::new(&spec()).unwrap().finish();
     Measures {
         phases: report
             .rows
@@ -182,7 +179,7 @@ fn spec_driven(shards: usize) -> Measures {
 
 #[test]
 fn spec_run_byte_matches_hand_built_plans() {
-    let spec_json = serde_json::to_string_pretty(&spec_driven(1)).unwrap();
+    let spec_json = serde_json::to_string_pretty(&spec_driven()).unwrap();
     let hand_json = serde_json::to_string_pretty(&hand_built()).unwrap();
     assert_eq!(
         spec_json, hand_json,
@@ -195,11 +192,4 @@ fn spec_run_byte_matches_hand_built_plans() {
         m.phases[0].crashes, 4,
         "120 steps / crash_every 30 = 4 crashes"
     );
-}
-
-#[test]
-fn spec_run_is_shard_invariant() {
-    let s1 = serde_json::to_string_pretty(&spec_driven(1)).unwrap();
-    let s4 = serde_json::to_string_pretty(&spec_driven(4)).unwrap();
-    assert_eq!(s1, s4, "rows must be byte-identical across DPS_SHARDS");
 }

@@ -1,48 +1,33 @@
-//! The simulation engine: step loop, message queues, node lifecycle.
+//! The simulation engine: step loop, timing wheel, node lifecycle.
 //!
 //! The step loop is the hot path of every experiment, so it is written to be
 //! allocation-free in steady state: messages live in per-destination buckets
-//! that are double-buffered across steps (no global sort), and handler output
-//! goes through one reusable scratch buffer instead of a fresh `Vec` per call.
+//! of a timing wheel (no global sort), and handler output goes through one
+//! reusable scratch buffer instead of a fresh `Vec` per call.
 //!
-//! # Sharded execution
-//!
-//! The engine partitions nodes across `S` [`Shard`]s (round-robin by id;
-//! `S = 1` by default, reproducing the classic single-threaded behavior).
-//! Each [`step`](Sim::step), shards advance their nodes **in parallel** on a
-//! persistent pool of worker threads (spawned once in
-//! [`Sim::new_sharded`], parked between steps, joined on drop — a
-//! steady-state step spawns zero threads): deliveries, handler invocations,
-//! ticks and loss sampling all happen shard-locally (every node owns a
-//! private RNG stream, so no draw ever crosses a shard). Sends land in
-//! per-destination-shard staging outboxes that the engine exchanges at the
-//! step barrier, merging them into the destination buckets in a canonical
-//! order — deliver-phase sends before tick-phase sends, each sorted by sender
-//! id, which is exactly the order a single shard produces naturally. Every
-//! handler therefore sees the same messages in the same order with the same
-//! RNG state whatever `S` is: **a run is byte-identical for `S = 1` and
-//! `S = N`.**
+//! A step delivers the wheel slot that is due, by ascending destination id
+//! and, within one destination, in arrival order; then it ticks every alive
+//! node by ascending id. Every send goes straight into the wheel as its
+//! handler returns, so the messages a destination receives at one step are
+//! ordered deliver-phase sends before tick-phase sends, each by ascending
+//! sender id, then in send order.
 
-use std::sync::Arc;
-
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
-use crate::metrics::Metrics;
-use crate::pool::WorkerPool;
+use crate::metrics::{DropReason, Metrics};
 use crate::process::{Context, Message, NodeId, Process, SimRng, Step};
-use crate::shard::{Phase, Shard, Staged};
 
 /// Derives node `index`'s private RNG stream from the simulation seed by
 /// mixing the index into the seed (golden-ratio multiply, then the
 /// `seed_from_u64` SplitMix64 expansion). What matters for the engine is
 /// that the stream is a pure function of `(seed, index)` — independent of
-/// every other node and of the shard layout. Note: the vendored
-/// `rand_chacha` stand-in has no `set_stream`, so this is a seed-mix
-/// derivation, not the ChaCha stream-counter construction; switch to
-/// `set_stream(index)` if the real crate ever lands.
-pub(crate) fn node_rng(seed: u64, index: usize) -> SimRng {
+/// every other node. Note: the vendored `rand_chacha` stand-in has no
+/// `set_stream`, so this is a seed-mix derivation, not the ChaCha
+/// stream-counter construction; switch to `set_stream(index)` if the real
+/// crate ever lands.
+fn node_rng(seed: u64, index: usize) -> SimRng {
     SimRng::seed_from_u64(seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -56,53 +41,79 @@ pub(crate) fn node_rng(seed: u64, index: usize) -> SimRng {
 const LATENCY_STREAM_SALT: u64 = 0x6C61_7465_6E63_795F;
 
 /// Derives node `index`'s dedicated latency stream: `node_rng` over a salted
-/// seed. A pure function of `(seed, index)`, so shards can derive streams
+/// seed. A pure function of `(seed, index)`, so the engine derives streams
 /// lazily (on the first sampled message into a node) and the result is
-/// independent of the shard layout and of when the node joined.
-pub(crate) fn latency_rng(seed: u64, index: usize) -> SimRng {
+/// independent of when the node joined.
+fn latency_rng(seed: u64, index: usize) -> SimRng {
     node_rng(seed ^ LATENCY_STREAM_SALT, index)
+}
+
+/// A queued message: the sender and the payload. The destination is implicit
+/// in the bucket the message sits in.
+struct Inflight<M> {
+    from: NodeId,
+    msg: M,
 }
 
 /// A deterministic discrete-event simulator over a protocol `P`.
 ///
 /// Messages are timestamped events: each is enqueued with a delivery time
-/// `now + latency(link)` into a per-shard timing wheel, with the latency
-/// sampled from the destination's dedicated stream per the installed
-/// [`LatencyModel`] ([`set_latency`](Sim::set_latency)). The default unit
-/// model makes every latency exactly 1 without drawing — the classic
-/// cycle-based engine is the latency ≡ 1 special case, byte for byte.
+/// `now + latency(link)` into a timing wheel, with the latency sampled from
+/// the destination's dedicated stream per the installed [`LatencyModel`]
+/// ([`set_latency`](Sim::set_latency)). The default unit model makes every
+/// latency exactly 1 without drawing — the classic cycle-based engine is the
+/// latency ≡ 1 special case, byte for byte.
 ///
-/// See the [crate docs](crate) for the execution model. The engine is generic: the
-/// DPS overlay, the broadcast baseline and the test protocols all run on it
-/// unchanged.
+/// Node state is laid out **struct-of-arrays**, indexed by node id: protocol
+/// state machines, liveness flags and RNG streams live in parallel vectors.
+/// The hot scans touch only the array they need — [`alive`](Sim::alive)
+/// (behind every driver pick at scenario scale) walks a dense `Vec<bool>`
+/// instead of striding over full node structs, and the layout carries no
+/// per-slot padding, which is what lets six-figure populations fit (a
+/// `DpsNode` is hundreds of bytes; a liveness flag is one).
+///
+/// See [`step`](Sim::step) for the order of a step. The engine is
+/// generic: the DPS overlay, the broadcast baseline and the test protocols
+/// all run on it unchanged.
 pub struct Sim<P: Process> {
-    /// The execution shards; node with global index `i` lives in
-    /// `shards[i % S]` at local slot `i / S`. Always at least one.
-    shards: Vec<Shard<P>>,
-    /// Persistent shard workers, spawned once for `S > 1` (never for the
-    /// serial layout) and joined when the simulation is dropped. `step`
-    /// hands each shard to its worker by ownership transfer and collects
-    /// them back at the barrier — no thread is spawned after construction.
-    pool: Option<WorkerPool<P>>,
-    /// Nodes ever added (dense global ids `0..total_nodes`).
-    total_nodes: usize,
+    /// Protocol state machines; slot `i` holds node id `i`.
+    procs: Vec<P>,
+    /// Liveness flags, parallel to `procs`.
+    alive: Vec<bool>,
+    /// Private per-node RNG streams, parallel to `procs`.
+    rngs: Vec<SimRng>,
+    /// Alive nodes (maintained incrementally).
+    alive_count: usize,
+    /// The timing wheel: in-flight messages, bucketed first by wheel slot
+    /// (`deliver_at % wheel.len()`), then by destination. The wheel has
+    /// `max_latency + 1` slots (always ≥ 2); latencies are in
+    /// `[1, wheel.len() - 1]`, so every pending delivery time maps to a
+    /// distinct slot and an enqueue can never target the slot currently
+    /// being drained. The classic double-buffered inbox pair is exactly the
+    /// 2-slot wheel the draw-free unit model sizes.
+    wheel: Vec<Vec<Vec<Inflight<P::Msg>>>>,
+    /// Deliverable messages queued in the wheel (all slots).
+    in_flight: usize,
+    /// The link-latency model (installed before the first step, immutable
+    /// afterwards). Default [`LatencyModel::Unit`]: the classic cycle engine.
+    latency: LatencyModel,
+    /// Dedicated per-node **latency** streams, parallel to `procs` but grown
+    /// lazily (only non-unit models ever derive one): slot `i`'s stream is a
+    /// pure function of `(seed, i)`, touched only when sampling the latency
+    /// of a message *into* node `i`. Kept apart from `rngs` so a latency
+    /// draw never perturbs protocol or loss draws.
+    lat_rngs: Vec<SimRng>,
+    /// Reusable buffer behind [`Context::send`]; drained after every handler.
+    scratch_out: Vec<(NodeId, P::Msg)>,
+    metrics: Metrics,
     now: Step,
     /// Link-fault schedule (partitions, lossy links), enforced at delivery.
-    /// Behind an `Arc` so each step can hand the workers a reference-counted
-    /// handle instead of cloning the plan; driver mutations between steps go
-    /// through `Arc::make_mut` (which never actually clones there, because
-    /// the barrier has already collected every worker's handle).
-    fault: Arc<FaultPlan>,
+    fault: FaultPlan,
     /// Driver-level RNG: scenario choices made *between* steps (picking a
     /// crash victim, a publisher). Protocol handlers use per-node streams.
     rng: SimRng,
     /// Seed the per-node streams are derived from.
     seed: u64,
-    /// Metrics window length, applied to every shard partial.
-    metrics_window: Step,
-    /// The link-latency model (shards hold clones of the same `Arc`).
-    /// Default [`LatencyModel::Unit`]: the classic cycle engine.
-    latency: Arc<LatencyModel>,
 }
 
 /// A cheap copyable summary of the state of a simulation run.
@@ -121,71 +132,59 @@ pub struct SimSnapshot {
 }
 
 impl<P: Process> Sim<P> {
-    /// Creates an empty simulation with the given RNG seed and a single shard
-    /// (classic serial execution). Two runs with the same seed and the same
-    /// sequence of calls produce identical traces.
-    pub fn new(seed: u64) -> Self {
-        Sim::new_sharded(seed, 1)
-    }
-
-    /// Creates an empty simulation executing on `shards` parallel shards
-    /// (clamped to at least 1). The trace, metrics and every observable
-    /// outcome are **byte-identical** to `Sim::new(seed)` — sharding only
-    /// changes how many cores a step uses. Nodes are assigned round-robin:
-    /// global id `i` lives in shard `i % shards`.
-    ///
-    /// For `shards > 1` this spawns the persistent worker pool (one thread
-    /// per shard, parked between steps); the workers live exactly as long as
-    /// the `Sim` and are joined when it drops. `shards = 1` spawns nothing
-    /// and steps inline, exactly like [`Sim::new`].
+    /// Creates an empty simulation with the given RNG seed. Two runs with the
+    /// same seed and the same sequence of calls produce identical traces.
     ///
     /// ```
     /// use dps_sim::{Context, Message, MsgClass, NodeId, Process, Sim};
+    /// use rand::Rng;
     ///
     /// #[derive(Clone, Debug)]
     /// struct Hop(u32);
     /// impl Message for Hop {
     ///     fn class(&self) -> MsgClass { MsgClass::Management }
     /// }
+    /// /// Counts deliveries and forwards the hop to a random node.
     /// struct Counter(u32);
     /// impl Process for Counter {
     ///     type Msg = Hop;
     ///     fn on_message(&mut self, _from: NodeId, msg: Hop, ctx: &mut Context<'_, Hop>) {
     ///         self.0 += 1;
     ///         if msg.0 > 0 {
-    ///             let next = NodeId::from_index((ctx.me().index() + 1) % 8);
+    ///             let next = NodeId::from_index(ctx.rng().random_range(0..8));
     ///             ctx.send(next, Hop(msg.0 - 1));
     ///         }
     ///     }
     /// }
     ///
-    /// // The same run on one shard and on four: identical observables.
-    /// let run = |shards: usize| {
-    ///     let mut sim = Sim::new_sharded(99, shards);
+    /// let run = |seed: u64| {
+    ///     let mut sim = Sim::new(seed);
     ///     for _ in 0..8 { sim.add_node(Counter(0)); }
     ///     sim.post(NodeId::from_index(0), Hop(25));
-    ///     sim.run(40); // workers (if any) persist across all 40 steps
+    ///     sim.run(40);
     ///     let hops: Vec<u32> = sim.node_ids().iter().map(|n| sim.node(*n).unwrap().0).collect();
     ///     (hops, sim.snapshot())
     /// };
-    /// assert_eq!(run(1), run(4));
-    /// // Dropping `sim` joined the 4 workers; nothing outlives the run.
+    /// // The same seed replays the same run, node for node.
+    /// assert_eq!(run(99), run(99));
+    /// assert_eq!(run(99).0.iter().sum::<u32>(), 26);
     /// ```
-    pub fn new_sharded(seed: u64, shards: usize) -> Self {
-        let n = shards.max(1);
-        let metrics_window = 100;
+    pub fn new(seed: u64) -> Self {
         Sim {
-            shards: (0..n)
-                .map(|i| Shard::new(i, n, metrics_window, seed))
-                .collect(),
-            pool: (n > 1).then(|| WorkerPool::spawn(n)),
-            total_nodes: 0,
+            procs: Vec::new(),
+            alive: Vec::new(),
+            rngs: Vec::new(),
+            alive_count: 0,
+            wheel: (0..2).map(|_| Vec::new()).collect(),
+            in_flight: 0,
+            latency: LatencyModel::Unit,
+            lat_rngs: Vec::new(),
+            scratch_out: Vec::new(),
+            metrics: Metrics::new(100),
             now: 0,
-            fault: Arc::new(FaultPlan::none()),
+            fault: FaultPlan::none(),
             rng: SimRng::seed_from_u64(seed),
             seed,
-            metrics_window,
-            latency: Arc::new(LatencyModel::Unit),
         }
     }
 
@@ -197,9 +196,9 @@ impl<P: Process> Sim<P> {
     /// The default is [`LatencyModel::Unit`]: every link takes exactly one
     /// step and **no latency stream is ever derived or drawn from**, which
     /// keeps unit-latency runs byte-identical to the classic cycle-based
-    /// engine. Any other model sizes each shard's timing wheel to
-    /// `max_latency + 1` slots and samples per message from the destination
-    /// node's dedicated latency stream.
+    /// engine. Any other model sizes the timing wheel to `max_latency + 1`
+    /// slots and samples per message from the destination node's dedicated
+    /// latency stream.
     pub fn set_latency(&mut self, model: LatencyModel) {
         if let Err(e) = model.validate() {
             panic!("invalid latency model: {e}");
@@ -209,17 +208,12 @@ impl<P: Process> Sim<P> {
             "set_latency must be called before the first step"
         );
         assert_eq!(
-            self.snapshot().in_flight,
-            0,
+            self.in_flight, 0,
             "set_latency must be called before any message is enqueued"
         );
         let wheel_len = (model.max_latency() + 1).max(2) as usize;
-        let model = Arc::new(model);
-        for sh in &mut self.shards {
-            sh.latency = Arc::clone(&model);
-            sh.wheel.clear();
-            sh.wheel.resize_with(wheel_len, Vec::new);
-        }
+        self.wheel.clear();
+        self.wheel.resize_with(wheel_len, Vec::new);
         self.latency = model;
     }
 
@@ -228,64 +222,41 @@ impl<P: Process> Sim<P> {
         &self.latency
     }
 
-    /// Number of execution shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard index and local slot of global node index `i`.
-    fn locate(&self, i: usize) -> (usize, usize) {
-        (i % self.n_shards(), i / self.n_shards())
-    }
-
     /// The link-fault schedule in force (default: no faults).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault
     }
 
     /// Mutable access to the fault schedule: scenario drivers start
-    /// partitions, heal them and set loss rates through this. Driver calls
-    /// run between steps, when no worker holds a plan handle, so the
-    /// copy-on-write below is a plain in-place mutation in practice.
+    /// partitions, heal them and set loss rates through this.
     pub fn fault_plan_mut(&mut self) -> &mut FaultPlan {
-        Arc::make_mut(&mut self.fault)
+        &mut self.fault
     }
 
     /// Replaces the fault schedule wholesale.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Arc::new(plan);
+        self.fault = plan;
     }
 
     /// Sets the metrics window length in steps (default 100, the sampling period
     /// used throughout the paper's §5.2.1). Resets collected metrics.
     pub fn set_metrics_window(&mut self, steps: Step) {
-        self.metrics_window = steps;
-        for sh in &mut self.shards {
-            sh.metrics = Metrics::new(steps);
-            // Align the fresh collector with the current step: rolling is
-            // otherwise only done once per step(), so traffic recorded before
-            // the next step would be stamped into the window starting at 0.
-            sh.metrics.roll_to(self.now);
-        }
+        self.metrics = Metrics::new(steps);
+        // Align the fresh collector with the current step: rolling is
+        // otherwise only done once per step(), so traffic recorded before
+        // the next step would be stamped into the window starting at 0.
+        self.metrics.roll_to(self.now);
     }
 
     /// Adds a node running `proc`; `on_start` fires immediately (its sends are
     /// delivered at the next step). Returns the new node's id.
     pub fn add_node(&mut self, proc: P) -> NodeId {
-        let idx = self.total_nodes;
-        let id = NodeId::from_index(idx);
-        let (s, l) = self.locate(idx);
-        self.total_nodes += 1;
-        let shard = &mut self.shards[s];
-        debug_assert_eq!(shard.procs.len(), l, "round-robin assignment broken");
-        shard.procs.push(proc);
-        shard.alive.push(true);
-        shard.rngs.push(node_rng(self.seed, idx));
-        shard.alive_count += 1;
+        let i = self.procs.len();
+        let id = NodeId::from_index(i);
+        self.procs.push(proc);
+        self.alive.push(true);
+        self.rngs.push(node_rng(self.seed, i));
+        self.alive_count += 1;
         // Note: the node's dedicated latency stream is NOT derived here —
         // `lat_rngs` grows lazily at the first sampled enqueue, and may
         // already cover this slot (messages can be addressed to a node
@@ -293,10 +264,10 @@ impl<P: Process> Sim<P> {
         let mut ctx = Context {
             me: id,
             now: self.now,
-            rng: &mut shard.rngs[l],
-            out: &mut shard.scratch_out,
+            rng: &mut self.rngs[i],
+            out: &mut self.scratch_out,
         };
-        shard.procs[l].on_start(&mut ctx);
+        self.procs[i].on_start(&mut ctx);
         self.flush_outgoing(id);
         id
     }
@@ -306,79 +277,60 @@ impl<P: Process> Sim<P> {
     /// their own failure-detection traffic, as in the paper.
     ///
     /// Messages already queued to the victim are purged immediately (accounted
-    /// as [`DropReason`](crate::DropReason)`::Crashed`), so
-    /// [`SimSnapshot::in_flight`] keeps counting deliverable messages only.
+    /// as [`DropReason::Crashed`]), so [`SimSnapshot::in_flight`] keeps
+    /// counting deliverable messages only.
     pub fn crash(&mut self, id: NodeId) {
-        if id.index() >= self.total_nodes {
-            return;
-        }
-        let (s, l) = self.locate(id.index());
-        let shard = &mut self.shards[s];
-        if let Some(alive) = shard.alive.get_mut(l) {
+        let i = id.index();
+        if let Some(alive) = self.alive.get_mut(i) {
             if *alive {
                 *alive = false;
-                shard.alive_count -= 1;
-                shard.purge_queued(l);
+                self.alive_count -= 1;
+                self.purge_queued(i);
             }
         }
     }
 
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        if id.index() >= self.total_nodes {
-            return false;
-        }
-        let (s, l) = self.locate(id.index());
-        self.shards[s].alive.get(l).is_some_and(|a| *a)
+        self.alive.get(id.index()).is_some_and(|a| *a)
     }
 
     /// Immutable access to a node's protocol state (alive or crashed).
     pub fn node(&self, id: NodeId) -> Option<&P> {
-        if id.index() >= self.total_nodes {
-            return None;
-        }
-        let (s, l) = self.locate(id.index());
-        self.shards[s].procs.get(l)
+        self.procs.get(id.index())
     }
 
     /// Mutable access to a node's protocol state. Intended for scenario drivers
     /// (e.g. installing a new subscription before the next step), not for
     /// bypassing the message-passing discipline mid-step.
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        if id.index() >= self.total_nodes {
-            return None;
-        }
-        let (s, l) = self.locate(id.index());
-        self.shards[s].procs.get_mut(l)
+        self.procs.get_mut(id.index())
     }
 
     /// Ids of all nodes ever added, in join order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.total_nodes).map(NodeId::from_index).collect()
+        (0..self.procs.len()).map(NodeId::from_index).collect()
     }
 
-    /// Iterates over the currently alive node ids, ascending — global id
-    /// order, independent of the shard layout. Allocation-free; prefer this
-    /// (or [`alive_count`](Sim::alive_count)/[`nth_alive`](Sim::nth_alive))
+    /// Iterates over the currently alive node ids, ascending. Allocation-free;
+    /// prefer this (or [`alive_count`](Sim::alive_count)/[`nth_alive`](Sim::nth_alive))
     /// over [`alive_ids`](Sim::alive_ids) in per-step loops.
     pub fn alive(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        let n = self.n_shards();
-        (0..self.total_nodes)
-            .filter(move |i| self.shards[i % n].alive[i / n])
-            .map(NodeId::from_index)
+        self.alive
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| **a)
+            .map(|(i, _)| NodeId::from_index(i))
     }
 
-    /// Number of currently alive nodes. O(shards): summed over the per-shard
-    /// incremental counts.
+    /// Number of currently alive nodes. O(1): maintained incrementally.
     pub fn alive_count(&self) -> usize {
-        self.shards.iter().map(|s| s.alive_count).sum()
+        self.alive_count
     }
 
-    /// The `k`-th alive node in ascending **global id** order, if
-    /// `k < alive_count()`. Combined with a random `k` this picks a uniform
-    /// alive node without materializing the population; the global ordering
-    /// makes the pick independent of the shard count, which keeps sharded
-    /// scenario runs byte-identical.
+    /// The `k`-th alive node in ascending id order, if `k < alive_count()`.
+    /// Combined with a random `k` this picks a uniform alive node without
+    /// materializing the population.
     pub fn nth_alive(&self, k: usize) -> Option<NodeId> {
         self.alive().nth(k)
     }
@@ -393,10 +345,8 @@ impl<P: Process> Sim<P> {
     /// attributed to the recipient itself (external stimuli such as a user's
     /// Publish call).
     pub fn post(&mut self, to: NodeId, msg: P::Msg) {
-        let now = self.now;
-        let d = to.index() % self.n_shards();
-        self.shards[d].metrics.on_send(to, msg.class());
-        self.shards[d].enqueue(to, to, msg, now);
+        self.metrics.on_send(to, msg.class());
+        self.enqueue(to, to, msg);
     }
 
     /// Runs the protocol handler `f` on node `id` as if it were executing within
@@ -409,15 +359,14 @@ impl<P: Process> Sim<P> {
         if !self.is_alive(id) {
             return;
         }
-        let (s, l) = self.locate(id.index());
-        let shard = &mut self.shards[s];
+        let i = id.index();
         let mut ctx = Context {
             me: id,
             now: self.now,
-            rng: &mut shard.rngs[l],
-            out: &mut shard.scratch_out,
+            rng: &mut self.rngs[i],
+            out: &mut self.scratch_out,
         };
-        f(&mut shard.procs[l], &mut ctx);
+        f(&mut self.procs[i], &mut ctx);
         self.flush_outgoing(id);
     }
 
@@ -426,24 +375,18 @@ impl<P: Process> Sim<P> {
         self.now
     }
 
-    /// Collected traffic metrics, merged across the shard partials. With a
-    /// single shard this is a plain clone; the merge is identical whatever
-    /// the shard count (counters are sums, windows roll in lockstep).
+    /// Collected traffic metrics (a copy).
     pub fn metrics(&self) -> Metrics {
-        let mut merged = self.shards[0].metrics.clone();
-        for sh in &self.shards[1..] {
-            merged.absorb(&sh.metrics);
-        }
-        merged
+        self.metrics.clone()
     }
 
     /// A summary snapshot of the run.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             now: self.now,
-            total_nodes: self.total_nodes,
-            alive_nodes: self.alive_count(),
-            in_flight: self.shards.iter().map(|s| s.in_flight).sum(),
+            total_nodes: self.procs.len(),
+            alive_nodes: self.alive_count,
+            in_flight: self.in_flight,
         }
     }
 
@@ -456,45 +399,87 @@ impl<P: Process> Sim<P> {
     }
 
     /// Advances one step: delivers the messages whose sampled delivery time
-    /// is due (in destination-id order, then deliver-phase/tick-phase send
-    /// order), then ticks every alive node (in id order). With more than one shard the per-shard work runs on the
-    /// persistent worker pool — each shard is handed to its (already running)
-    /// worker and collected back at the barrier, so no thread is ever spawned
-    /// here; the staging outboxes are then merged (see the crate docs on
-    /// sharded execution).
+    /// is due (by destination id, then arrival order), then ticks every alive
+    /// node (by id).
+    ///
+    /// Ticks are the period-1 timer events of the event timeline: every alive
+    /// node holds a standing timer that fires each step, so the tick loop
+    /// *is* the timer queue, kept implicit because materializing one event
+    /// per node per step would buy nothing.
+    ///
+    /// Partitions and loss are evaluated **at delivery time** (`now`), not at
+    /// send time, so a message in flight across a partition onset is cut. A
+    /// lossy step draws once per message from the *destination's* stream;
+    /// a loss-free step draws nothing, so fault-free stretches replay
+    /// byte-identically whatever windows are scheduled later.
     pub fn step(&mut self) {
         self.now += 1;
-        // The only metrics roll of the step: every send/receive below happens
-        // at this `now`, so per-message rolling would be a no-op. Rolling all
-        // partials together keeps them mergeable.
-        for sh in &mut self.shards {
-            sh.metrics.roll_to(self.now);
-        }
-
-        // Fault fast path: both checks hoisted out of the per-message loops so
-        // fault-free runs replay byte-identically (no stray RNG draws).
-        let partition_active = self.fault.active_partitions(self.now).next().is_some();
-        let loss_active = self.fault.has_loss_at(self.now);
         let now = self.now;
+        // The only metrics roll of the step: every send/receive below happens
+        // at this `now`, so per-message rolling would be a no-op.
+        self.metrics.roll_to(now);
+        let partition_active = self.fault.active_partitions(now).next().is_some();
+        let loss = self.fault.loss_rate(now);
 
-        match &self.pool {
-            // Serial fast path: the classic single-shard layout has no pool
-            // and steps inline on the caller's thread.
-            None => {
-                self.shards[0].step_local(now, &self.fault, partition_active, loss_active);
+        // Detach the wheel slot due at `now`. Latencies are in
+        // [1, wheel_len - 1], so nothing enqueued while delivering can
+        // target this slot — the empty placeholder left by `take` is never
+        // touched, and the drained buckets are handed back below, capacity
+        // retained.
+        let slot = (now % self.wheel.len() as Step) as usize;
+        let mut due = std::mem::take(&mut self.wheel[slot]);
+        self.in_flight -= due.iter().map(Vec::len).sum::<usize>();
+
+        // Deliver.
+        for (i, inbox) in due.iter_mut().enumerate() {
+            if inbox.is_empty() {
+                continue;
             }
-            Some(pool) => {
-                pool.step(
-                    &mut self.shards,
+            let to = NodeId::from_index(i);
+            let alive = self.is_alive(to);
+            for Inflight { from, msg } in inbox.drain(..) {
+                if !alive {
+                    // Crashed nodes receive nothing (rare: the enqueue guard
+                    // and crash purge catch almost everything earlier).
+                    self.metrics.on_drop(DropReason::Crashed, msg.class());
+                    continue;
+                }
+                if partition_active && self.fault.severed(from, to, now) {
+                    self.metrics.on_drop(DropReason::Partitioned, msg.class());
+                    continue;
+                }
+                if loss > 0.0 && self.rngs[i].random::<f64>() < loss {
+                    self.metrics.on_drop(DropReason::Loss, msg.class());
+                    continue;
+                }
+                self.metrics.on_recv(to, msg.class(), msg.kind());
+                let mut ctx = Context {
+                    me: to,
                     now,
-                    &self.fault,
-                    partition_active,
-                    loss_active,
-                );
+                    rng: &mut self.rngs[i],
+                    out: &mut self.scratch_out,
+                };
+                self.procs[i].on_message(from, msg, &mut ctx);
+                self.flush_outgoing(to);
             }
         }
+        self.wheel[slot] = due;
 
-        self.merge_staging();
+        // Tick.
+        for i in 0..self.procs.len() {
+            if !self.alive[i] {
+                continue;
+            }
+            let id = NodeId::from_index(i);
+            let mut ctx = Context {
+                me: id,
+                now,
+                rng: &mut self.rngs[i],
+                out: &mut self.scratch_out,
+            };
+            self.procs[i].on_tick(&mut ctx);
+            self.flush_outgoing(id);
+        }
     }
 
     /// Runs `n` steps.
@@ -504,86 +489,72 @@ impl<P: Process> Sim<P> {
         }
     }
 
-    /// The step barrier: drains every shard's staging outboxes into the
-    /// destination shards' next-step buckets in the canonical order —
-    /// deliver-phase sends first, then tick-phase sends, each k-way-merged by
-    /// ascending sender id (each source is already sorted: shards process
-    /// their nodes in ascending order). Dead-destination drops are applied
-    /// here, which is equivalent to dropping at send time because liveness
-    /// cannot change during the parallel phase.
-    fn merge_staging(&mut self) {
-        let now = self.now;
-        let n = self.shards.len();
-        if n == 1 {
-            // Single shard: sends were enqueued directly (the production
-            // order is the canonical order), nothing was staged.
-            debug_assert!(
-                self.shards[0].staging[0].deliver.is_empty()
-                    && self.shards[0].staging[0].tick.is_empty()
-            );
+    /// Drains the scratch outbox filled by `from`'s handler into the timing
+    /// wheel, accounting each send.
+    fn flush_outgoing(&mut self, from: NodeId) {
+        let mut out = std::mem::take(&mut self.scratch_out);
+        for (to, msg) in out.drain(..) {
+            self.metrics.on_send(from, msg.class());
+            self.enqueue(from, to, msg);
+        }
+        self.scratch_out = out;
+    }
+
+    /// Enqueues a message into the timing wheel at slot
+    /// `(now + latency) % wheel.len()`, sampling the latency from the
+    /// destination's dedicated stream (the draw-free unit model skips the
+    /// stream entirely). Sends to already-crashed nodes drop (accounted, no
+    /// latency draw); sends to not-yet-added nodes are kept (the node may
+    /// join before the delivery step).
+    fn enqueue(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
+        let i = to.index();
+        if self.alive.get(i).is_some_and(|a| !*a) {
+            self.metrics.on_drop(DropReason::Crashed, msg.class());
             return;
         }
-        for d in 0..n {
-            for phase in [Phase::Deliver, Phase::Tick] {
-                // Move the S source buffers out (Vec headers only) so the
-                // destination shard can be borrowed mutably alongside them.
-                let mut sources: Vec<Vec<Staged<P::Msg>>> = (0..n)
-                    .map(|s| {
-                        let outbox = &mut self.shards[s].staging[d];
-                        match phase {
-                            Phase::Deliver => std::mem::take(&mut outbox.deliver),
-                            Phase::Tick => std::mem::take(&mut outbox.tick),
-                        }
-                    })
-                    .collect();
-                {
-                    let dest = &mut self.shards[d];
-                    let mut its: Vec<_> =
-                        sources.iter_mut().map(|v| v.drain(..).peekable()).collect();
-                    loop {
-                        let mut best: Option<usize> = None;
-                        let mut best_from = usize::MAX;
-                        for (s, it) in its.iter_mut().enumerate() {
-                            if let Some(st) = it.peek() {
-                                if best.is_none() || st.from.index() < best_from {
-                                    best_from = st.from.index();
-                                    best = Some(s);
-                                }
-                            }
-                        }
-                        let Some(s) = best else { break };
-                        let Staged { from, to, msg } = its[s].next().expect("peeked");
-                        dest.enqueue(from, to, msg, now);
-                    }
-                }
-                // Hand the (drained, capacity-retaining) buffers back.
-                for (s, v) in sources.into_iter().enumerate() {
-                    let outbox = &mut self.shards[s].staging[d];
-                    match phase {
-                        Phase::Deliver => outbox.deliver = v,
-                        Phase::Tick => outbox.tick = v,
-                    }
+        let delay = self.sample_latency(i);
+        let wheel_len = self.wheel.len() as Step;
+        debug_assert!(
+            delay >= 1 && delay < wheel_len,
+            "latency {delay} outside the wheel's [1, {}] range",
+            wheel_len - 1
+        );
+        let slot = ((self.now + delay) % wheel_len) as usize;
+        let buckets = &mut self.wheel[slot];
+        if i >= buckets.len() {
+            buckets.resize_with(i + 1, Vec::new);
+        }
+        buckets[i].push(Inflight { from, msg });
+        self.in_flight += 1;
+    }
+
+    /// Samples the link latency of one message into node `i`. `Unit` is the
+    /// fast path: constant 1, no stream derived, no draw made. Every other
+    /// model draws from the destination's dedicated latency stream, derived
+    /// lazily on first use — a pure function of `(seed, i)`, never reset, so
+    /// partially consumed streams survive node joins.
+    fn sample_latency(&mut self, i: usize) -> Step {
+        if self.latency.is_unit() {
+            return 1;
+        }
+        while self.lat_rngs.len() <= i {
+            let next = self.lat_rngs.len();
+            self.lat_rngs.push(latency_rng(self.seed, next));
+        }
+        self.latency.sample(i, &mut self.lat_rngs[i])
+    }
+
+    /// Drops every message queued to node `i` (a crash purge) across **all**
+    /// wheel slots, keeping `in_flight` counting deliverable messages only.
+    fn purge_queued(&mut self, i: usize) {
+        for slot in &mut self.wheel {
+            if let Some(bucket) = slot.get_mut(i) {
+                for env in bucket.drain(..) {
+                    self.metrics.on_drop(DropReason::Crashed, env.msg.class());
+                    self.in_flight -= 1;
                 }
             }
         }
-    }
-
-    /// Drains the scratch outbox of `from`'s shard into the next-step buckets
-    /// (driver-side path: `add_node`/`invoke` run between steps, so their
-    /// sends bypass staging and enqueue directly, in call order — exactly the
-    /// classic behavior). Sends to already-crashed nodes are dropped at
-    /// enqueue (a send to a node id not yet added is kept: the node may join
-    /// before the next step).
-    fn flush_outgoing(&mut self, from: NodeId) {
-        let now = self.now;
-        let s = from.index() % self.n_shards();
-        let mut out = std::mem::take(&mut self.shards[s].scratch_out);
-        for (to, msg) in out.drain(..) {
-            self.shards[s].metrics.on_send(from, msg.class());
-            let d = to.index() % self.n_shards();
-            self.shards[d].enqueue(from, to, msg, now);
-        }
-        self.shards[s].scratch_out = out;
     }
 }
 
@@ -625,8 +596,8 @@ mod tests {
         }
     }
 
-    fn run_trace_sharded(seed: u64, shards: usize) -> Vec<Vec<(Step, u64)>> {
-        let mut sim = Sim::new_sharded(seed, shards);
+    fn run_trace(seed: u64) -> Vec<Vec<(Step, u64)>> {
+        let mut sim = Sim::new(seed);
         for _ in 0..5 {
             sim.add_node(Forwarder { n: 5, seen: vec![] });
         }
@@ -638,10 +609,6 @@ mod tests {
             .collect()
     }
 
-    fn run_trace(seed: u64) -> Vec<Vec<(Step, u64)>> {
-        run_trace_sharded(seed, 1)
-    }
-
     #[test]
     fn deterministic_replay() {
         assert_eq!(run_trace(7), run_trace(7));
@@ -650,22 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_replay_is_byte_identical() {
-        // The tentpole property: the same run on 1, 2, 3 and 4 shards yields
-        // the same trace, snapshot and metrics — delivery order included.
-        let serial = run_trace_sharded(7, 1);
-        for s in 2..=4 {
-            assert_eq!(serial, run_trace_sharded(7, s), "diverged at {s} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_replay_matches_under_faults_and_churn() {
-        // Same property with loss sampling, a partition window and crashes in
-        // the mix: loss draws come from destination-node streams and crash
-        // purges are per-shard, so nothing may depend on the layout.
-        let run = |shards: usize| {
-            let mut sim: Sim<Forwarder> = Sim::new_sharded(11, shards);
+    fn replay_under_faults_and_churn_is_deterministic() {
+        // Loss sampling, a partition window and a crash in the mix: loss
+        // draws come from destination-node streams, so the same seed replays
+        // the same trace, metrics and drops.
+        let run = |seed: u64| {
+            let mut sim: Sim<Forwarder> = Sim::new(seed);
             for _ in 0..7 {
                 sim.add_node(Forwarder { n: 7, seen: vec![] });
             }
@@ -693,10 +650,11 @@ mod tests {
                 m.dropped_for(DropReason::Crashed),
             )
         };
-        let serial = run(1);
-        for s in [2, 3, 5] {
-            assert_eq!(serial, run(s), "diverged at {s} shards");
-        }
+        let first = run(11);
+        assert_eq!(first, run(11));
+        assert_ne!(first, run(12));
+        let (_, _, _, _, lost, _, _) = first;
+        assert!(lost > 0, "the loss must bite");
     }
 
     #[test]
@@ -765,7 +723,7 @@ mod tests {
 
     #[test]
     fn alive_accessors_track_crashes() {
-        let mut sim: Sim<Forwarder> = Sim::new_sharded(0, 2);
+        let mut sim: Sim<Forwarder> = Sim::new(0);
         let ids: Vec<NodeId> = (0..5)
             .map(|_| sim.add_node(Forwarder { n: 5, seen: vec![] }))
             .collect();
@@ -979,22 +937,18 @@ mod tests {
         // from the tick phase of the same step. Everything lands at step 2
         // with unit latency, so node 2's log pins the tie-break order:
         // deliver-phase sends first (ascending sender), then tick-phase
-        // sends (ascending sender). The order must not depend on the layout.
-        let run = |shards: usize| {
-            let mut sim: Sim<Recorder> = Sim::new_sharded(3, shards);
-            let mk = |peers: Vec<NodeId>| Recorder { peers, log: vec![] };
-            let sink = NodeId::from_index(2);
-            sim.add_node(mk(vec![sink]));
-            sim.add_node(mk(vec![sink]));
-            sim.add_node(mk(vec![]));
-            sim.post(NodeId::from_index(0), (0,));
-            sim.post(NodeId::from_index(1), (1,));
-            sim.run(3);
-            sim.node(sink).unwrap().log.clone()
-        };
-        let serial = run(1);
+        // sends (ascending sender).
+        let mut sim: Sim<Recorder> = Sim::new(3);
+        let mk = |peers: Vec<NodeId>| Recorder { peers, log: vec![] };
+        let sink = NodeId::from_index(2);
+        sim.add_node(mk(vec![sink]));
+        sim.add_node(mk(vec![sink]));
+        sim.add_node(mk(vec![]));
+        sim.post(NodeId::from_index(0), (0,));
+        sim.post(NodeId::from_index(1), (1,));
+        sim.run(3);
         assert_eq!(
-            serial,
+            sim.node(sink).unwrap().log,
             vec![
                 (2, 0, 100), // deliver-phase, sender 0
                 (2, 1, 101), // deliver-phase, sender 1
@@ -1002,9 +956,6 @@ mod tests {
                 (2, 1, 200), // tick-phase, sender 1
             ]
         );
-        for s in [2, 3] {
-            assert_eq!(serial, run(s), "tie-break order diverged at {s} shards");
-        }
     }
 
     #[test]
@@ -1032,8 +983,8 @@ mod tests {
         // every draw yields 1 — the run must be observationally identical to
         // the draw-free unit model (protocol streams are untouched by the
         // dedicated latency streams).
-        let run = |model: Option<LatencyModel>, shards: usize| {
-            let mut sim = Sim::new_sharded(7, shards);
+        let run = |model: Option<LatencyModel>| {
+            let mut sim = Sim::new(7);
             if let Some(m) = model {
                 sim.set_latency(m);
             }
@@ -1049,27 +1000,20 @@ mod tests {
                 .collect();
             (traces, sim.snapshot())
         };
-        for shards in [1, 2, 4] {
-            assert_eq!(
-                run(None, shards),
-                run(Some(LatencyModel::Uniform { min: 1, max: 1 }), shards),
-                "unit vs point-uniform diverged at {shards} shards"
-            );
-        }
+        assert_eq!(
+            run(None),
+            run(Some(LatencyModel::Uniform { min: 1, max: 1 }))
+        );
     }
 
     #[test]
-    fn nonunit_latency_replays_byte_identically_across_shards() {
-        // The tentpole determinism property under real latency spread: the
-        // per-destination latency streams are consumed in the canonical
-        // enqueue order, so the sharded run equals the serial one.
-        let run = |shards: usize| {
-            let mut sim: Sim<Forwarder> = Sim::new_sharded(13, shards);
-            sim.set_latency(LatencyModel::Bimodal {
-                fast: (1, 2),
-                slow: (5, 9),
-                slow_weight: 0.25,
-            });
+    fn nonunit_latency_replays_byte_identically() {
+        // Under real latency spread the per-destination latency streams are
+        // consumed in the deterministic enqueue order, so the same seed
+        // replays the same run — and it is not the unit-latency run.
+        let run = |model: LatencyModel| {
+            let mut sim: Sim<Forwarder> = Sim::new(13);
+            sim.set_latency(model);
             for _ in 0..7 {
                 sim.add_node(Forwarder { n: 7, seen: vec![] });
             }
@@ -1087,10 +1031,16 @@ mod tests {
                 .collect();
             (traces, sim.snapshot(), sim.metrics().total_dropped())
         };
-        let serial = run(1);
-        for s in [2, 3, 4] {
-            assert_eq!(serial, run(s), "diverged at {s} shards");
-        }
+        let bimodal = || LatencyModel::Bimodal {
+            fast: (1, 2),
+            slow: (5, 9),
+            slow_weight: 0.25,
+        };
+        assert_eq!(run(bimodal()), run(bimodal()));
+        assert_ne!(
+            run(bimodal()).0,
+            run(LatencyModel::Uniform { min: 1, max: 1 }).0
+        );
     }
 
     #[test]
@@ -1154,18 +1104,14 @@ mod tests {
     #[test]
     fn messages_to_future_nodes_reach_them_once_added() {
         // A message can be addressed to a node that joins before the next
-        // step; the bucket queue must deliver it whatever shard the joiner
-        // lands on.
-        for shards in [1, 2] {
-            let mut sim: Sim<Forwarder> = Sim::new_sharded(0, shards);
-            let a = sim.add_node(Forwarder { n: 1, seen: vec![] });
-            let _ = a;
-            let future = NodeId::from_index(1);
-            sim.post(future, TestMsg::Token(0));
-            let b = sim.add_node(Forwarder { n: 2, seen: vec![] });
-            assert_eq!(b, future);
-            sim.step();
-            assert_eq!(sim.node(b).unwrap().seen, vec![(1, 0)]);
-        }
+        // step; the bucket queue must deliver it once the node exists.
+        let mut sim: Sim<Forwarder> = Sim::new(0);
+        sim.add_node(Forwarder { n: 1, seen: vec![] });
+        let future = NodeId::from_index(1);
+        sim.post(future, TestMsg::Token(0));
+        let b = sim.add_node(Forwarder { n: 2, seen: vec![] });
+        assert_eq!(b, future);
+        sim.step();
+        assert_eq!(sim.node(b).unwrap().seen, vec![(1, 0)]);
     }
 }

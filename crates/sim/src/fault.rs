@@ -11,10 +11,10 @@
 //!   — useful for modeling a partial partition). A window may be
 //!   **asymmetric** ([`CutDir::OneWay`]): only one cross-side direction is
 //!   cut, the reverse keeps delivering — a half-broken link.
-//! * **Loss rules** attach a drop probability to links: a wildcard default,
-//!   per-endpoint rules, or a single directed link. The most specific
-//!   matching rule wins; sampling uses the simulation RNG, so runs stay a
-//!   pure function of the seed.
+//! * **Loss rules** attach a drop probability to every link: a whole-run
+//!   default and scheduled windows. A window in force beats the default;
+//!   sampling draws from the destination node's stream, so runs stay a pure
+//!   function of the seed.
 //!
 //! Dropped messages are accounted per [`DropReason`](crate::DropReason) in
 //! [`Metrics`](crate::Metrics), making faults first-class, observable events
@@ -107,36 +107,25 @@ impl PartitionWindow {
     }
 }
 
-/// A loss rule: drop probability for links matching the endpoint patterns
-/// (`None` = any node), in force for steps in `[from_step, until_step)`.
-/// Rules added through the un-windowed setters cover the whole run. More
-/// specific rules beat less specific ones — endpoint specificity first, then
-/// time-bounded over whole-run; among equally specific rules the **last
-/// added** wins, so `set_loss` calls layer naturally.
+/// A loss rule: the drop probability of every link for steps in
+/// `[from_step, until_step)`; the whole-run default covers `[0, Step::MAX)`.
+/// A window in force beats the default it temporarily overrides; among
+/// rules of the same kind the **last added** wins, so windows layer
+/// naturally.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct LossRule {
-    from: Option<NodeId>,
-    to: Option<NodeId>,
     rate: f64,
     from_step: Step,
     until_step: Step,
 }
 
 impl LossRule {
-    fn matches(&self, from: NodeId, to: NodeId, now: Step) -> bool {
-        self.from_step <= now
-            && now < self.until_step
-            && self.from.is_none_or(|f| f == from)
-            && self.to.is_none_or(|t| t == to)
+    fn in_force(&self, now: Step) -> bool {
+        self.from_step <= now && now < self.until_step
     }
 
-    /// Endpoint specificity first (exact link > one end fixed > wildcard),
-    /// then time-bounded windows over whole-run rules: a scheduled window
-    /// shadows the always-on default it temporarily overrides.
-    fn specificity(&self) -> u8 {
-        let ends = u8::from(self.from.is_some()) + u8::from(self.to.is_some());
-        let windowed = u8::from((self.from_step, self.until_step) != (0, Step::MAX));
-        ends * 2 + windowed
+    fn is_windowed(&self) -> bool {
+        (self.from_step, self.until_step) != (0, Step::MAX)
     }
 }
 
@@ -153,16 +142,14 @@ impl LossRule {
 /// assert!(plan.severed(a, b, 150));
 /// assert!(!plan.severed(a, b, 200)); // healed
 ///
-/// // All links drop 10% of messages, one link is dead entirely.
+/// // All links drop 10% of messages...
 /// plan.set_default_loss(0.1);
-/// plan.set_link_loss(a, b, 1.0);
-/// assert_eq!(plan.loss_rate(b, a, 0), 0.1);
-/// assert_eq!(plan.loss_rate(a, b, 0), 1.0);
+/// assert_eq!(plan.loss_rate(0), 0.1);
 ///
-/// // Loss can also be scheduled: 30% everywhere during steps [50, 80).
+/// // ...and 30% during steps [50, 80).
 /// plan.set_loss_during(50, 80, 0.3);
-/// assert_eq!(plan.loss_rate(b, a, 60), 0.3);
-/// assert_eq!(plan.loss_rate(b, a, 80), 0.1); // window over, default back
+/// assert_eq!(plan.loss_rate(60), 0.3);
+/// assert_eq!(plan.loss_rate(80), 0.1); // window over, default back
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -174,12 +161,6 @@ impl FaultPlan {
     /// A plan with no faults at all (the engine default).
     pub fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// Whether the plan can never drop anything — lets the engine skip the
-    /// per-message fault check (and its RNG draws) entirely.
-    pub fn is_trivial(&self) -> bool {
-        self.partitions.is_empty() && self.loss.iter().all(|r| r.rate <= 0.0)
     }
 
     // ---- partitions ----
@@ -324,73 +305,38 @@ impl FaultPlan {
 
     // ---- loss ----
 
-    /// Sets the default (wildcard) loss rate for every link.
+    /// Sets the whole-run default loss rate of every link.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is not within `[0, 1]`.
     pub fn set_default_loss(&mut self, rate: f64) -> &mut Self {
-        self.push_loss(None, None, rate, 0, Step::MAX)
+        self.push_loss(rate, 0, Step::MAX)
     }
 
-    /// Sets the loss rate of every link *out of* `from`.
-    pub fn set_egress_loss(&mut self, from: NodeId, rate: f64) -> &mut Self {
-        self.push_loss(Some(from), None, rate, 0, Step::MAX)
-    }
-
-    /// Sets the loss rate of every link *into* `to`.
-    pub fn set_ingress_loss(&mut self, to: NodeId, rate: f64) -> &mut Self {
-        self.push_loss(None, Some(to), rate, 0, Step::MAX)
-    }
-
-    /// Sets the loss rate of the directed link `from -> to`.
-    pub fn set_link_loss(&mut self, from: NodeId, to: NodeId, rate: f64) -> &mut Self {
-        self.push_loss(Some(from), Some(to), rate, 0, Step::MAX)
-    }
-
-    /// Schedules a default (wildcard) loss rate for steps in `[from, until)`
+    /// Schedules a loss rate for every link for steps in `[from, until)`
     /// only — the scheduled sibling of [`set_default_loss`](Self::set_default_loss),
     /// letting scenario files lower loss windows onto the plan up front
     /// instead of mutating it mid-run.
     pub fn set_loss_during(&mut self, from: Step, until: Step, rate: f64) -> &mut Self {
-        self.push_loss(None, None, rate, from, until)
+        self.push_loss(rate, from, until)
     }
 
-    /// Schedules a loss rate for the directed link `a -> b` for steps in
-    /// `[from, until)` only.
-    pub fn set_link_loss_during(
-        &mut self,
-        from: Step,
-        until: Step,
-        a: NodeId,
-        b: NodeId,
-        rate: f64,
-    ) -> &mut Self {
-        self.push_loss(Some(a), Some(b), rate, from, until)
-    }
-
-    fn push_loss(
-        &mut self,
-        from: Option<NodeId>,
-        to: Option<NodeId>,
-        rate: f64,
-        from_step: Step,
-        until_step: Step,
-    ) -> &mut Self {
+    fn push_loss(&mut self, rate: f64, from_step: Step, until_step: Step) -> &mut Self {
         assert!(
             rate.is_finite() && (0.0..=1.0).contains(&rate),
             "loss rate must be within [0, 1]"
         );
         assert!(from_step < until_step, "empty loss window");
-        // A rule fully shadowing an identical pattern replaces it in place.
-        if let Some(r) = self.loss.iter_mut().find(|r| {
-            r.from == from && r.to == to && r.from_step == from_step && r.until_step == until_step
-        }) {
+        // A rule over the same steps replaces the old one in place.
+        if let Some(r) = self
+            .loss
+            .iter_mut()
+            .find(|r| (r.from_step, r.until_step) == (from_step, until_step))
+        {
             r.rate = rate;
         } else {
             self.loss.push(LossRule {
-                from,
-                to,
                 rate,
                 from_step,
                 until_step,
@@ -399,37 +345,17 @@ impl FaultPlan {
         self
     }
 
-    /// Removes every loss rule.
-    pub fn clear_loss(&mut self) -> &mut Self {
-        self.loss.clear();
-        self
-    }
-
-    /// The effective drop probability of the `from -> to` link at step `now`:
-    /// the most specific rule matching the link among those in force (ties:
-    /// last added), or `0.0`.
-    pub fn loss_rate(&self, from: NodeId, to: NodeId, now: Step) -> f64 {
+    /// The drop probability of every link at step `now`: among the rules in
+    /// force, a window beats the whole-run default and the last added wins
+    /// between equals; `0.0` when none is in force.
+    pub fn loss_rate(&self, now: Step) -> f64 {
         // `max_by_key` keeps the *last* maximal element, which is exactly the
-        // documented tie-break: later rules shadow earlier equally-specific ones.
+        // documented tie-break: later rules shadow earlier ones of their kind.
         self.loss
             .iter()
-            .filter(|r| r.matches(from, to, now))
-            .max_by_key(|r| r.specificity())
+            .filter(|r| r.in_force(now))
+            .max_by_key(|r| r.is_windowed())
             .map_or(0.0, |r| r.rate)
-    }
-
-    /// Whether any loss rule (scheduled or not) could ever drop a message.
-    pub fn has_loss(&self) -> bool {
-        self.loss.iter().any(|r| r.rate > 0.0)
-    }
-
-    /// Whether any loss rule in force at `now` could drop a message (engine
-    /// fast path: skip RNG draws on loss-free steps so fault-free stretches
-    /// replay byte-identically whatever windows are scheduled later).
-    pub fn has_loss_at(&self, now: Step) -> bool {
-        self.loss
-            .iter()
-            .any(|r| r.rate > 0.0 && r.from_step <= now && now < r.until_step)
     }
 
     // ---- scheduling helpers ----
@@ -447,7 +373,7 @@ impl FaultPlan {
         for r in &mut self.loss {
             // Un-windowed rules cover the whole run; keep them anchored at 0
             // so pre-window traffic behaves identically after the shift.
-            if (r.from_step, r.until_step) != (0, Step::MAX) {
+            if r.is_windowed() {
                 r.from_step = r.from_step.saturating_add(offset);
                 r.until_step = r.until_step.saturating_add(offset);
             }
@@ -468,7 +394,6 @@ mod tests {
     fn split_partitions_by_boundary_and_interval() {
         let mut plan = FaultPlan::none();
         plan.add_split(10, 20, 3);
-        assert!(!plan.is_trivial());
         // Inside the window, cross-boundary links are severed both ways.
         assert!(plan.severed(n(0), n(3), 10));
         assert!(plan.severed(n(5), n(2), 15));
@@ -512,7 +437,6 @@ mod tests {
         assert!(!plan.severed(n(2), n(0), 50), "west -> east must stay open");
         assert!(!plan.severed(n(0), n(1), 50)); // same side
         assert!(!plan.severed(n(7), n(2), 50)); // unlisted bridges still talk
-        assert!(!plan.is_trivial());
     }
 
     #[test]
@@ -568,23 +492,18 @@ mod tests {
     #[test]
     fn loss_specificity_and_layering() {
         let mut plan = FaultPlan::none();
-        assert_eq!(plan.loss_rate(n(0), n(1), 0), 0.0);
+        assert_eq!(plan.loss_rate(0), 0.0);
         plan.set_default_loss(0.1);
-        plan.set_egress_loss(n(0), 0.5);
-        plan.set_link_loss(n(0), n(1), 0.9);
-        assert_eq!(plan.loss_rate(n(2), n(3), 0), 0.1);
-        assert_eq!(plan.loss_rate(n(0), n(2), 0), 0.5);
-        assert_eq!(plan.loss_rate(n(0), n(1), 0), 0.9);
-        // Ingress beats wildcard, loses to exact link.
-        plan.set_ingress_loss(n(1), 0.2);
-        assert_eq!(plan.loss_rate(n(3), n(1), 0), 0.2);
-        assert_eq!(plan.loss_rate(n(0), n(1), 0), 0.9);
-        // Re-setting an identical pattern replaces it.
-        plan.set_default_loss(0.0);
-        assert_eq!(plan.loss_rate(n(2), n(3), 0), 0.0);
-        plan.clear_loss();
-        assert!(!plan.has_loss());
-        assert!(plan.is_trivial()); // no partitions in this plan either
+        assert_eq!(plan.loss_rate(0), 0.1);
+        // A window beats the default while in force, whenever it was added.
+        plan.set_loss_during(10, 20, 0.5);
+        plan.set_default_loss(0.2); // re-setting the default replaces it
+        assert_eq!(plan.loss_rate(15), 0.5);
+        assert_eq!(plan.loss_rate(25), 0.2);
+        // A zero-rate window silences the default inside it.
+        plan.set_loss_during(30, 40, 0.0);
+        assert_eq!(plan.loss_rate(35), 0.0);
+        assert_eq!(plan.loss_rate(40), 0.2);
     }
 
     #[test]
@@ -592,29 +511,18 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.set_loss_during(50, 80, 0.3);
         assert!(!plan.severed(n(0), n(1), 60)); // loss is not a partition
-        assert_eq!(plan.loss_rate(n(0), n(1), 49), 0.0);
-        assert_eq!(plan.loss_rate(n(0), n(1), 50), 0.3);
-        assert_eq!(plan.loss_rate(n(0), n(1), 79), 0.3);
-        assert_eq!(plan.loss_rate(n(0), n(1), 80), 0.0);
-        assert!(plan.has_loss());
-        assert!(!plan.has_loss_at(10));
-        assert!(plan.has_loss_at(60));
-        assert!(!plan.has_loss_at(80));
-        // A scheduled per-link rule beats the scheduled wildcard inside both
-        // windows; outside its own window it is inert.
-        plan.set_link_loss_during(60, 70, n(0), n(1), 0.9);
-        assert_eq!(plan.loss_rate(n(0), n(1), 65), 0.9);
-        assert_eq!(plan.loss_rate(n(0), n(1), 75), 0.3);
-        assert_eq!(plan.loss_rate(n(2), n(3), 65), 0.3);
-        // Re-scheduling the same pattern over the same window replaces it.
+        assert_eq!(plan.loss_rate(49), 0.0);
+        assert_eq!(plan.loss_rate(50), 0.3);
+        assert_eq!(plan.loss_rate(79), 0.3);
+        assert_eq!(plan.loss_rate(80), 0.0);
+        // Re-scheduling the same window replaces it.
         plan.set_loss_during(50, 80, 0.1);
-        assert_eq!(plan.loss_rate(n(0), n(1), 55), 0.1);
-        // A different window for the same pattern layers (last added wins in
-        // the overlap).
+        assert_eq!(plan.loss_rate(55), 0.1);
+        // A different window layers: the last added wins in the overlap.
         plan.set_loss_during(70, 90, 0.6);
-        assert_eq!(plan.loss_rate(n(0), n(1), 75), 0.6);
-        assert_eq!(plan.loss_rate(n(0), n(1), 85), 0.6);
-        assert_eq!(plan.loss_rate(n(0), n(1), 55), 0.1);
+        assert_eq!(plan.loss_rate(75), 0.6);
+        assert_eq!(plan.loss_rate(85), 0.6);
+        assert_eq!(plan.loss_rate(55), 0.1);
     }
 
     #[test]
@@ -626,8 +534,8 @@ mod tests {
         let plan = plan.shifted(100);
         assert!(!plan.severed(n(0), n(5), 15));
         assert!(plan.severed(n(0), n(5), 115));
-        assert_eq!(plan.loss_rate(n(0), n(5), 15), 0.1); // global rule holds
-        assert_eq!(plan.loss_rate(n(0), n(5), 115), 0.5);
+        assert_eq!(plan.loss_rate(15), 0.1); // global rule holds
+        assert_eq!(plan.loss_rate(115), 0.5);
         // Open-ended windows stay open-ended after a shift.
         let mut open = FaultPlan::none();
         open.add_split(0, Step::MAX, 1);
@@ -650,10 +558,11 @@ mod tests {
     #[test]
     fn trivial_plan_is_free_of_faults() {
         let mut plan = FaultPlan::none();
-        assert!(plan.is_trivial());
+        assert_eq!(plan.active_partitions(0).count(), 0);
+        assert_eq!(plan.loss_rate(0), 0.0);
         plan.set_default_loss(0.0);
-        assert!(plan.is_trivial()); // zero-rate rules don't count
+        assert_eq!(plan.loss_rate(Step::MAX - 1), 0.0); // zero-rate rules drop nothing
         plan.add_split(0, 10, 1);
-        assert!(!plan.is_trivial());
+        assert!(plan.severed(n(0), n(1), 5));
     }
 }

@@ -16,13 +16,9 @@
 //!   byte. Within a step, deliveries and ticks happen in deterministic order
 //!   (by destination node id, then send order), so a run is a pure function
 //!   of its RNG seed. Ticks are the period-1 timer events of the timeline.
-//! * One run can use **several cores**: [`Sim::new_sharded`] partitions the
-//!   nodes across `S` shards that advance in parallel each step on a
-//!   persistent worker pool (spawned once, parked between steps, joined on
-//!   drop), exchanging cross-shard sends at the step barrier. Every node
-//!   draws from a private counter-seeded RNG stream ([`SimRng`]), so the
-//!   trace is *byte-identical* whatever `S` is — sharding is purely a
-//!   wall-clock knob.
+//! * Every node draws from a private seed-derived RNG stream ([`SimRng`]),
+//!   and the driver from a stream of its own, so no node's draws depend on
+//!   the order in which other nodes run.
 //! * Protocol logic is supplied via the [`Process`] trait: a node is a state
 //!   machine reacting to `on_start`, `on_message` and `on_tick`.
 //! * [`ChurnPlan`] reproduces the paper's failure scenarios (a crash every `1/p`
@@ -76,9 +72,7 @@ mod engine;
 mod fault;
 mod latency;
 mod metrics;
-mod pool;
 mod process;
-mod shard;
 
 pub use churn::{ChurnEvent, ChurnPlan};
 pub use engine::{Sim, SimSnapshot};

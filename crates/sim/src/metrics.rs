@@ -177,12 +177,6 @@ pub struct WindowStat {
 }
 
 /// Traffic metrics collector. See the module docs.
-///
-/// Under the sharded engine each shard keeps a `Metrics` partial covering its
-/// own nodes; [`Sim::metrics`](crate::Sim::metrics) merges the partials with
-/// `absorb` at snapshot time. Since every counter is a sum
-/// and all partials roll their windows in lockstep, the merged view is
-/// identical whatever the shard count.
 #[derive(Debug, Clone)]
 pub struct Metrics {
     window: Step,
@@ -260,40 +254,6 @@ impl Metrics {
     /// Counts one dropped message.
     pub(crate) fn on_drop(&mut self, reason: DropReason, class: MsgClass) {
         self.drops[reason.index()][class.index()] += 1;
-    }
-
-    /// Adds every counter of `other` into `self` (shard-partial merge). Both
-    /// collectors must share the window length and have been rolled to the
-    /// same step — which the engine guarantees by rolling all shard partials
-    /// together at the top of every step.
-    pub(crate) fn absorb(&mut self, other: &Metrics) {
-        debug_assert_eq!(self.window, other.window, "mismatched metrics windows");
-        debug_assert_eq!(self.cur_start, other.cur_start, "partials out of step");
-        add_counts(&mut self.cur, &other.cur);
-        for (i, (start, per_node)) in other.history.iter().enumerate() {
-            match self.history.get_mut(i) {
-                Some((s, mine)) => {
-                    debug_assert_eq!(s, start, "window history out of step");
-                    add_counts(mine, per_node);
-                }
-                None => self.history.push((*start, per_node.clone())),
-            }
-        }
-        for c in 0..3 {
-            self.totals.sent[c] += other.totals.sent[c];
-            self.totals.recv[c] += other.totals.recv[c];
-        }
-        if self.recv_kinds.len() < other.recv_kinds.len() {
-            self.recv_kinds.resize(other.recv_kinds.len(), 0);
-        }
-        for (mine, theirs) in self.recv_kinds.iter_mut().zip(&other.recv_kinds) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.drops.iter_mut().zip(other.drops.iter()) {
-            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                *m += *t;
-            }
-        }
     }
 
     /// Messages dropped for `reason` in `class`.
@@ -386,19 +346,6 @@ impl Metrics {
     }
 }
 
-/// Element-wise add of per-node counter vectors, extending `into` as needed.
-fn add_counts(into: &mut Vec<ClassCounts>, from: &[ClassCounts]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), ClassCounts::default());
-    }
-    for (mine, theirs) in into.iter_mut().zip(from.iter()) {
-        for c in 0..3 {
-            mine.sent[c] += theirs.sent[c];
-            mine.recv[c] += theirs.recv[c];
-        }
-    }
-}
-
 fn summarize(sorted: &[u64]) -> Stat {
     if sorted.is_empty() {
         return Stat::default();
@@ -474,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn receipts_are_counted_per_kind_and_shard_partials_sum() {
+    fn receipts_are_counted_per_kind() {
         let a = NodeId::from_index(0);
         let mut m = Metrics::new(10);
         assert!(m.received_by_kind().is_empty());
@@ -482,16 +429,11 @@ mod tests {
         m.on_recv(a, MsgClass::Publication, 0);
         m.on_recv(a, MsgClass::Management, 2);
         assert_eq!(m.received_by_kind(), &[1, 0, 2]);
-        // A shard partial that saw a higher kind widens the merged vector;
-        // one that saw fewer kinds leaves the tail alone.
-        let mut other = Metrics::new(10);
-        other.on_recv(a, MsgClass::Subscription, 4);
-        other.on_recv(a, MsgClass::Publication, 0);
-        m.absorb(&other);
+        // A higher kind widens the vector; a lower one leaves the tail alone.
+        m.on_recv(a, MsgClass::Subscription, 4);
+        m.on_recv(a, MsgClass::Publication, 0);
         assert_eq!(m.received_by_kind(), &[2, 0, 2, 0, 1]);
-        let mut narrow = Metrics::new(10);
-        narrow.on_recv(a, MsgClass::Publication, 1);
-        m.absorb(&narrow);
+        m.on_recv(a, MsgClass::Publication, 1);
         assert_eq!(m.received_by_kind(), &[2, 1, 2, 0, 1]);
         assert_eq!(
             m.received_by_kind().iter().sum::<u64>(),

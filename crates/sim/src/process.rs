@@ -13,10 +13,10 @@ pub type Step = u64;
 /// Each node owns a private `SimRng` whose seed is derived from `(sim seed,
 /// node index)` at [`Sim::add_node`](crate::Sim::add_node) time. Because a
 /// node's draws depend only on its own seed and its own event sequence —
-/// never on a stream shared with other nodes — a run replays byte-identically
-/// however the nodes are partitioned across shards. (With the vendored RNG
-/// stand-ins the per-node derivation is a seed mix, not ChaCha's
-/// stream-counter facility; see `node_rng` in the engine.)
+/// never on a stream shared with other nodes — adding a draw to one node's
+/// handler cannot reshuffle anybody else's. (With the vendored RNG stand-ins
+/// the per-node derivation is a seed mix, not ChaCha's stream-counter
+/// facility; see `node_rng` in the engine.)
 pub type SimRng = rand_chacha::ChaCha8Rng;
 
 /// Identity of a simulated node.
@@ -78,9 +78,8 @@ impl MsgClass {
 
 /// A simulatable message. The only requirements beyond `Clone + Debug` are a
 /// traffic [`class`](Message::class) so the engine can account it, and
-/// `Send + 'static` so messages can cross shard boundaries when the engine
-/// runs sharded (the shard workers are persistent threads, so everything they
-/// own must be free of borrowed data).
+/// `Send + 'static` so a whole simulation can be moved to another thread (a
+/// broker serves its overlay from a thread of its own).
 pub trait Message: Clone + fmt::Debug + Send + 'static {
     /// Names of the message kinds [`kind`](Message::kind) indexes into — a
     /// finer census than the three classes (one entry per protocol message
@@ -103,8 +102,8 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
 /// Handlers receive a [`Context`] to send messages and access the node's
 /// private RNG stream; all effects are deferred to the next step, making each
 /// step atomic. Processes must be `Send + 'static` (with no hidden shared
-/// mutable state and no borrowed data): the sharded engine hands disjoint
-/// node sets to persistent worker threads by ownership transfer.
+/// mutable state and no borrowed data), so that a simulation can be moved to
+/// another thread.
 pub trait Process: Send + 'static {
     /// Message type exchanged by this protocol.
     type Msg: Message;
@@ -130,8 +129,7 @@ pub trait Process: Send + 'static {
 /// The outbox is a scratch buffer owned by the engine and reused across handler
 /// invocations, so sending allocates only when a step's fan-out exceeds any
 /// previous one. The RNG is the node's own counter-seeded stream, not a
-/// simulation-wide generator: two nodes' draws never interleave, which is what
-/// lets shards advance nodes in parallel without changing any outcome.
+/// simulation-wide generator: two nodes' draws never interleave.
 pub struct Context<'a, M> {
     pub(crate) me: NodeId,
     pub(crate) now: Step,

@@ -134,7 +134,7 @@ fn a_remembered_publication_costs_its_packed_key_and_one_table_slot() {
 
     let sink = Arc::new(QueueSink::default());
     let cfg = DpsConfig::named(TraversalKind::Root, CommKind::Leader);
-    let mut net = Overlay::new(cfg, 0xA110C, 1, sink.clone());
+    let mut net = Overlay::new(cfg, 0xA110C, sink.clone());
     let nodes = net.add_nodes(NODES);
     let game = Workload::multiplayer_game();
     let mut rng = StdRng::seed_from_u64(22);

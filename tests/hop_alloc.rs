@@ -94,11 +94,11 @@ fn traffic(m: &Metrics) -> (u64, u64) {
 /// its nodes and the workload RNG.
 fn fixture(nodes: usize) -> (Overlay, Arc<QueueSink>, Vec<NodeId>, StdRng) {
     const SUBS: usize = 64;
-    // One shard: every allocation happens on this thread. A `QueueSink` with
-    // every node watched is what a broker serves from.
+    // The simulation steps on this thread, so every allocation is counted
+    // here. A `QueueSink` with every node watched is what a broker serves from.
     let sink = Arc::new(QueueSink::default());
     let cfg = DpsConfig::named(TraversalKind::Root, CommKind::Leader);
-    let mut net = Overlay::new(cfg, 0xA110C, 1, sink.clone());
+    let mut net = Overlay::new(cfg, 0xA110C, sink.clone());
     let ids = net.add_nodes(nodes);
     let game = Workload::multiplayer_game();
     let mut rng = StdRng::seed_from_u64(22);

@@ -4,138 +4,27 @@
 //! 1. **Cycle mode is the latency ≡ 1 special case.** A run under the default
 //!    unit model and a run under `Uniform{1,1}` — which exercises the real
 //!    sampling machinery but always draws 1 — produce byte-identical
-//!    observables, at every shard count. Latency draws come from a dedicated
-//!    per-destination RNG stream, so sampling cannot perturb protocol or
-//!    loss randomness.
-//! 2. **Non-unit models are shard-count invariant.** A heterogeneous-latency
-//!    run with churn, a partition window and lossy links digests identically
-//!    at `DPS_SHARDS`-style shard counts 1, 2 and 4, publish→deliver
-//!    percentiles included.
+//!    observables. Latency draws come from a dedicated per-destination RNG
+//!    stream, so sampling cannot perturb protocol or loss randomness.
+//! 2. **A straggler class stretches the tail.** Under a `Classed` model with
+//!    one slow class, publish→deliver p50 < p99.
+//!
+//! The heterogeneous `Bimodal` run is pinned byte for byte by the golden
+//! replay digest (`replay_golden.rs`).
 
-use dps::{
-    CommKind, DpsConfig, DpsNetwork, DropReason, JoinRule, LatencyModel, MsgClass, TraversalKind,
-};
+mod common;
 
-const N: usize = 24;
-
-/// Runs a busy mixed scenario under `latency` on `shards` shards and digests
-/// everything observable, including the publish→deliver latency summary.
-fn run_digest(latency: Option<LatencyModel>, shards: usize) -> String {
-    let mut cfg = DpsConfig::named(TraversalKind::Root, CommKind::Epidemic).with_fanout(2);
-    cfg.join_rule = JoinRule::First;
-    let mut net = DpsNetwork::new_sharded(cfg, 4242, shards);
-    if let Some(model) = latency {
-        net.try_set_latency(model).unwrap();
-    }
-    let nodes = net.add_nodes(N);
-    net.run(40);
-    for (i, n) in nodes.iter().enumerate() {
-        let filter = if i % 2 == 0 { "load > 10" } else { "load < 40" };
-        let _ = net.try_subscribe(*n, filter.parse::<dps::Filter>().unwrap());
-        net.run(3);
-    }
-    assert!(net.quiesce(2500), "overlay failed to converge");
-    net.run(150);
-
-    // Publications under churn, a partition window, then loss — while every
-    // message rides a sampled link latency.
-    for t in 0..120u64 {
-        if t == 30 {
-            net.partition_split(N / 2);
-        }
-        if t == 70 {
-            net.heal();
-        }
-        if t == 90 {
-            net.set_loss(0.1);
-        }
-        if t == 55 {
-            net.crash_random();
-        }
-        if t % 12 == 0 {
-            if let Some(p) = net.random_alive() {
-                let _ = net.try_publish(
-                    p,
-                    format!("load = {}", 15 + (t % 20))
-                        .parse::<dps::Event>()
-                        .unwrap(),
-                );
-            }
-        }
-        net.run(1);
-    }
-    net.set_loss(0.0);
-    net.run(4 * N as u64 + 400);
-
-    let m = net.metrics();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "ratio={:.9};reach={:.9};",
-        net.delivered_ratio(),
-        net.delivered_ratio_reachable()
-    ));
-    let lat = net.latency_summary();
-    out.push_str(&format!(
-        "lat[n={} p50={} p99={} p999={} max={} mean={:.9}];",
-        lat.samples, lat.p50, lat.p99, lat.p999, lat.max, lat.mean
-    ));
-    for r in net.reports() {
-        out.push_str(&format!(
-            "[{:?}@{} d{} c{} p99={}]",
-            r.id, r.published_at, r.delivered, r.contacted, r.latency.p99
-        ));
-    }
-    for class in MsgClass::ALL {
-        out.push_str(&format!(
-            "{class:?}:s{}r{};",
-            m.total_sent(class),
-            m.total_received(class)
-        ));
-    }
-    for reason in DropReason::ALL {
-        out.push_str(&format!("{reason:?}:{};", m.dropped_for(reason)));
-    }
-    out.push_str(&format!("{:?}", net.snapshot()));
-    out
-}
+use dps::{CommKind, DpsConfig, DpsNetwork, JoinRule, LatencyModel, TraversalKind};
 
 #[test]
-fn unit_latency_event_mode_matches_cycle_mode_at_every_shard_count() {
-    // The None runs take the draw-free fast path (the old cycle engine); the
-    // Uniform{1,1} runs sample a dedicated latency stream on every enqueue.
-    // All six digests must agree.
-    let baseline = run_digest(None, 1);
-    for shards in [1, 2, 4] {
-        assert_eq!(
-            baseline,
-            run_digest(None, shards),
-            "cycle mode diverged at {shards} shards"
-        );
-        assert_eq!(
-            baseline,
-            run_digest(Some(LatencyModel::Uniform { min: 1, max: 1 }), shards),
-            "latency-1 event mode diverged from cycle mode at {shards} shards"
-        );
-    }
-}
-
-#[test]
-fn heterogeneous_latency_run_is_byte_identical_across_shard_counts() {
-    let model = LatencyModel::Bimodal {
-        fast: (1, 2),
-        slow: (4, 7),
-        slow_weight: 0.25,
-    };
-    let serial = run_digest(Some(model.clone()), 1);
-    for shards in [2, 4] {
-        assert_eq!(
-            serial,
-            run_digest(Some(model.clone()), shards),
-            "a {shards}-shard heterogeneous-latency run diverged from the serial run"
-        );
-    }
-    // The scenario must actually exercise the tail: non-degenerate spread.
-    assert!(serial.contains("lat[n="));
+fn unit_latency_event_mode_matches_cycle_mode() {
+    // The None run takes the draw-free fast path (the old cycle engine); the
+    // Uniform{1,1} run samples a dedicated latency stream on every enqueue.
+    assert_eq!(
+        common::latency_run(None),
+        common::latency_run(Some(LatencyModel::Uniform { min: 1, max: 1 })),
+        "latency-1 event mode diverged from cycle mode"
+    );
 }
 
 #[test]
@@ -146,7 +35,7 @@ fn classed_latency_shows_a_nondegenerate_tail() {
     };
     let mut cfg = DpsConfig::named(TraversalKind::Root, CommKind::Epidemic).with_fanout(2);
     cfg.join_rule = JoinRule::First;
-    let mut net = DpsNetwork::new_sharded(cfg, 99, 2);
+    let mut net = DpsNetwork::new(cfg, 99);
     net.try_set_latency(model).unwrap();
     let nodes = net.add_nodes(18);
     net.run(40);

@@ -12,8 +12,8 @@
 //! rows cannot express.
 //!
 //! Determinism note: the whole scenario runs inside one `Sim`, whose trace is
-//! a pure function of the spec (`DPS_SHARDS`/`DPS_THREADS` never change any
-//! outcome), so the digest this test compares is byte-identical across runs;
+//! a pure function of the spec (`DPS_THREADS` never changes any outcome), so
+//! the digest this test compares is byte-identical across runs;
 //! running the scenario twice in-process proves the replay property.
 
 use std::collections::BTreeMap;

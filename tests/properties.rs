@@ -214,7 +214,7 @@ fn ground_truth_equals_a_plain_scan_through_churn() {
 #[test]
 fn overlay_core_behaves_as_the_facade_does() {
     let queues = Arc::new(QueueSink::default());
-    let mut core = Overlay::new(DpsConfig::default(), 14, 1, queues.clone());
+    let mut core = Overlay::new(DpsConfig::default(), 14, queues.clone());
     let mut net = DpsNetwork::new(DpsConfig::default(), 14);
     let nodes = net.add_nodes(CHURN_NODES);
     assert_eq!(core.add_nodes(CHURN_NODES), nodes);

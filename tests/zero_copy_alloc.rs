@@ -76,8 +76,7 @@ fn payload_event(tick: i64) -> Event {
 
 #[test]
 fn steady_state_publish_performs_zero_payload_allocations() {
-    // Serial (single-shard) network: every allocation happens on this thread,
-    // so the counters are exact.
+    // The simulation steps on this thread, so the counters are exact.
     let cfg = DpsConfig::named(TraversalKind::Root, CommKind::Leader);
     let mut net = DpsNetwork::new(cfg, 0xA110C);
     let nodes = net.add_nodes(24);
