@@ -7,7 +7,7 @@
 //! output identical whatever `DPS_THREADS` is.
 
 use dps::{CommKind, DpsConfig, DpsNetwork, JoinRule, MsgClass, NodeId, Step, TraversalKind};
-use dps_sim::{ChurnEvent, ChurnPlan};
+use dps_sim::{ChurnEvent, ChurnPlan, ClassCounts, Metrics, Process, Sim};
 use dps_workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -212,6 +212,95 @@ pub fn fig3b(scale: Scale) -> Vec<Fig3bPoint> {
     rows
 }
 
+/// Figures 3(c)–3(g) sample per-node traffic over windows of this many steps
+/// ("sampled during a period of 100 steps", §5.2.1).
+const WINDOW: Step = 100;
+
+/// Median / max / mean of a per-node quantity within one window.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Summary {
+    /// `sorted[len / 2]`: the paper's "node with less than half and more
+    /// than half".
+    median: f64,
+    max: f64,
+    mean: f64,
+}
+
+impl Summary {
+    /// Summarizes one value per node; no nodes summarize to all zeros.
+    fn of(mut values: Vec<u64>) -> Summary {
+        values.sort_unstable();
+        let Some(&max) = values.last() else {
+            return Summary::default();
+        };
+        Summary {
+            median: values[values.len() / 2] as f64,
+            max: max as f64,
+            mean: values.iter().sum::<u64>() as f64 / values.len() as f64,
+        }
+    }
+}
+
+/// Per-node traffic over the absolute windows `[k·WINDOW, (k+1)·WINDOW)`
+/// that lie wholly inside a measured step loop, read as differences between
+/// snapshots of the engine's cumulative counters at the window boundaries.
+///
+/// Traffic a driver causes between steps (`add_node`, `try_subscribe`,
+/// `try_publish`) belongs to the window of the current `now`, so boundary
+/// `s` is snapshotted before the step that advances `now` to `s`
+/// ([`before_step`](Self::before_step)), and at the loop's start if `now`
+/// already sits on one ([`new`](Self::new)).
+struct WindowSampler {
+    /// Each boundary crossed so far, with the counters at it.
+    marks: Vec<(Step, Metrics)>,
+}
+
+impl WindowSampler {
+    /// Starts sampling before the loop's first driver call.
+    fn new<P: Process>(sim: &Sim<P>) -> Self {
+        let mut sampler = WindowSampler { marks: Vec::new() };
+        sampler.cross(sim.now(), sim);
+        sampler
+    }
+
+    /// To be called right before each step of the loop.
+    fn before_step<P: Process>(&mut self, sim: &Sim<P>) {
+        self.cross(sim.now() + 1, sim);
+    }
+
+    fn cross<P: Process>(&mut self, boundary: Step, sim: &Sim<P>) {
+        if boundary.is_multiple_of(WINDOW) {
+            self.marks.push((boundary, sim.metrics()));
+        }
+    }
+
+    /// Each completed window's first step and summary of `count` over its
+    /// nodes: with a `population`, every member, a silent one as 0; without
+    /// one, the nodes any of whose counters moved in the window.
+    fn series(
+        &self,
+        count: impl Fn(&ClassCounts) -> u64,
+        population: Option<&[NodeId]>,
+    ) -> Vec<(Step, Summary)> {
+        let at = |m: &Metrics, i: usize| m.per_node().get(i).copied().unwrap_or_default();
+        self.marks
+            .iter()
+            .zip(self.marks.iter().skip(1))
+            .map(|((start, from), (_, to))| {
+                let moved = |i: usize| count(&at(to, i)) - count(&at(from, i));
+                let values = match population {
+                    Some(pop) => pop.iter().map(|id| moved(id.index())).collect(),
+                    None => (0..to.per_node().len())
+                        .filter(|&i| at(to, i) != at(from, i))
+                        .map(moved)
+                        .collect(),
+                };
+                (*start, Summary::of(values))
+            })
+            .collect()
+    }
+}
+
 /// One measured window of Figures 3(c)/3(d).
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig3cdPoint {
@@ -249,8 +338,8 @@ pub fn fig3cd(scale: Scale) -> Vec<Fig3cdPoint> {
                 let mut net = build_overlay(cfg, n0, 1, 700 + ci as u64);
                 let w = Workload::multiplayer_game();
                 let mut w_rng = StdRng::seed_from_u64(23 + ci as u64);
-                net.sim_mut().set_metrics_window(100);
                 let base = net.sim().now();
+                let mut sampler = WindowSampler::new(net.sim());
                 for t in 0..steps {
                     // "A new node enters the system every two steps and immediately
                     // emits a new subscription."
@@ -264,20 +353,18 @@ pub fn fig3cd(scale: Scale) -> Vec<Fig3cdPoint> {
                             let _ = net.try_publish(publisher, w.event(&mut w_rng));
                         }
                     }
+                    sampler.before_step(net.sim());
                     net.run(1);
                 }
-                let series = net.metrics().sent_series(&[MsgClass::Publication]);
-                series
-                    .iter()
-                    .filter(|wstat| wstat.start >= base)
-                    .map(|wstat| {
-                        let per_event = 10.0; // events per 100-step window
-                        Fig3cdPoint {
-                            config: label.clone(),
-                            step: wstat.start - base,
-                            median_per_event: wstat.stat.median / per_event,
-                            max_per_event: wstat.stat.max / per_event,
-                        }
+                let per_event = 10.0; // events per 100-step window
+                sampler
+                    .series(|c| c.sent_in(&[MsgClass::Publication]), None)
+                    .into_iter()
+                    .map(|(start, stat)| Fig3cdPoint {
+                        config: label.clone(),
+                        step: start - base,
+                        median_per_event: stat.median / per_event,
+                        max_per_event: stat.max / per_event,
                     })
                     .collect::<Vec<_>>()
             }
@@ -332,8 +419,8 @@ fn load_run(mut cfg: DpsConfig, scale: Scale, seed: u64) -> Vec<LoadPoint> {
     let nodes = net.add_nodes(n);
     net.run(30);
     let mut w_rng = StdRng::seed_from_u64(seed ^ 0xfeed);
-    net.sim_mut().set_metrics_window(100);
     let base = net.sim().now();
+    let mut sampler = WindowSampler::new(net.sim());
     for t in 0..steps {
         // Each node emits a new subscription every `sub_every` steps (staggered).
         for (i, node) in nodes.iter().enumerate() {
@@ -346,25 +433,22 @@ fn load_run(mut cfg: DpsConfig, scale: Scale, seed: u64) -> Vec<LoadPoint> {
                 let _ = net.try_publish(publisher, w.event(&mut w_rng));
             }
         }
+        sampler.before_step(net.sim());
         net.run(1);
     }
     let population = net.sim().alive_ids();
-    // One metrics snapshot serves both series (metrics() clones the full
-    // collector).
-    let metrics = net.metrics();
-    let in_series = metrics.series(dps_sim::Dir::Recv, &MsgClass::ALL, Some(&population));
-    let out_series = metrics.series(dps_sim::Dir::Sent, &MsgClass::ALL, Some(&population));
+    let in_series = sampler.series(|c| c.recv_in(&MsgClass::ALL), Some(&population));
+    let out_series = sampler.series(|c| c.sent_in(&MsgClass::ALL), Some(&population));
     in_series
-        .iter()
-        .zip(out_series.iter())
-        .filter(|(i, _)| i.start >= base)
-        .map(|(i, o)| LoadPoint {
+        .into_iter()
+        .zip(out_series)
+        .map(|((start, i), (_, o))| LoadPoint {
             config: label.clone(),
-            subs_per_node: (i.start - base) as f64 / sub_every as f64,
-            in_median: i.stat.median,
-            in_max: i.stat.max,
-            out_median: o.stat.median,
-            out_max: o.stat.max,
+            subs_per_node: (start - base) as f64 / sub_every as f64,
+            in_median: i.median,
+            in_max: i.max,
+            out_median: o.median,
+            out_max: o.max,
         })
         .collect()
 }
@@ -441,6 +525,143 @@ fn summarize_load(pts: &[LoadPoint]) {
         println!(
             "  {:<14.1} {:>8.0} {:>8.0} {:>8.0} {:>8.0}",
             p.subs_per_node, p.in_median, p.in_max, p.out_median, p.out_max
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dps_sim::{Context, Message};
+
+    #[derive(Debug, Clone)]
+    struct Msg(MsgClass);
+
+    impl Message for Msg {
+        fn class(&self) -> MsgClass {
+            self.0
+        }
+    }
+
+    /// A node that sends nothing of its own.
+    struct Quiet;
+
+    impl Process for Quiet {
+        type Msg = Msg;
+        fn on_message(&mut self, _: NodeId, _: Msg, _: &mut Context<'_, Msg>) {}
+    }
+
+    /// `n` quiet nodes after `warm_up` steps, then a measured loop of
+    /// `steps` steps the way the runners drive one: the driver's calls
+    /// (`post` to the node `driver` names at `now`, if any), the sampler,
+    /// the step.
+    fn sample(
+        n: usize,
+        warm_up: u64,
+        steps: u64,
+        driver: impl Fn(Step) -> Option<(usize, MsgClass)>,
+    ) -> WindowSampler {
+        let mut sim = Sim::new(0);
+        for _ in 0..n {
+            sim.add_node(Quiet);
+        }
+        sim.run(warm_up);
+        let mut sampler = WindowSampler::new(&sim);
+        for _ in 0..steps {
+            if let Some((i, class)) = driver(sim.now()) {
+                sim.post(NodeId::from_index(i), Msg(class));
+            }
+            sampler.before_step(&sim);
+            sim.step();
+        }
+        sampler
+    }
+
+    fn publications(c: &ClassCounts) -> u64 {
+        c.sent_in(&[MsgClass::Publication])
+    }
+
+    fn ids(range: std::ops::Range<usize>) -> Vec<NodeId> {
+        range.map(NodeId::from_index).collect()
+    }
+
+    #[test]
+    fn windows_difference_snapshots_and_summarize() {
+        // Node 0 publishes nine times in [0, 100) and once in [100, 200).
+        let sampler = sample(3, 0, 200, |now| match now {
+            0..=8 | 120 => Some((0, MsgClass::Publication)),
+            9 => Some((1, MsgClass::Management)),
+            _ => None,
+        });
+        let series = sampler.series(publications, None);
+        // Two active nodes: values [0 (node 1), 9 (node 0)], median sorted[1].
+        let first = Summary {
+            median: 9.0,
+            max: 9.0,
+            mean: 4.5,
+        };
+        assert_eq!(series, [(0, first), (100, Summary::of(vec![1]))]);
+        assert_eq!(Summary::of(vec![4, 1, 3, 2]).median, 3.0);
+        assert_eq!(Summary::of(vec![5, 1, 3]).median, 3.0);
+    }
+
+    #[test]
+    fn a_population_counts_silent_nodes_as_zero() {
+        let sampler = sample(3, 0, 200, |now| {
+            (now < 9).then_some((0, MsgClass::Publication))
+        });
+        // [0, 100): values [0, 0, 9], the silent nodes pull the median down;
+        // node 7 never existed and counts as 0 too.
+        let (_, stat) = sampler.series(publications, Some(&ids(0..3)))[0];
+        assert_eq!((stat.median, stat.max, stat.mean), (0.0, 9.0, 3.0));
+        let (_, stat) = sampler.series(publications, Some(&ids(6..8)))[0];
+        assert_eq!(stat, Summary::default());
+        // [100, 200) is silent through: all zeros, with or without one.
+        assert_eq!(
+            sampler.series(publications, Some(&ids(0..3)))[1].1,
+            Summary::default()
+        );
+        assert_eq!(sampler.series(publications, None)[1].1, Summary::default());
+    }
+
+    #[test]
+    fn inactive_nodes_are_invisible_without_population() {
+        // A node that only sent Management still contributes a zero to the
+        // Publication series (it was active in the window), while nodes that
+        // did nothing at all (1..5) do not appear.
+        let sampler = sample(6, 0, 100, |now| match now {
+            0 => Some((0, MsgClass::Publication)),
+            1 => Some((5, MsgClass::Management)),
+            _ => None,
+        });
+        let (_, stat) = sampler.series(publications, None)[0];
+        assert_eq!((stat.max, stat.mean), (1.0, 0.5));
+    }
+
+    #[test]
+    fn traffic_between_steps_lands_in_the_current_window() {
+        // Posted at now = 199, before the step into 200: window [100, 200).
+        // Posted at now = 200, after it: window [200, 300). The loop starts
+        // mid-window at 25, so [0, 100) yields no row.
+        let sampler = sample(2, 25, 275, |now| match now {
+            199 => Some((0, MsgClass::Publication)),
+            200 => Some((1, MsgClass::Publication)),
+            _ => None,
+        });
+        let max_of = |node: usize| -> Vec<(Step, f64)> {
+            let series = sampler.series(publications, Some(&ids(node..node + 1)));
+            series.into_iter().map(|(s, stat)| (s, stat.max)).collect()
+        };
+        assert_eq!(max_of(0), [(100, 1.0), (200, 0.0)]);
+        assert_eq!(max_of(1), [(100, 0.0), (200, 1.0)]);
+        // A loop starting on a boundary snapshots at its start, so its first
+        // driver call counts in its first window.
+        let sampler = sample(1, 100, 100, |now| {
+            (now == 100).then_some((0, MsgClass::Publication))
+        });
+        assert_eq!(
+            sampler.series(publications, None),
+            [(100, Summary::of(vec![1]))]
         );
     }
 }

@@ -180,7 +180,7 @@ impl<P: Process> Sim<P> {
             latency: LatencyModel::Unit,
             lat_rngs: Vec::new(),
             scratch_out: Vec::new(),
-            metrics: Metrics::new(100),
+            metrics: Metrics::default(),
             now: 0,
             fault: FaultPlan::none(),
             rng: SimRng::seed_from_u64(seed),
@@ -236,16 +236,6 @@ impl<P: Process> Sim<P> {
     /// Replaces the fault schedule wholesale.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = plan;
-    }
-
-    /// Sets the metrics window length in steps (default 100, the sampling period
-    /// used throughout the paper's §5.2.1). Resets collected metrics.
-    pub fn set_metrics_window(&mut self, steps: Step) {
-        self.metrics = Metrics::new(steps);
-        // Align the fresh collector with the current step: rolling is
-        // otherwise only done once per step(), so traffic recorded before
-        // the next step would be stamped into the window starting at 0.
-        self.metrics.roll_to(self.now);
     }
 
     /// Adds a node running `proc`; `on_start` fires immediately (its sends are
@@ -415,9 +405,6 @@ impl<P: Process> Sim<P> {
     pub fn step(&mut self) {
         self.now += 1;
         let now = self.now;
-        // The only metrics roll of the step: every send/receive below happens
-        // at this `now`, so per-message rolling would be a no-op.
-        self.metrics.roll_to(now);
         let partition_active = self.fault.active_partitions(now).next().is_some();
         let loss = self.fault.loss_rate(now);
 
@@ -737,26 +724,6 @@ mod tests {
         assert_eq!(sim.nth_alive(1), Some(ids[2]));
         assert_eq!(sim.nth_alive(2), Some(ids[4]));
         assert_eq!(sim.nth_alive(3), None);
-    }
-
-    #[test]
-    fn metrics_reset_mid_run_stamps_current_window() {
-        let mut sim: Sim<Forwarder> = Sim::new(0);
-        let a = sim.add_node(Forwarder { n: 1, seen: vec![] });
-        sim.run(25);
-        sim.set_metrics_window(10);
-        // Traffic recorded between the reset and the next step must land in
-        // the window containing `now`, not in a window stamped 0.
-        sim.post(a, TestMsg::Token(0));
-        sim.run(10);
-        let metrics = sim.metrics();
-        let windows = metrics.windows();
-        let traffic: Vec<_> = windows
-            .iter()
-            .filter(|(_, per_node)| per_node.iter().any(|c| c.sent != [0; 3]))
-            .collect();
-        assert_eq!(traffic.len(), 1);
-        assert_eq!(traffic[0].0, 20); // the window [20, 30) contains now = 25
     }
 
     #[test]

@@ -26,10 +26,11 @@
 //! * [`FaultPlan`] adds the link-level fault classes — network partitions
 //!   (named sides over a step interval) and lossy links — enforced in the
 //!   delivery loop and accounted per [`DropReason`] in the metrics.
-//! * [`Metrics`] counts sent/received messages per node per class
-//!   ([`MsgClass::Publication`], [`Subscription`](MsgClass::Subscription),
-//!   [`Management`](MsgClass::Management)) in fixed-size step windows, and computes
-//!   the median/max summaries plotted in the paper's Figures 3(c)–3(g).
+//! * [`Metrics`] keeps running totals of sent/received messages per node per
+//!   class ([`MsgClass::Publication`], [`Subscription`](MsgClass::Subscription),
+//!   [`Management`](MsgClass::Management)); the per-window summaries plotted
+//!   in the paper's Figures 3(c)–3(g) are differences of its snapshots, taken
+//!   by the figure runners.
 //!
 //! # Example
 //!
@@ -78,7 +79,5 @@ pub use churn::{ChurnEvent, ChurnPlan};
 pub use engine::{Sim, SimSnapshot};
 pub use fault::{CutDir, FaultPlan, PartitionWindow};
 pub use latency::{LatencyModel, MAX_LATENCY};
-pub use metrics::{
-    ClassCounts, Dir, DropReason, LatencyHistogram, LatencySummary, Metrics, Stat, WindowStat,
-};
+pub use metrics::{ClassCounts, DropReason, LatencyHistogram, LatencySummary, Metrics};
 pub use process::{Context, Message, MsgClass, NodeId, Process, SimRng, Step};

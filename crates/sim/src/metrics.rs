@@ -1,19 +1,18 @@
-//! Per-node, per-class, per-window traffic accounting.
+//! Per-node, per-class traffic accounting.
 //!
-//! The paper's Figures 3(c)–3(g) all plot statistics of the form "number of
-//! messages sent/received by the median (or most loaded) node, sampled during a
-//! period of 100 steps". [`Metrics`] keeps exactly that: counters per `(node,
-//! class, direction)` for the current window, snapshotting them when the window
-//! rolls over, and offers median/max/mean summaries over any subset of classes.
+//! [`Metrics`] keeps running totals only: cumulative sent/received counters
+//! per `(node, class)`, class totals, receipts per message kind and drops per
+//! reason. Windowed statistics (the paper's "messages per node per 100
+//! steps") are the reader's business: difference two snapshots of
+//! [`Metrics::per_node`] taken at the window's boundaries.
 //!
 //! Counters are dense `Vec<ClassCounts>` indexed by [`NodeId::index`] (node ids
 //! are dense join-order indices), so the per-message hot path is two array
-//! increments — no hashing. Window rolling is hoisted out of the per-message
-//! path: the engine calls [`Metrics::roll_to`] once per step.
+//! increments — no hashing, and no state that grows with the run's length.
 
 use serde::Serialize;
 
-use crate::process::{MsgClass, NodeId, Step};
+use crate::process::{MsgClass, NodeId};
 
 /// Sent/received counters for the three message classes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -33,10 +32,6 @@ impl ClassCounts {
     /// Total received over the given classes.
     pub fn recv_in(&self, classes: &[MsgClass]) -> u64 {
         classes.iter().map(|c| self.recv[c.index()]).sum()
-    }
-
-    fn is_zero(&self) -> bool {
-        self.sent == [0; 3] && self.recv == [0; 3]
     }
 }
 
@@ -96,21 +91,6 @@ impl LatencyHistogram {
         self.samples.push(latency);
     }
 
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Folds another histogram's samples into this one.
-    pub fn absorb(&mut self, other: &LatencyHistogram) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
     /// Summarizes the samples into nearest-rank percentiles. An empty
     /// histogram summarizes to all zeros with `samples == 0` — callers that
     /// must distinguish "no traffic" from "instant" check the count.
@@ -155,37 +135,12 @@ pub struct LatencySummary {
     pub mean: f64,
 }
 
-/// Median / max / mean summary of a per-node quantity within one window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct Stat {
-    /// Value at the median node (the node with less than half and more than half —
-    /// the paper's definition).
-    pub median: f64,
-    /// Value at the most loaded node.
-    pub max: f64,
-    /// Mean over nodes.
-    pub mean: f64,
-}
-
-/// A summary for one completed window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct WindowStat {
-    /// First step of the window.
-    pub start: Step,
-    /// Summary over the nodes active in the window.
-    pub stat: Stat,
-}
-
 /// Traffic metrics collector. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    window: Step,
-    /// Start step of the current window.
-    cur_start: Step,
-    /// Current-window counters, indexed by node index; all-zero means the node
-    /// was not active in the window.
-    cur: Vec<ClassCounts>,
-    history: Vec<(Step, Vec<ClassCounts>)>,
+    /// Cumulative counters, indexed by node index; nodes past the end have
+    /// neither sent nor received anything.
+    per_node: Vec<ClassCounts>,
     totals: ClassCounts,
     /// Messages received, indexed by [`Message::kind`](crate::Message::kind):
     /// a flat vector grown to the highest kind seen, no map on the hot path.
@@ -194,46 +149,23 @@ pub struct Metrics {
     drops: [[u64; 3]; 3],
 }
 
-/// Direction selector for summaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dir {
-    /// Outgoing messages.
-    Sent,
-    /// Incoming messages.
-    Recv,
-}
-
 impl Metrics {
-    /// New collector with the given window length (steps).
-    pub fn new(window: Step) -> Self {
-        Metrics {
-            window: window.max(1),
-            cur_start: 0,
-            cur: Vec::new(),
-            history: Vec::new(),
-            totals: ClassCounts::default(),
-            recv_kinds: Vec::new(),
-            drops: [[0; 3]; 3],
-        }
-    }
-
     fn slot(&mut self, node: NodeId) -> &mut ClassCounts {
         let idx = node.index();
-        if idx >= self.cur.len() {
-            self.cur.resize(idx + 1, ClassCounts::default());
+        if idx >= self.per_node.len() {
+            self.per_node.resize(idx + 1, ClassCounts::default());
         }
-        &mut self.cur[idx]
+        &mut self.per_node[idx]
     }
 
-    /// Counts one sent message. The caller guarantees the window was rolled to
-    /// the current step (the engine rolls once per step).
+    /// Counts one sent message.
     pub(crate) fn on_send(&mut self, node: NodeId, class: MsgClass) {
         self.slot(node).sent[class.index()] += 1;
         self.totals.sent[class.index()] += 1;
     }
 
     /// Counts one received message of the given class and
-    /// [kind](crate::Message::kind). Same rolling contract as `on_send`.
+    /// [kind](crate::Message::kind).
     pub(crate) fn on_recv(&mut self, node: NodeId, class: MsgClass, kind: usize) {
         self.slot(node).recv[class.index()] += 1;
         self.totals.recv[class.index()] += 1;
@@ -241,14 +173,6 @@ impl Metrics {
             self.recv_kinds.resize(kind + 1, 0);
         }
         self.recv_kinds[kind] += 1;
-    }
-
-    pub(crate) fn roll_to(&mut self, now: Step) {
-        while now >= self.cur_start + self.window {
-            let done = std::mem::take(&mut self.cur);
-            self.history.push((self.cur_start, done));
-            self.cur_start += self.window;
-        }
     }
 
     /// Counts one dropped message.
@@ -288,72 +212,11 @@ impl Metrics {
         &self.recv_kinds
     }
 
-    /// Completed windows: `(start_step, per-node counters indexed by node index)`.
-    /// An all-zero entry (or an index past the end) means the node was inactive
-    /// in that window.
-    pub fn windows(&self) -> &[(Step, Vec<ClassCounts>)] {
-        &self.history
+    /// Every node's counters since the start of the run, indexed by node
+    /// index. An index past the end has neither sent nor received anything.
+    pub fn per_node(&self) -> &[ClassCounts] {
+        &self.per_node
     }
-
-    /// Median/max/mean of per-node **sent** traffic for the given classes, one
-    /// entry per completed window.
-    pub fn sent_series(&self, classes: &[MsgClass]) -> Vec<WindowStat> {
-        self.series(Dir::Sent, classes, None)
-    }
-
-    /// Median/max/mean of per-node **received** traffic for the given classes.
-    pub fn recv_series(&self, classes: &[MsgClass]) -> Vec<WindowStat> {
-        self.series(Dir::Recv, classes, None)
-    }
-
-    /// Like [`sent_series`](Metrics::sent_series)/[`recv_series`](Metrics::recv_series)
-    /// but with an explicit population: nodes in `population` that sent/received
-    /// nothing in a window count as zero (the paper's median is over all nodes, and
-    /// e.g. leader-based medians are famously zero because most nodes never send).
-    /// Without a population, only nodes active in the window (any class, either
-    /// direction) are counted.
-    pub fn series(
-        &self,
-        dir: Dir,
-        classes: &[MsgClass],
-        population: Option<&[NodeId]>,
-    ) -> Vec<WindowStat> {
-        let pick = |c: &ClassCounts| match dir {
-            Dir::Sent => c.sent_in(classes),
-            Dir::Recv => c.recv_in(classes),
-        };
-        self.history
-            .iter()
-            .map(|(start, per_node)| {
-                let mut values: Vec<u64> = match population {
-                    Some(pop) => pop
-                        .iter()
-                        .map(|id| per_node.get(id.index()).map(&pick).unwrap_or(0))
-                        .collect(),
-                    None => per_node
-                        .iter()
-                        .filter(|c| !c.is_zero())
-                        .map(&pick)
-                        .collect(),
-                };
-                values.sort_unstable();
-                WindowStat {
-                    start: *start,
-                    stat: summarize(&values),
-                }
-            })
-            .collect()
-    }
-}
-
-fn summarize(sorted: &[u64]) -> Stat {
-    if sorted.is_empty() {
-        return Stat::default();
-    }
-    let median = sorted[sorted.len() / 2] as f64;
-    let max = *sorted.last().unwrap() as f64;
-    let mean = sorted.iter().sum::<u64>() as f64 / sorted.len() as f64;
-    Stat { median, max, mean }
 }
 
 #[cfg(test)]
@@ -361,51 +224,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn windows_roll_and_summarize() {
-        let mut m = Metrics::new(10);
-        let a = NodeId::from_index(0);
-        let b = NodeId::from_index(1);
-        for _ in 1..=9 {
-            m.on_send(a, MsgClass::Publication);
-        }
-        m.on_send(b, MsgClass::Management);
-        // Entering step 10 rolls the first window.
-        m.roll_to(10);
-        m.on_send(a, MsgClass::Publication);
-        assert_eq!(m.windows().len(), 1);
-        let series = m.sent_series(&[MsgClass::Publication]);
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].start, 0);
-        assert_eq!(series[0].stat.max, 9.0);
-        // Two nodes: values [0(b), 9(a)] -> median index 1 -> 9.
-        assert_eq!(series[0].stat.median, 9.0);
-
-        // With explicit population including a silent node, median drops.
-        let c = NodeId::from_index(2);
-        let pop = [a, b, c];
-        let s = m.series(Dir::Sent, &[MsgClass::Publication], Some(&pop));
-        assert_eq!(s[0].stat.median, 0.0);
-        assert_eq!(s[0].stat.max, 9.0);
-    }
-
-    #[test]
     fn class_filtering() {
-        let mut m = Metrics::new(10);
+        let mut m = Metrics::default();
         let a = NodeId::from_index(0);
         m.on_send(a, MsgClass::Publication);
         m.on_send(a, MsgClass::Management);
         m.on_recv(a, MsgClass::Subscription, 0);
-        m.roll_to(10);
-        assert_eq!(m.sent_series(&[MsgClass::Publication])[0].stat.max, 1.0);
-        assert_eq!(m.sent_series(&MsgClass::ALL)[0].stat.max, 2.0);
-        assert_eq!(m.recv_series(&MsgClass::ALL)[0].stat.max, 1.0);
+        let c = m.per_node()[0];
+        assert_eq!(c.sent_in(&[MsgClass::Publication]), 1);
+        assert_eq!(c.sent_in(&MsgClass::ALL), 2);
+        assert_eq!(c.recv_in(&MsgClass::ALL), 1);
         assert_eq!(m.total_sent(MsgClass::Publication), 1);
         assert_eq!(m.total_received(MsgClass::Subscription), 1);
     }
 
     #[test]
     fn drop_counters_index_by_reason_and_class() {
-        let mut m = Metrics::new(10);
+        let mut m = Metrics::default();
         m.on_drop(DropReason::Partitioned, MsgClass::Publication);
         m.on_drop(DropReason::Partitioned, MsgClass::Management);
         m.on_drop(DropReason::Loss, MsgClass::Publication);
@@ -423,7 +258,7 @@ mod tests {
     #[test]
     fn receipts_are_counted_per_kind() {
         let a = NodeId::from_index(0);
-        let mut m = Metrics::new(10);
+        let mut m = Metrics::default();
         assert!(m.received_by_kind().is_empty());
         m.on_recv(a, MsgClass::Management, 2);
         m.on_recv(a, MsgClass::Publication, 0);
@@ -442,19 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_window_is_all_zero() {
-        let mut m = Metrics::new(5);
-        m.roll_to(20);
-        assert_eq!(m.windows().len(), 4);
-        for w in m.sent_series(&MsgClass::ALL) {
-            assert_eq!(w.stat.max, 0.0);
-        }
-    }
-
-    #[test]
     fn latency_histogram_nearest_rank() {
         let mut h = LatencyHistogram::new();
-        assert!(h.is_empty());
         assert_eq!(h.summary(), LatencySummary::default());
         for v in 1..=100u64 {
             h.record(v);
@@ -471,28 +295,5 @@ mod tests {
         tiny.record(7);
         let t = tiny.summary();
         assert_eq!((t.p50, t.p99, t.p999, t.max), (7.0, 7.0, 7.0, 7.0));
-        // Absorb folds sample sets.
-        let mut other = LatencyHistogram::new();
-        other.record(1000);
-        h.absorb(&other);
-        assert_eq!(h.len(), 101);
-        assert_eq!(h.summary().max, 1000.0);
-    }
-
-    #[test]
-    fn inactive_nodes_are_invisible_without_population() {
-        // A node that only sent Management still contributes a zero to the
-        // Publication series (it was active in the window), while a node that
-        // did nothing at all does not appear.
-        let mut m = Metrics::new(10);
-        let a = NodeId::from_index(0);
-        let b = NodeId::from_index(5); // leaves gaps 1..5 untouched
-        m.on_send(a, MsgClass::Publication);
-        m.on_send(b, MsgClass::Management);
-        m.roll_to(10);
-        let s = m.sent_series(&[MsgClass::Publication]);
-        // Values are [0 (b), 1 (a)]: median over the two active nodes only.
-        assert_eq!(s[0].stat.max, 1.0);
-        assert_eq!(s[0].stat.mean, 0.5);
     }
 }
