@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use dps_content::{FilterIndex, MatchScratch, SharedEvent, SharedFilter};
+use dps_content::{SharedEvent, SharedFilter};
 
 use crate::error::DpsError;
 use crate::overlay::Overlay;
@@ -58,13 +58,6 @@ pub struct DpsNetwork {
     core: Overlay,
     sink: Arc<CountingSink>,
     oracle: ForestModel,
-    /// Live filters keyed `(node, sub)`, maintained by subscribe/unsubscribe
-    /// (the oracle's subscription list is append-only, so matching uses this
-    /// registry) — a counting-algorithm index.
-    filters: FilterIndex<(NodeId, SubId)>,
-    /// Reusable scratch + hit buffer for `filters` queries.
-    match_scratch: MatchScratch,
-    match_hits: Vec<(NodeId, SubId)>,
     pubs: Vec<PubRecord>,
 }
 
@@ -91,37 +84,32 @@ impl DpsNetwork {
             core: Overlay::new(cfg, seed, sink.clone()),
             sink,
             oracle: ForestModel::new(),
-            filters: FilterIndex::new(),
-            match_scratch: MatchScratch::new(),
-            match_hits: Vec::new(),
             pubs: Vec::new(),
         }
     }
 
-    /// [`Overlay::try_subscribe`], recorded in the oracle and the ground-truth
-    /// registry.
+    /// [`Overlay::try_subscribe`], registered with the oracle.
     pub fn try_subscribe(
         &mut self,
         node: NodeId,
         filter: impl Into<SharedFilter>,
     ) -> Result<SubId, DpsError> {
-        // Wrapped once (by `into`); the oracle, the node's filter index and
-        // the facade registry all share that one allocation.
+        // Wrapped once (by `into`); the oracle and the node's filter index
+        // share that one allocation.
         let filter = filter.into();
         let (sub_id, join_idx) = self.core.subscribe_joining(node, filter.clone())?;
-        self.oracle.subscribe(node, &filter, join_idx);
-        self.filters.insert((node, sub_id), filter);
+        self.oracle.subscribe(sub_id, &filter, join_idx);
         Ok(sub_id)
     }
 
     /// Cancels a subscription previously issued through this facade.
     ///
-    /// Errors with [`DpsError::UnknownSubscription`] when `(node, sub_id)` is
-    /// not a live registration. Cancelling on a dead node still removes the
-    /// registration (the overlay side died with the node) but reports
+    /// Errors with [`DpsError::UnknownSubscription`] when `sub_id` is not a
+    /// live subscription of `node`. Cancelling on a dead node still removes
+    /// the registration (the overlay side died with the node) but reports
     /// [`DpsError::NodeDead`].
     pub fn try_unsubscribe(&mut self, node: NodeId, sub_id: SubId) -> Result<(), DpsError> {
-        if self.filters.remove((node, sub_id)) == 0 {
+        if sub_id.0 != node || !self.oracle.unsubscribe(sub_id) {
             return Err(DpsError::UnknownSubscription { node, sub: sub_id });
         }
         self.core.try_unsubscribe(node, sub_id)
@@ -136,32 +124,27 @@ impl DpsNetwork {
         node: NodeId,
         event: impl Into<SharedEvent>,
     ) -> Result<PubId, DpsError> {
-        // Match the registry by reference; the event itself is moved into
-        // the node, not cloned.
+        // Match the oracle by reference; the event itself is moved into the
+        // node, not cloned.
         let event = event.into();
         let sim = self.core.sim();
         let now = sim.now();
-        self.filters
-            .matching_into(&event, &mut self.match_scratch, &mut self.match_hits);
-        let expected: HashSet<NodeId> = self
-            .match_hits
-            .iter()
-            .map(|(n, _)| *n)
-            .filter(|n| sim.is_alive(*n))
-            .collect();
+        let mut expected = self.oracle.matching_subscribers(&event);
+        expected.retain(|n| sim.is_alive(*n));
         // Reachability is per active window and transitive through bridges: a
         // subscriber on the far side of a cut still counts as reachable when
         // some *alive* node sits in no side of that window (it can relay
-        // across), so only absolute cuts shrink the reachable set.
-        let fault = sim.fault_plan();
+        // across), so only absolute cuts shrink the reachable set. Whether a
+        // window has such a bridge does not depend on the subscriber.
+        let cuts: Vec<_> = sim
+            .fault_plan()
+            .active_partitions(now)
+            .filter(|w| !sim.alive().any(|b| w.side_of(b).is_none()))
+            .collect();
         let reachable: HashSet<NodeId> = expected
             .iter()
             .copied()
-            .filter(|s| {
-                !fault
-                    .active_partitions(now)
-                    .any(|w| w.severs(node, *s) && !sim.alive().any(|b| w.side_of(b).is_none()))
-            })
+            .filter(|s| !cuts.iter().any(|w| w.severs(node, *s)))
             .collect();
         let id = self.core.try_publish(node, event)?;
         self.pubs.push(PubRecord {
@@ -284,8 +267,8 @@ impl DpsNetwork {
         &self.sink
     }
 
-    /// The omniscient reference model fed with every subscription issued through
-    /// this driver.
+    /// The omniscient reference model: every subscription issued through this
+    /// driver, minus the cancelled ones, and the forest they were placed in.
     pub fn oracle(&self) -> &ForestModel {
         &self.oracle
     }

@@ -314,11 +314,6 @@ impl Overlay {
         &self.sim
     }
 
-    /// Mutable access to the underlying simulator (scenario drivers).
-    pub fn sim_mut(&mut self) -> &mut Sim<DpsNode> {
-        &mut self.sim
-    }
-
     /// Summary snapshot.
     pub fn snapshot(&self) -> SimSnapshot {
         self.sim.snapshot()

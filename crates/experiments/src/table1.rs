@@ -124,11 +124,13 @@ pub fn run_workload(w: &Workload, scale: Scale, seed: u64) -> Table1Row {
         for node in batch {
             let filter = dps::SharedFilter::from(w.subscription(&mut rng));
             let join_idx = rng.random_range(0..filter.predicates().len());
-            oracle.subscribe(node, &filter, join_idx);
-            let f = filter.clone();
-            sim.invoke(node, move |n, ctx| {
-                n.subscribe_with(f, join_idx, ctx);
+            let mut sub = None;
+            sim.invoke(node, |n, ctx| {
+                sub = Some(n.subscribe_with(filter.clone(), join_idx, ctx));
             });
+            if let Some(sub) = sub {
+                oracle.subscribe(sub, &filter, join_idx);
+            }
         }
         sim.step();
     }

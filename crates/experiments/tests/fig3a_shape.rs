@@ -9,7 +9,8 @@
 //! minutes of CPU) so the regression cannot silently return.
 
 use dps::{CommKind, DpsConfig, JoinRule, TraversalKind};
-use dps_experiments::figures::fig3a_cell;
+use dps_experiments::figures::{fig3a_cell, fig3a_configs};
+use dps_experiments::run_cells;
 
 fn cfg(traversal: TraversalKind, comm: CommKind, fanout: usize) -> DpsConfig {
     let mut c = DpsConfig::named(traversal, comm).with_fanout(fanout);
@@ -70,4 +71,32 @@ fn fault_free_cells_deliver_nearly_everything() {
             point.delivered_ratio
         );
     }
+}
+
+/// With no faults at all every cell must deliver every matching event: the
+/// six figure configurations × 60 seeds at the smoke cell size. It fails
+/// today (fault-free cells lose deliveries) and is ignored until that is
+/// found and fixed; run it with
+/// `cargo test --release -p dps-experiments --test fig3a_shape -- --ignored`.
+#[test]
+#[ignore = "fault-free cells still lose deliveries"]
+fn fault_free_cells_deliver_everything() {
+    let n = 60;
+    let steps = 3 * n as u64;
+    let cells: Vec<_> = fig3a_configs()
+        .into_iter()
+        .flat_map(|c| (0..60).map(move |pi| move || (pi, fig3a_cell(c, 0.0, pi, n, steps))))
+        .collect();
+    let total = cells.len();
+    let short: Vec<String> = run_cells(cells)
+        .into_iter()
+        .filter(|(_, point)| point.delivered_ratio < 1.0)
+        .map(|(pi, point)| format!("{} pi {pi}: {}", point.config, point.delivered_ratio))
+        .collect();
+    assert!(
+        short.is_empty(),
+        "{} of {total} fault-free cells deliver less than everything:\n{}",
+        short.len(),
+        short.join("\n")
+    );
 }

@@ -1,7 +1,8 @@
-//! Golden rows for the windowed figures. Figures 3(c)–3(g) sample per-node
-//! traffic over 100-step windows; each runner's pretty-JSON rows at
-//! `Scale::Smoke` (what `target/experiments/<name>.json` holds after the
-//! bench target) are compared line by line with `tests/golden/<name>.json`.
+//! Runner goldens. Figures 3(c)–3(g) sample per-node traffic over 100-step
+//! windows, and Table 1 scores every event against the oracle's matching
+//! set; each runner's pretty-JSON rows at `Scale::Smoke` (what
+//! `target/experiments/<name>.json` holds after the bench target) are
+//! compared line by line with `tests/golden/<name>.json`.
 //!
 //! A refactor must leave the files untouched. A change that moves the rows
 //! on purpose re-blesses them and says why:
@@ -9,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use dps_experiments::{figures, Scale};
+use dps_experiments::{figures, table1, Scale};
 use serde::Serialize;
 
 /// Compares `rows` with `tests/golden/<name>.json`, or, under `DPS_BLESS=1`,
@@ -54,4 +55,9 @@ fn fig3ef_smoke_rows_match_the_golden() {
 #[test]
 fn fig3g_smoke_rows_match_the_golden() {
     check("fig3g", &figures::fig3g(Scale::Smoke));
+}
+
+#[test]
+fn table1_smoke_rows_match_the_golden() {
+    check("table1", &table1::run(Scale::Smoke));
 }

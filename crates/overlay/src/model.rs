@@ -5,7 +5,10 @@
 //!
 //! 1. **Oracle** — experiments ask it which subscribers an event *should* reach
 //!    (matching members) and which groups a root-based dissemination visits, to
-//!    compute delivery ratios and false-positive rates.
+//!    compute delivery ratios and false-positive rates. [`ForestModel`] holds
+//!    the registry of live subscriptions, the one ground-truth matcher of the
+//!    evaluation: a cancelled subscription leaves it, while the reference
+//!    trees stay append-only.
 //! 2. **Differential testing** — integration tests build the distributed overlay
 //!    and assert that it converges to exactly this forest.
 //! 3. **Analysis inputs** — the closed forms of §5.1 need the tree depth `h` and
@@ -19,6 +22,7 @@ use dps_sim::NodeId;
 use serde::Serialize;
 
 use crate::label::GroupLabel;
+use crate::msg::SubId;
 
 /// One vertex of a reference tree.
 #[derive(Debug, Clone, Serialize)]
@@ -288,30 +292,18 @@ impl TreeModel {
     }
 }
 
-/// The reference forest plus the global subscription registry: the experiment
-/// harness's omniscient oracle.
+/// The reference forest plus the registry of live subscriptions: the
+/// experiment harness's omniscient oracle.
 #[derive(Debug, Clone, Default)]
 pub struct ForestModel {
     trees: BTreeMap<AttrName, TreeModel>,
-    subscriptions: Vec<(NodeId, SharedFilter)>,
-    /// Counting-algorithm index over `subscriptions` (handle = position in
-    /// the vector), so oracle matching scales past broker-grade populations.
-    index: FilterIndex<u32>,
+    /// Counting-algorithm index over the live subscriptions, so oracle
+    /// matching scales past broker-grade populations.
+    index: FilterIndex<SubId>,
     /// Reusable query scratch and hit buffer (both churn per event on the
     /// oracle hot path); a `RefCell` because the oracle is queried through
     /// `&self` (single-threaded harness code).
-    scratch: std::cell::RefCell<(MatchScratch, Vec<u32>)>,
-}
-
-// Manual impl (not derived): the index and scratch are derived state that
-// must not leak into experiment JSON output.
-impl Serialize for ForestModel {
-    fn to_json(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("trees".to_owned(), self.trees.to_json()),
-            ("subscriptions".to_owned(), self.subscriptions.to_json()),
-        ])
-    }
+    scratch: std::cell::RefCell<(MatchScratch, Vec<SubId>)>,
 }
 
 impl ForestModel {
@@ -320,30 +312,27 @@ impl ForestModel {
         ForestModel::default()
     }
 
-    /// Registers a subscription joining via the predicate at `join_idx` in the
-    /// filter, mirroring the distributed join. Returns the `(attribute,
-    /// predicate)` actually joined.
+    /// Registers subscription `sub` of node `sub.0`, joining via the
+    /// predicate at `join_idx` in the filter, mirroring the distributed join.
     ///
     /// # Panics
     ///
     /// Panics if the filter is empty or `join_idx` is out of range.
-    pub fn subscribe(
-        &mut self,
-        node: NodeId,
-        filter: &SharedFilter,
-        join_idx: usize,
-    ) -> (AttrName, Predicate) {
-        let pred = filter.predicates()[join_idx].clone();
-        let attr = pred.name().clone();
+    pub fn subscribe(&mut self, sub: SubId, filter: &SharedFilter, join_idx: usize) {
+        let pred = &filter.predicates()[join_idx];
         self.trees
-            .entry(attr.clone())
-            .or_insert_with(|| TreeModel::new(attr.clone()))
-            .insert(&pred, node);
-        // Both the index and the registry share the caller's allocation.
-        self.index
-            .insert(self.subscriptions.len() as u32, filter.clone());
-        self.subscriptions.push((node, filter.clone()));
-        (attr, pred)
+            .entry(pred.name().clone())
+            .or_insert_with(|| TreeModel::new(pred.name().clone()))
+            .insert(pred, sub.0);
+        // The index shares the caller's allocation.
+        self.index.insert(sub, filter.clone());
+    }
+
+    /// Drops subscription `sub` from the matching registry; returns whether
+    /// it was registered. The reference trees keep the member where it was
+    /// placed (they are append-only).
+    pub fn unsubscribe(&mut self, sub: SubId) -> bool {
+        self.index.remove(sub) > 0
     }
 
     /// The trees of the forest.
@@ -356,20 +345,13 @@ impl ForestModel {
         self.trees.get(attr)
     }
 
-    /// All registered `(subscriber, filter)` pairs.
-    pub fn subscriptions(&self) -> &[(NodeId, SharedFilter)] {
-        &self.subscriptions
-    }
-
-    /// Nodes with at least one filter matching `event` — the ground-truth
-    /// recipients ("Matching" in Table 1).
+    /// Nodes with at least one live filter matching `event` — the
+    /// ground-truth recipients ("Matching" in Table 1).
     pub fn matching_subscribers(&self, event: &Event) -> HashSet<NodeId> {
         let mut guard = self.scratch.borrow_mut();
         let (scratch, hits) = &mut *guard;
         self.index.matching_into(event, scratch, hits);
-        hits.iter()
-            .map(|h| self.subscriptions[*h as usize].0)
-            .collect()
+        hits.iter().map(|sub| sub.0).collect()
     }
 
     /// Subscribers a root-based DPS dissemination contacts: union over the trees
@@ -533,9 +515,10 @@ mod tests {
     #[test]
     fn forest_oracle() {
         let mut f = ForestModel::new();
+        let sub = |i| SubId(n(i), 0);
         // s0: a>2 & b>0 joins via a>2; s3: b>3 & c=abc joins via b>3.
         f.subscribe(
-            n(0),
+            sub(0),
             &"a > 2 & b > 0"
                 .parse::<dps_content::Filter>()
                 .unwrap()
@@ -543,7 +526,7 @@ mod tests {
             0,
         );
         f.subscribe(
-            n(3),
+            sub(3),
             &"b > 3 & c = abc"
                 .parse::<dps_content::Filter>()
                 .unwrap()
@@ -551,7 +534,7 @@ mod tests {
             0,
         );
         f.subscribe(
-            n(9),
+            sub(9),
             &"a < 11".parse::<dps_content::Filter>().unwrap().into(),
             0,
         );
@@ -565,7 +548,13 @@ mod tests {
         assert_eq!(contacted, [n(0), n(9), n(3)].into_iter().collect());
         assert!(f.tree(&"a".into()).is_some());
         assert!(f.tree(&"z".into()).is_none());
-        assert_eq!(f.subscriptions().len(), 3);
+        // Cancelling s9 drops it from the matching set once; its group keeps it.
+        assert!(f.unsubscribe(sub(9)));
+        assert!(!f.unsubscribe(sub(9)));
+        assert_eq!(f.matching_subscribers(&ev), [n(0)].into_iter().collect());
+        let tree_a = f.tree(&"a".into()).unwrap();
+        let a11 = tree_a.find(&p("a < 11")).unwrap();
+        assert_eq!(tree_a.group(a11).members, [n(9)]);
     }
 
     #[test]

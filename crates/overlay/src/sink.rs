@@ -151,12 +151,6 @@ impl CountingSink {
         inner.contacts.iter().filter(|(p, _)| *p == id).count()
     }
 
-    /// Number of distinct nodes notified by `id`.
-    pub fn notified(&self, id: PubId) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner.notifies.keys().filter(|(p, _)| *p == id).count()
-    }
-
     /// Whether `(id, node)` was notified.
     pub fn was_notified(&self, id: PubId, node: NodeId) -> bool {
         self.inner
@@ -229,7 +223,6 @@ mod tests {
         s.on_contact(p, n2, 3);
         s.on_notify(p, n2, &ev(), &[SubId(n2, 0)], 5);
         assert_eq!(s.contacted(p), 2);
-        assert_eq!(s.notified(p), 1);
         assert!(s.was_notified(p, n2));
         assert!(!s.was_notified(p, n1));
         assert!(s.was_contacted(p, n1));

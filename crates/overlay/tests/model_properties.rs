@@ -5,6 +5,7 @@
 
 use dps_content::strategies as st;
 use dps_overlay::model::{ForestModel, TreeModel};
+use dps_overlay::SubId;
 use dps_sim::NodeId;
 use proptest::prelude::*;
 
@@ -75,7 +76,7 @@ proptest! {
         let mut forest = ForestModel::new();
         for (i, p) in preds.iter().enumerate() {
             let f = dps_content::SharedFilter::from(dps_content::Filter::new([p.clone()]));
-            forest.subscribe(NodeId::from_index(i), &f, 0);
+            forest.subscribe(SubId(NodeId::from_index(i), 0), &f, 0);
         }
         let contacted = forest.contacted_subscribers(&e);
         for (i, p) in preds.iter().enumerate() {

@@ -1,10 +1,58 @@
-//! Shared by `replay_golden.rs` and `latency_determinism.rs`: the digest of
-//! everything a `DpsNetwork` run lets an observer see, and the latency run
-//! both of them replay.
+//! Shared by the root integration tests: the digest of everything a
+//! `DpsNetwork` run lets an observer see and the latency run replayed by
+//! `replay_golden.rs` and `latency_determinism.rs`, and the forest comparison
+//! of `figure1_forest.rs`, `forest_many_attrs.rs` and `properties.rs`. Each
+//! test binary uses a part of it.
+#![allow(dead_code)]
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use dps::model::ForestModel;
 use dps::{
-    CommKind, DpsConfig, DpsNetwork, DropReason, JoinRule, LatencyModel, MsgClass, TraversalKind,
+    CommKind, DpsConfig, DpsNetwork, DropReason, JoinRule, LatencyModel, MsgClass, Overlay,
+    TraversalKind,
 };
+
+/// A forest keyed by group label (roots left out): the parent's label and
+/// the member indices of every group.
+pub type Groups = BTreeMap<String, (String, BTreeSet<usize>)>;
+
+/// The groups of the reference model `model`.
+pub fn model_groups(model: &ForestModel) -> Groups {
+    let mut out = Groups::new();
+    for tree in model.trees() {
+        for g in tree.groups() {
+            if let Some(pi) = g.parent {
+                out.insert(
+                    g.label.to_string(),
+                    (
+                        tree.group(pi).label.to_string(),
+                        g.members.iter().map(|n| n.index()).collect(),
+                    ),
+                );
+            }
+        }
+    }
+    out
+}
+
+/// The groups of the distributed forest, as recorded at their leaders.
+pub fn live_groups(net: &Overlay) -> Groups {
+    let mut out = Groups::new();
+    for g in net.distributed_groups() {
+        if g.label.is_root() {
+            continue;
+        }
+        out.insert(
+            g.label.to_string(),
+            (
+                g.parent.map(|l| l.to_string()).unwrap_or_default(),
+                g.members.iter().map(|n| n.index()).collect(),
+            ),
+        );
+    }
+    out
+}
 
 /// Digests everything observable about `net`, one fact per line: delivery
 /// ratios, the publish→deliver latency summary, one line per publication

@@ -2,7 +2,7 @@
 //! forest of three trees ("a", "b", "c"), and the distributed overlay converges
 //! to exactly the reference model's shape.
 
-use std::collections::{BTreeMap, BTreeSet};
+mod common;
 
 use dps::model::ForestModel;
 use dps::{CommKind, DpsConfig, DpsNetwork, Filter, JoinRule, TraversalKind};
@@ -29,7 +29,7 @@ fn reference() -> ForestModel {
     let mut f = ForestModel::new();
     for (i, (s, idx)) in FIGURE1.iter().enumerate() {
         let filter: dps::SharedFilter = s.parse::<Filter>().unwrap().into();
-        f.subscribe(dps::NodeId::from_index(i), &filter, *idx);
+        f.subscribe(dps::SubId(dps::NodeId::from_index(i), 0), &filter, *idx);
     }
     f
 }
@@ -95,34 +95,8 @@ fn distributed_forest_converges_to_reference() {
         );
         net.run(300); // let view exchange settle re-parenting
 
-        let reference = reference();
-        let mut expect: BTreeMap<String, (String, BTreeSet<usize>)> = BTreeMap::new();
-        for tree in reference.trees() {
-            for g in tree.groups() {
-                if let Some(pi) = g.parent {
-                    expect.insert(
-                        g.label.to_string(),
-                        (
-                            tree.group(pi).label.to_string(),
-                            g.members.iter().map(|n| n.index()).collect(),
-                        ),
-                    );
-                }
-            }
-        }
-        let mut got: BTreeMap<String, (String, BTreeSet<usize>)> = BTreeMap::new();
-        for g in net.distributed_groups() {
-            if g.label.is_root() {
-                continue;
-            }
-            got.insert(
-                g.label.to_string(),
-                (
-                    g.parent.map(|l| l.to_string()).unwrap_or_default(),
-                    g.members.iter().map(|n| n.index()).collect(),
-                ),
-            );
-        }
+        let expect = common::model_groups(&reference());
+        let got = common::live_groups(&net);
         assert_eq!(
             expect.keys().collect::<Vec<_>>(),
             got.keys().collect::<Vec<_>>(),

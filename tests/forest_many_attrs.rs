@@ -4,10 +4,12 @@
 //! publications across trees (an event is published into *every* matching
 //! tree, §3).
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use dps::model::ForestModel;
-use dps::{CommKind, DpsConfig, DpsNetwork, Filter, JoinRule, NodeId, TraversalKind};
+use dps::{CommKind, DpsConfig, DpsNetwork, Filter, JoinRule, NodeId, SubId, TraversalKind};
 
 const ATTRS: usize = 8;
 
@@ -34,7 +36,7 @@ fn reference() -> ForestModel {
     let mut f = ForestModel::new();
     for (i, s) in subscriptions().iter().enumerate() {
         let filter: dps::SharedFilter = s.parse::<Filter>().unwrap().into();
-        f.subscribe(NodeId::from_index(i), &filter, 0);
+        f.subscribe(SubId(NodeId::from_index(i), 0), &filter, 0);
     }
     f
 }
@@ -80,33 +82,8 @@ fn eight_attribute_forest_matches_oracle_and_routes_across_trees() {
 
     // Full structural equality against the oracle: same groups, same parents,
     // same memberships, in every one of the eight trees.
-    let mut expect: BTreeMap<String, (String, BTreeSet<usize>)> = BTreeMap::new();
-    for tree in reference.trees() {
-        for g in tree.groups() {
-            if let Some(pi) = g.parent {
-                expect.insert(
-                    g.label.to_string(),
-                    (
-                        tree.group(pi).label.to_string(),
-                        g.members.iter().map(|n| n.index()).collect(),
-                    ),
-                );
-            }
-        }
-    }
-    let mut got: BTreeMap<String, (String, BTreeSet<usize>)> = BTreeMap::new();
-    for g in net.distributed_groups() {
-        if g.label.is_root() {
-            continue;
-        }
-        got.insert(
-            g.label.to_string(),
-            (
-                g.parent.map(|l| l.to_string()).unwrap_or_default(),
-                g.members.iter().map(|n| n.index()).collect(),
-            ),
-        );
-    }
+    let expect = common::model_groups(&reference);
+    let got = common::live_groups(&net);
     assert_eq!(
         expect.keys().collect::<Vec<_>>(),
         got.keys().collect::<Vec<_>>(),

@@ -2,12 +2,14 @@
 //! events, the distributed overlay (a) notifies exactly the oracle's matching
 //! set, and (b) converges to the reference forest. Case counts are kept small —
 //! each case is a full protocol simulation. One script of subscribe /
-//! unsubscribe / crash / publish calls (c) checks the facade's and the
-//! reference model's index-backed matching against a plain `Filter::matches`
-//! scan, and (d) that the bare `Overlay` core and the `DpsNetwork` facade
+//! unsubscribe / crash / publish calls (c) checks the oracle's index-backed
+//! matching and the facade's recorded ground truth against a plain
+//! `Filter::matches` scan, and (d) that the bare `Overlay` core and the `DpsNetwork` facade
 //! around it behave identically.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+mod common;
+
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use dps::{
@@ -181,10 +183,11 @@ fn ground_truth_equals_a_plain_scan_through_churn() {
             }
             Op::Publish(event) => {
                 let round = scanned.len();
-                let model = net.oracle().subscriptions();
+                // The oracle holds every uncancelled subscription, dead
+                // nodes' included.
                 assert_eq!(
                     net.oracle().matching_subscribers(&event),
-                    scan(model.iter().map(|(n, f)| (*n, f.inner())), &event),
+                    scan(live.iter().map(|(n, _, f)| (*n, f)), &event),
                     "round {round}: reference model vs scan"
                 );
                 let alive = live.iter().filter(|(n, _, _)| !dead.contains(n));
@@ -322,33 +325,8 @@ proptest! {
         net.run(250);
 
         // Expected parent relation from the oracle.
-        let mut expect: BTreeMap<String, (String, BTreeSet<usize>)> = BTreeMap::new();
-        for tree in net.oracle().trees() {
-            for g in tree.groups() {
-                if let Some(pi) = g.parent {
-                    expect.insert(
-                        g.label.to_string(),
-                        (
-                            tree.group(pi).label.to_string(),
-                            g.members.iter().map(|n| n.index()).collect(),
-                        ),
-                    );
-                }
-            }
-        }
-        let mut got: BTreeMap<String, (String, BTreeSet<usize>)> = BTreeMap::new();
-        for g in net.distributed_groups() {
-            if g.label.is_root() {
-                continue;
-            }
-            got.insert(
-                g.label.to_string(),
-                (
-                    g.parent.map(|l| l.to_string()).unwrap_or_default(),
-                    g.members.iter().map(|n| n.index()).collect(),
-                ),
-            );
-        }
+        let expect = common::model_groups(net.oracle());
+        let got = common::live_groups(&net);
         prop_assert_eq!(&expect, &got, "distributed forest diverged from reference");
     }
 }
