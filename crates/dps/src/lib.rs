@@ -64,5 +64,5 @@ pub use dps_sim::{
     LatencySummary, Metrics, MsgClass, NodeId, Sim, SimRng, Step,
 };
 
-pub use network::{DeliveryReport, DpsNetwork};
+pub use network::{DeliveryReport, DpsNetwork, MissCensus};
 pub use overlay::{GroupSnapshot, Overlay};

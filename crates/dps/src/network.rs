@@ -7,6 +7,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use dps_content::{SharedEvent, SharedFilter};
+use serde::Serialize;
 
 use crate::error::DpsError;
 use crate::overlay::Overlay;
@@ -37,6 +38,25 @@ pub struct DeliveryReport {
     /// were notified: each sample is `first-notify step − published_at`.
     /// `latency.samples == 0` when nothing was delivered yet.
     pub latency: LatencySummary,
+}
+
+/// Why the `(publication, expected subscriber)` pairs of a window went
+/// undelivered, classified at the time of asking. Each pair counts once,
+/// under the first cause that holds, in field order; the four counts sum to
+/// the window's undelivered pairs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct MissCensus {
+    /// The subscriber is no longer alive.
+    pub died: u64,
+    /// An absolute partition cut the subscriber off from the publisher at
+    /// publish time (it is not in the publication's
+    /// [`reachable`](DeliveryReport::reachable) set).
+    pub unreachable: u64,
+    /// The subscriber's node still holds a subscription the overlay has not
+    /// placed in a group.
+    pub unplaced: u64,
+    /// None of the above: the protocol lost the delivery.
+    pub lost: u64,
 }
 
 /// Ground truth recorded for one publication at publish time.
@@ -184,16 +204,18 @@ impl DpsNetwork {
             .collect()
     }
 
+    /// The publications issued in `[from, to)`.
+    fn pubs_between(&self, from: Step, to: Step) -> impl Iterator<Item = &PubRecord> {
+        self.pubs.iter().filter(move |p| (from..to).contains(&p.at))
+    }
+
     /// Publish→deliver latency percentiles over every `(publication, expected
     /// subscriber)` pair that was delivered, for publications issued in
     /// `[from, to)`. Each sample is `first-notify step − publish step`; under
     /// the default unit-latency model this counts overlay hops.
     pub fn latency_summary_between(&self, from: Step, to: Step) -> LatencySummary {
         let mut hist = LatencyHistogram::new();
-        for p in &self.pubs {
-            if p.at < from || p.at >= to {
-                continue;
-            }
+        for p in self.pubs_between(from, to) {
             for n in &p.expected {
                 if let Some(step) = self.sink.notify_step(p.id, *n) {
                     hist.record(step.saturating_sub(p.at));
@@ -244,10 +266,7 @@ impl DpsNetwork {
     {
         let mut expected = 0usize;
         let mut delivered = 0usize;
-        for p in &self.pubs {
-            if p.at < from || p.at >= to {
-                continue;
-            }
+        for p in self.pubs_between(from, to) {
             let pop = population(p);
             expected += pop.len();
             delivered += pop
@@ -260,6 +279,35 @@ impl DpsNetwork {
         } else {
             delivered as f64 / expected as f64
         }
+    }
+
+    /// The causes of every undelivered `(publication, expected subscriber)`
+    /// pair among the publications issued in `[from, to)`, as the network
+    /// stands now (see [`MissCensus`]).
+    pub fn misses_between(&self, from: Step, to: Step) -> MissCensus {
+        let sim = self.core.sim();
+        let mut census = MissCensus::default();
+        for p in self.pubs_between(from, to) {
+            for n in &p.expected {
+                if self.sink.was_notified(p.id, *n) {
+                    continue;
+                }
+                let cause = if !sim.is_alive(*n) {
+                    &mut census.died
+                } else if !p.reachable.contains(n) {
+                    &mut census.unreachable
+                } else if sim
+                    .node(*n)
+                    .is_some_and(|node| node.pending_subscriptions() > 0)
+                {
+                    &mut census.unplaced
+                } else {
+                    &mut census.lost
+                };
+                *cause += 1;
+            }
+        }
+        census
     }
 
     /// The instrumentation sink (contact/notify pairs).

@@ -98,7 +98,8 @@ fn main() -> ExitCode {
         dps_experiments::run_cells(cells);
 
     println!(
-        "{:<34} {:<16} {:>6} {:>8} {:>8} {:>10} {:>6} {:>6} {:>6} {:>6}",
+        "{:<34} {:<16} {:>6} {:>8} {:>8} {:>10} {:>6} {:>6} {:>6} {:>6}  \
+         misses died/unreach/unplaced/lost",
         "scenario", "phase", "pubs", "raw", "reach", "drops c/l", "p50", "p99", "p999", "pass"
     );
     let mut perf: Vec<(String, u64, Duration)> = Vec::new();
@@ -119,8 +120,9 @@ fn main() -> ExitCode {
                 Some(v) => format!("{v:.0}"),
                 None => "-".to_owned(),
             };
+            let m = &row.misses;
             println!(
-                "{:<34} {:<16} {:>6} {:>8.3} {:>8.3} {:>6}/{:<3} {:>6} {:>6} {:>6} {:>6}",
+                "{:<34} {:<16} {:>6} {:>8.3} {:>8.3} {:>6}/{:<3} {:>6} {:>6} {:>6} {:>6}  {}/{}/{}/{}",
                 row.scenario,
                 row.phase,
                 row.published,
@@ -131,7 +133,11 @@ fn main() -> ExitCode {
                 pct(row.latency_p50),
                 pct(row.latency_p99),
                 pct(row.latency_p999),
-                if row.pass { "ok" } else { "MISS" }
+                if row.pass { "ok" } else { "MISS" },
+                m.died,
+                m.unreachable,
+                m.unplaced,
+                m.lost
             );
         }
         dps_experiments::output::write_json(&format!("scenario_{}", report.scenario), &report.rows);

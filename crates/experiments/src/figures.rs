@@ -32,14 +32,8 @@ pub fn fig3a_configs() -> Vec<DpsConfig> {
 }
 
 /// Builds a converged overlay of `n` nodes with `subs_per_node` workload-2
-/// subscriptions each (the paper's dependability setup). Shared with the
-/// fault-injection runners in [`crate::faults`].
-pub(crate) fn build_overlay(
-    cfg: DpsConfig,
-    n: usize,
-    subs_per_node: usize,
-    seed: u64,
-) -> DpsNetwork {
+/// subscriptions each (the paper's dependability setup).
+fn build_overlay(cfg: DpsConfig, n: usize, subs_per_node: usize, seed: u64) -> DpsNetwork {
     let w = Workload::multiplayer_game();
     let mut net = DpsNetwork::new(cfg, seed);
     dps_scenarios::build_overlay(&mut net, n, subs_per_node, seed, |rng| w.subscription(rng));
@@ -50,21 +44,13 @@ pub(crate) fn build_overlay(
 /// The measured window the dependability runners share: for `steps` steps,
 /// apply `plan`'s crashes, publish one workload-2 event from a random alive
 /// node every 10 steps ("a new event is published every 10 steps", §5.2), and
-/// advance one step. Returns each crashed node with the step it died at.
-pub fn publish_under_churn(
-    net: &mut DpsNetwork,
-    plan: &ChurnPlan,
-    steps: u64,
-    rng: &mut StdRng,
-) -> Vec<(NodeId, Step)> {
+/// advance one step.
+fn publish_under_churn(net: &mut DpsNetwork, plan: &ChurnPlan, steps: u64, rng: &mut StdRng) {
     let w = Workload::multiplayer_game();
-    let mut crashed = Vec::new();
     for t in 0..steps {
         for ev in plan.events_at(t) {
             if ev == ChurnEvent::CrashRandom {
-                if let Some(victim) = net.crash_random() {
-                    crashed.push((victim, net.sim().now()));
-                }
+                net.crash_random();
             }
         }
         if t % 10 == 0 {
@@ -74,7 +60,6 @@ pub fn publish_under_churn(
         }
         net.run(1);
     }
-    crashed
 }
 
 /// One measured point of Figure 3(a).

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod faults;
 pub mod figures;
 pub mod output;
 pub mod table1;

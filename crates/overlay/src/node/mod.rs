@@ -316,22 +316,6 @@ impl DpsNode {
         self.pending_subs.len()
     }
 
-    /// Debug view of the pending subscriptions: `(phase, retries, deadline)`.
-    #[doc(hidden)]
-    pub fn pending_subscription_states(&self) -> Vec<(&'static str, u32, Step)> {
-        self.pending_subs
-            .iter()
-            .map(|p| {
-                let phase = match p.phase {
-                    SubPhase::FindingTree => "finding-tree",
-                    SubPhase::Traversing => "traversing",
-                    SubPhase::Joining(_) => "joining",
-                };
-                (phase, p.retries, p.deadline)
-            })
-            .collect()
-    }
-
     /// Number of own publications some tree has not acknowledged yet.
     pub fn pending_publications(&self) -> usize {
         self.pending_pubs.len()

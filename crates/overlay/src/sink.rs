@@ -110,12 +110,10 @@ impl StatsSink for QueueSink {
     }
 }
 
-/// A simple recording sink: remembers every `(publication, node)` contact pair
-/// and, for notifies, the step of the **first** notify (the publish→deliver
-/// latency endpoint — re-notifies through other trees never move it).
-/// Sufficient for all the paper's measurements at the scales of the reduced
-/// experiments, and for the full 10k × 10k Table 1 runs it stays within a few
-/// hundred MB thanks to the compact pair encoding.
+/// A simple recording sink: remembers every `(publication, node)` contact pair,
+/// grouped by publication so [`contacted`](Self::contacted) is one lookup, and,
+/// for notifies, the step of the **first** notify (the publish→deliver latency
+/// endpoint — re-notifies through other trees never move it).
 /// Derefs to the [`QueueSink`] it embeds, so a harness that also hosts
 /// sessions watches and drains nodes through the same handle.
 #[derive(Debug, Default)]
@@ -126,7 +124,8 @@ pub struct CountingSink {
 
 #[derive(Debug, Default)]
 struct CountingInner {
-    contacts: HashSet<(PubId, NodeId)>,
+    /// The nodes each publication contacted.
+    contacts: HashMap<PubId, HashSet<NodeId, IdBuild>, IdBuild>,
     /// First-notify step per `(publication, node)` pair.
     notifies: HashMap<(PubId, NodeId), Step>,
 }
@@ -148,7 +147,7 @@ impl CountingSink {
     /// Number of distinct nodes contacted by `id`.
     pub fn contacted(&self, id: PubId) -> usize {
         let inner = self.inner.lock().unwrap();
-        inner.contacts.iter().filter(|(p, _)| *p == id).count()
+        inner.contacts.get(&id).map_or(0, HashSet::len)
     }
 
     /// Whether `(id, node)` was notified.
@@ -172,12 +171,14 @@ impl CountingSink {
 
     /// Whether `(id, node)` was contacted.
     pub fn was_contacted(&self, id: PubId, node: NodeId) -> bool {
-        self.inner.lock().unwrap().contacts.contains(&(id, node))
+        let inner = self.inner.lock().unwrap();
+        inner.contacts.get(&id).is_some_and(|c| c.contains(&node))
     }
 
     /// Total contact pairs.
     pub fn total_contacts(&self) -> usize {
-        self.inner.lock().unwrap().contacts.len()
+        let inner = self.inner.lock().unwrap();
+        inner.contacts.values().map(HashSet::len).sum()
     }
 
     /// Total notify pairs.
@@ -188,7 +189,8 @@ impl CountingSink {
 
 impl StatsSink for CountingSink {
     fn on_contact(&self, id: PubId, node: NodeId, _now: Step) {
-        self.inner.lock().unwrap().contacts.insert((id, node));
+        let mut inner = self.inner.lock().unwrap();
+        inner.contacts.entry(id).or_default().insert(node);
     }
 
     fn on_notify(&self, id: PubId, node: NodeId, event: &SharedEvent, subs: &[SubId], now: Step) {

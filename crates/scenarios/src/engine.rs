@@ -10,7 +10,7 @@
 //! Measurement happens after a drain, so the per-phase delivered ratios see
 //! fully settled deliveries (deep chains deliver one hop per step).
 
-use dps::{DpsNetwork, DropReason, Filter};
+use dps::{DpsNetwork, DropReason, Filter, MissCensus};
 use dps_sim::{ChurnEvent, Step};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,6 +73,9 @@ pub struct PhaseRow {
     pub max_p99: Option<f64>,
     /// Whether every declared floor and ceiling held.
     pub pass: bool,
+    /// Why the phase's undelivered `(publication, expected subscriber)`
+    /// pairs were missed, classified after the final drain.
+    pub misses: MissCensus,
 }
 
 /// The outcome of one scenario run.
@@ -90,8 +93,8 @@ pub struct ScenarioReport {
     pub total_steps: Step,
 }
 
-/// The overlay set-up every experiment driver shares (scenario specs, figure
-/// and fault runners, the debug probe): `nodes` nodes join the fresh `net`,
+/// The overlay set-up every experiment driver shares (scenario specs and the
+/// figure runners): `nodes` nodes join the fresh `net`,
 /// each issues `rounds` subscriptions drawn by `filter` from an RNG derived
 /// from `seed`, paced against protocol steps, and the overlay gets 1500 steps
 /// to place them all. Returns whether it did.
@@ -306,6 +309,7 @@ impl ScenarioRun {
                 min_delivered_reachable: phase.min_delivered_reachable,
                 max_p99: phase.max_p99,
                 pass,
+                misses: self.net.misses_between(rec.start, rec.end),
             });
             prev_cut = rec.dropped_partitioned_at_end;
             prev_loss = rec.dropped_loss_at_end;

@@ -17,14 +17,16 @@ fn library_dir() -> PathBuf {
 
 fn library_specs() -> Vec<(PathBuf, ScenarioSpec)> {
     // The main library plus the metro tier (scenarios/metro/, swept by the
-    // `scenarios` bin under DPS_SCALE=metro) and the latency tier
-    // (scenarios/latency/, swept by the CI latency-matrix job). Metro specs
-    // are too big to *run* here, but they must parse, compile and round-trip
-    // like any other.
+    // `scenarios` bin under DPS_SCALE=metro), the latency tier
+    // (scenarios/latency/, swept by the CI latency-matrix job) and the
+    // regression reproducers (scenarios/regress/, run by the ignored
+    // `regress` test). Metro specs are too big to *run* here, but they must
+    // parse, compile and round-trip like any other.
     let mut paths: Vec<PathBuf> = [
         library_dir(),
         library_dir().join("metro"),
         library_dir().join("latency"),
+        library_dir().join("regress"),
     ]
     .iter()
     .flat_map(|dir| {

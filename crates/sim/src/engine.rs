@@ -73,8 +73,8 @@ struct Inflight<M> {
 /// `DpsNode` is hundreds of bytes; a liveness flag is one).
 ///
 /// See [`step`](Sim::step) for the order of a step. The engine is
-/// generic: the DPS overlay, the broadcast baseline and the test protocols
-/// all run on it unchanged.
+/// generic: the DPS overlay and the test protocols both run on it
+/// unchanged.
 pub struct Sim<P: Process> {
     /// Protocol state machines; slot `i` holds node id `i`.
     procs: Vec<P>,
