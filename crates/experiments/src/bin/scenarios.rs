@@ -1,8 +1,8 @@
 //! Scenario-matrix runner: sweeps every declarative spec in a directory
-//! (default: `scenarios/` at the repository root; `scenarios/metro/` when
-//! `DPS_SCALE=metro`), executes each through `dps_scenarios::run_scenario`,
-//! prints the per-phase rows and persists them as JSON under
-//! `target/experiments/scenario_<name>.json`.
+//! (its argument, e.g. `scenarios/metro` for the six-figure-node library;
+//! default: `scenarios/` at the repository root), executes each through
+//! `dps_scenarios::run_scenario`, prints the per-phase rows and persists
+//! them as JSON under `target/experiments/scenario_<name>.json`.
 //!
 //! Independent scenarios fan out across `DPS_THREADS` workers. Rows are
 //! byte-identical whatever that knob is — the CI `scenario-matrix` job `cmp`s
@@ -19,28 +19,20 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use dps_experiments::Scale;
 use dps_scenarios::{run_scenario, ScenarioReport, ScenarioSpec, SpecError};
 
-/// The spec directory: the CLI argument if given, else `scenarios/` — or the
-/// metro library `scenarios/metro/` under `DPS_SCALE=metro` — resolved
-/// against the working directory, else against the workspace root (so the
-/// bin also works when invoked from a crate directory).
+/// The spec directory: the CLI argument if given, else `scenarios/`
+/// resolved against the working directory, else against the workspace root
+/// (so the bin also works when invoked from a crate directory).
 fn spec_dir() -> PathBuf {
     if let Some(arg) = std::env::args().nth(1) {
         return PathBuf::from(arg);
     }
-    let rel = match Scale::from_env() {
-        Scale::Metro => "scenarios/metro",
-        _ => "scenarios",
-    };
-    let cwd = PathBuf::from(rel);
+    let cwd = PathBuf::from("scenarios");
     if cwd.is_dir() {
         return cwd;
     }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(rel)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
 fn main() -> ExitCode {

@@ -41,12 +41,6 @@ pub enum Scale {
     Quick,
     /// The paper's parameters.
     Paper,
-    /// Six-figure populations (≥ 100k nodes), far past the paper's own 1,000.
-    /// This tier exists for the metro scenario library under
-    /// `scenarios/metro/` (the `scenarios` bin switches to that directory
-    /// when `DPS_SCALE=metro`); the table/figure runners have no metro
-    /// parameters and abort loudly if asked for them.
-    Metro,
 }
 
 impl Scale {
@@ -59,9 +53,8 @@ impl Scale {
             Some("paper" | "PAPER" | "full") => Ok(Scale::Paper),
             Some("smoke" | "SMOKE") => Ok(Scale::Smoke),
             Some("quick" | "QUICK") => Ok(Scale::Quick),
-            Some("metro" | "METRO") => Ok(Scale::Metro),
             Some(other) => Err(format!(
-                "DPS_SCALE={other:?} is not a known scale (expected smoke, quick, paper or metro)"
+                "DPS_SCALE={other:?} is not a known scale (expected smoke, quick or paper)"
             )),
         }
     }
@@ -79,24 +72,11 @@ impl Scale {
     }
 
     /// Picks the parameter for this scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`Scale::Metro`]: the figure/table runners define smoke,
-    /// quick and paper parameter sets only. A metro run that silently fell
-    /// back to paper parameters would measure the wrong thing, so — like a
-    /// malformed `DPS_SCALE` — it aborts instead.
     pub fn pick<T>(self, smoke: T, quick: T, paper: T) -> T {
         match self {
             Scale::Smoke => smoke,
             Scale::Quick => quick,
             Scale::Paper => paper,
-            Scale::Metro => panic!(
-                "DPS_SCALE=metro drives the metro scenario tier \
-                 (`cargo run --release -p dps-experiments --bin scenarios` \
-                 sweeps scenarios/metro/); this runner has no metro parameters \
-                 — use smoke, quick or paper"
-            ),
         }
     }
 }
@@ -191,21 +171,12 @@ mod tests {
         assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
         assert_eq!(Scale::parse(Some("paper")), Ok(Scale::Paper));
         assert_eq!(Scale::parse(Some("full")), Ok(Scale::Paper));
-        assert_eq!(Scale::parse(Some("metro")), Ok(Scale::Metro));
-        assert_eq!(Scale::parse(Some("METRO")), Ok(Scale::Metro));
+        // The metro library is a directory of the `scenarios` bin, not a scale.
+        assert!(Scale::parse(Some("metro")).is_err());
         // The satellite bugfix: a typo must error, not quietly run quick.
         let e = Scale::parse(Some("papr")).unwrap_err();
         assert!(e.contains("DPS_SCALE") && e.contains("papr"), "{e}");
         assert!(Scale::parse(Some("")).is_err());
-    }
-
-    #[test]
-    fn metro_has_no_figure_parameters() {
-        // The figure runners define smoke/quick/paper only; asking them for
-        // metro parameters must abort, not silently measure at paper scale.
-        let picked = std::panic::catch_unwind(|| Scale::Metro.pick(1, 2, 3));
-        assert!(picked.is_err());
-        assert_eq!(Scale::Paper.pick(1, 2, 3), 3);
     }
 
     #[test]

@@ -31,8 +31,9 @@ pub enum CommKind {
 /// the attributes of its subscription. This attribute can be arbitrarily chosen."
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinRule {
-    /// Always join with the first predicate of the filter (deterministic; used by
-    /// tests and by scenarios that pre-compute the oracle).
+    /// Always join with the first predicate of the filter (deterministic):
+    /// the default, hence what the broker and the in-process `Hub` run; also
+    /// used by tests that pre-compute the forest.
     First,
     /// The scenario driver picks uniformly at random and passes the index
     /// explicitly (see `DpsNode::subscribe_with`); equivalent to the paper's
@@ -46,6 +47,17 @@ pub const CO_LEADERS: usize = 2;
 /// `K`: number of cross-level pointers kept in `predview` / each `succview`
 /// (entries beyond the direct neighbor group survive whole-group failures).
 pub const VIEW_DEPTH: usize = 3;
+
+/// Cap on a membership's `predview`: the parent group's leader and
+/// co-leaders, then deeper ancestors. Every chain a node takes in (a join,
+/// a creation, a new parent, a parent chain, a view push) is cut to it.
+pub const PREDVIEW_CAP: usize = VIEW_DEPTH + CO_LEADERS + 2;
+
+/// Hop budget of the tickets that travel the tree — `FIND_GROUP` visits,
+/// publications, `Reattach` descents. A loop backstop only: per-group dedup
+/// already stops publication cycles, and descents visit one group per hop
+/// through predicate chains that can be hundreds of groups deep.
+pub const HOP_BACKSTOP: u32 = 100_000;
 
 /// `k'`: epidemic inter-group fanout (nodes contacted on the next level).
 pub const INTER_GROUP_FANOUT: usize = 2;
@@ -148,6 +160,7 @@ const _: () = {
     assert!(VIEW_EXCHANGE_EVERY > 0 && OWNER_MERGE_EVERY > 0 && REPUB_WINDOW > 0);
     assert!(CO_LEADERS > 0 && VIEW_DEPTH > 0 && INTER_GROUP_FANOUT > 0 && SUB_GOSSIP_FANOUT > 0);
     assert!(GROUP_VIEW_CAP > 0 && PEER_VIEW > 0 && SEEN_CAP > 0 && WALK_TTL > 0);
+    assert!(PREDVIEW_CAP > 0 && HOP_BACKSTOP > 0);
     assert!(GOSSIP_P0 > 0.0 && GOSSIP_ROUNDS > 1);
 };
 

@@ -26,6 +26,20 @@ pub struct GroupRef {
     pub node: NodeId,
 }
 
+impl GroupRef {
+    /// One ref per node of `nodes`, in order, each in group `label`.
+    pub(crate) fn all_in(
+        label: &GroupLabel,
+        nodes: impl IntoIterator<Item = NodeId>,
+    ) -> Vec<GroupRef> {
+        let gref = |node| GroupRef {
+            label: label.clone(),
+            node,
+        };
+        nodes.into_iter().map(gref).collect()
+    }
+}
+
 /// Everything a joiner needs to know about a group: its label and whom to talk to.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupDescriptor {

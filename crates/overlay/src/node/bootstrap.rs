@@ -10,8 +10,8 @@ use dps_sim::{Context, NodeId};
 use rand::seq::IteratorRandom;
 
 use crate::config::{
-    CommKind, TraversalKind, FIND_TREE_RETRIES, OWNER_MERGE_EVERY, PEER_VIEW, PROBE_TIMEOUT,
-    REQUEST_TIMEOUT, WALK_TTL,
+    CommKind, TraversalKind, FIND_TREE_RETRIES, HOP_BACKSTOP, OWNER_MERGE_EVERY, PEER_VIEW,
+    PROBE_TIMEOUT, REQUEST_TIMEOUT, WALK_TTL,
 };
 use crate::label::GroupLabel;
 use crate::msg::{DpsMsg, Ticket};
@@ -26,10 +26,8 @@ impl DpsNode {
     ) {
         let mine = self.peer_sample(ctx, 4);
         self.merge_peers(&peers);
-        if !self.peers.contains(&from) && from != self.id {
-            self.peers.push(from);
-            self.trim_peers(ctx);
-        }
+        // `from` itself is never suspected here: `on_message` retracted it.
+        self.merge_peers(&[from]);
         ctx.send(from, DpsMsg::ShuffleReply { peers: mine });
     }
 
@@ -40,12 +38,6 @@ impl DpsNode {
             }
         }
         // Trim oldest-first beyond capacity (newest information is freshest).
-        if self.peers.len() > PEER_VIEW {
-            self.peers.drain(0..self.peers.len() - PEER_VIEW);
-        }
-    }
-
-    fn trim_peers(&mut self, _ctx: &mut Context<'_, DpsMsg>) {
         if self.peers.len() > PEER_VIEW {
             self.peers.drain(0..self.peers.len() - PEER_VIEW);
         }
@@ -677,9 +669,7 @@ impl DpsNode {
             pred,
             mode: self.cfg.traversal,
             descending: false,
-            // Descents visit one group per hop and chains can be very deep; the
-            // ttl is only a loop backstop.
-            ttl: 100_000,
+            ttl: HOP_BACKSTOP,
         };
         let target = match self.cfg.traversal {
             TraversalKind::Root => self

@@ -9,13 +9,14 @@ use rand::seq::IteratorRandom;
 use rand::Rng;
 
 use crate::config::{
-    CommKind, CO_LEADERS, GROUP_VIEW_CAP, HEARTBEAT_MAX, HEARTBEAT_MIN, OWNER_MERGE_EVERY,
-    PROBE_RETRIES, PROBE_TIMEOUT, REQUEST_TIMEOUT, VIEW_DEPTH, VIEW_EXCHANGE_EVERY, WALK_TTL,
+    CommKind, CO_LEADERS, GROUP_VIEW_CAP, HEARTBEAT_MAX, HEARTBEAT_MIN, HOP_BACKSTOP,
+    OWNER_MERGE_EVERY, PREDVIEW_CAP, PROBE_RETRIES, PROBE_TIMEOUT, REQUEST_TIMEOUT, VIEW_DEPTH,
+    VIEW_EXCHANGE_EVERY, WALK_TTL,
 };
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId};
-use crate::node::{claim_beats, node_key, DpsNode, Probe};
-use crate::views::{Branch, Role};
+use crate::node::{claim_beats, group_info, node_key, DpsNode, Probe};
+use crate::views::{Branch, Membership, Role};
 
 impl DpsNode {
     // ---- heartbeat probing ----
@@ -247,13 +248,7 @@ impl DpsNode {
         }
         self.recruit_co_leaders(i);
         let m = &self.memberships[i];
-        let info = DpsMsg::GroupInfo {
-            label: m.label.clone(),
-            leader: me,
-            co_leaders: m.co_leaders.clone(),
-            owner: m.owner,
-            owner_epoch: m.owner_epoch,
-        };
+        let info = group_info(m, me);
         let audience: Vec<NodeId> = m
             .members
             .iter()
@@ -296,13 +291,7 @@ impl DpsNode {
             || self.memberships[i].co_leaders.len() < CO_LEADERS;
         if changed {
             let m = &self.memberships[i];
-            let info = DpsMsg::GroupInfo {
-                label: m.label.clone(),
-                leader: me,
-                co_leaders: m.co_leaders.clone(),
-                owner: m.owner,
-                owner_epoch: m.owner_epoch,
-            };
+            let info = group_info(m, me);
             let members: Vec<NodeId> = m.members.iter().copied().filter(|n| *n != me).collect();
             for n in members {
                 ctx.send(n, info.clone());
@@ -352,22 +341,12 @@ impl DpsNode {
                 refs: refs.clone(),
             };
             self.memberships[i].upsert_branch(&info, VIEW_DEPTH);
-            let parent = self.descriptor(&self.memberships[i]);
-            let chain = {
-                let mut v = self.own_refs(&self.memberships[i]);
-                v.extend(self.memberships[i].predview.iter().cloned());
-                v
-            };
-            for r in refs.iter().filter(|r| r.node != dead && r.node != me) {
-                ctx.send(
-                    r.node,
-                    DpsMsg::NewParent {
-                        child_label: label.clone(),
-                        parent: parent.clone(),
-                        parent_chain: chain.clone(),
-                    },
-                );
-            }
+            let chain = self.parent_chain(&self.memberships[i]);
+            let to = refs
+                .iter()
+                .map(|r| r.node)
+                .filter(|n| *n != dead && *n != me);
+            self.send_new_parent(i, &label, chain, to, ctx);
             // Publications that crossed the dead edge during the failure
             // window are gone for the whole adopted subtree: re-flush the
             // recent ones through the freshly bridged branch.
@@ -403,7 +382,7 @@ impl DpsNode {
                     n,
                     DpsMsg::Reattach {
                         branch,
-                        ttl: 100_000,
+                        ttl: HOP_BACKSTOP,
                     },
                 );
             }
@@ -462,51 +441,19 @@ impl DpsNode {
             }
             return;
         }
-        // Find the deepest on-path membership we have.
-        let mut best: Option<usize> = None;
-        for i in self.memberships_in(attr) {
-            let l = &self.memberships[i].label;
-            if l == &branch.label {
-                // Duplicate of our own group: merge their contacts in.
-                let me = self.id;
-                let info = DpsMsg::GroupInfo {
-                    label: branch.label.clone(),
-                    leader: if self.memberships[i].is_leader() {
-                        me
-                    } else {
-                        self.memberships[i].leader
-                    },
-                    co_leaders: self.memberships[i].co_leaders.clone(),
-                    owner: self.memberships[i].owner,
-                    owner_epoch: self.memberships[i].owner_epoch,
-                };
-                for r in &branch.refs {
-                    if r.node != me {
-                        ctx.send(r.node, info.clone());
-                    }
+        if let Some(i) = self.membership_index(&branch.label) {
+            // Duplicate of our own group: merge their contacts in.
+            let me = self.id;
+            let m = &self.memberships[i];
+            let info = group_info(m, if m.is_leader() { me } else { m.leader });
+            for r in &branch.refs {
+                if r.node != me {
+                    ctx.send(r.node, info.clone());
                 }
-                return;
             }
-            if l.on_path_to(&pred) {
-                best = Some(match best {
-                    None => i,
-                    Some(b) => {
-                        let lb = &self.memberships[b].label;
-                        let deeper = match (lb.predicate(), l.predicate()) {
-                            (None, Some(_)) => true,
-                            (Some(pb), Some(pi)) => pb.strictly_includes(pi),
-                            _ => false,
-                        };
-                        if deeper {
-                            i
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
+            return;
         }
-        let Some(i) = best else {
+        let Some(i) = self.deepest_on_path(&pred) else {
             return;
         };
         if self.cfg.comm == CommKind::Leader && !self.memberships[i].is_leader() {
@@ -565,7 +512,7 @@ impl DpsNode {
                 }
             }
             self.memberships[i].upsert_branch(&branch, VIEW_DEPTH);
-            self.send_new_parent_for(i, &branch, ctx);
+            self.regraft(i, &branch, ctx);
             if !was_live {
                 self.flush_recent_to_branch(i, &branch, ctx);
             }
@@ -587,33 +534,60 @@ impl DpsNode {
             .and_then(Branch::primary)
             .is_some();
         self.memberships[i].upsert_branch(&branch, VIEW_DEPTH);
-        self.send_new_parent_for(i, &branch, ctx);
+        self.regraft(i, &branch, ctx);
         if !was_live {
             self.flush_recent_to_branch(i, &branch, ctx);
         }
     }
 
-    fn send_new_parent_for(
-        &mut self,
+    /// Tells the nodes of the grafted `branch`'s own group that membership
+    /// `i` is their parent now.
+    fn regraft(&self, i: usize, branch: &BranchInfo, ctx: &mut Context<'_, DpsMsg>) {
+        let me = self.id;
+        let chain = self.parent_chain(&self.memberships[i]);
+        let in_group = branch.refs.iter().filter(|r| r.label == branch.label);
+        let to = in_group.map(|r| r.node).filter(|n| *n != me);
+        self.send_new_parent(i, &branch.label, chain, to, ctx);
+    }
+
+    /// Sends `to` the `NewParent` naming membership `i` the parent of their
+    /// group `child`, with `chain` to seed their predview.
+    pub(crate) fn send_new_parent(
+        &self,
         i: usize,
-        branch: &BranchInfo,
+        child: &GroupLabel,
+        chain: Vec<GroupRef>,
+        to: impl Iterator<Item = NodeId>,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        let parent = self.descriptor(&self.memberships[i]);
-        let mut chain = self.own_refs(&self.memberships[i]);
-        chain.extend(self.memberships[i].predview.iter().cloned());
-        let me = self.id;
-        for r in branch.refs.iter().filter(|r| r.label == branch.label) {
-            if r.node != me {
-                ctx.send(
-                    r.node,
-                    DpsMsg::NewParent {
-                        child_label: branch.label.clone(),
-                        parent: parent.clone(),
-                        parent_chain: chain.clone(),
-                    },
-                );
-            }
+        let msg = DpsMsg::NewParent {
+            child_label: child.clone(),
+            parent: self.descriptor(&self.memberships[i]),
+            parent_chain: chain,
+        };
+        for n in to {
+            ctx.send(n, msg.clone());
+        }
+    }
+
+    /// The chain membership `m` hands its children: its own contacts
+    /// ([`own_refs`](Self::own_refs)), then its predecessors.
+    fn parent_chain(&self, m: &Membership) -> Vec<GroupRef> {
+        let mut chain = self.own_refs(m);
+        chain.extend(m.predview.iter().cloned());
+        chain
+    }
+
+    /// The branch membership `m` reports to its parent: its own contacts,
+    /// then the first in-group ref of each of its children.
+    fn child_report(&self, m: &Membership) -> BranchInfo {
+        let mut refs = self.own_refs(m);
+        for b in &m.branches {
+            refs.extend(b.refs.iter().find(|r| r.label == b.label).cloned());
+        }
+        BranchInfo {
+            label: m.label.clone(),
+            refs,
         }
     }
 
@@ -648,21 +622,8 @@ impl DpsNode {
                     // two member views actually unify, and point our members
                     // at the winning leader — without this the winner never
                     // learns our side existed and its forwards skip them.
-                    let push = DpsMsg::ViewPush {
-                        label: m.label.clone(),
-                        members: m.members.clone(),
-                        predview: m.predview.clone(),
-                        branches: m.branches.iter().map(Branch::info).collect(),
-                        recent: Vec::new(),
-                    };
-                    ctx.send(leader, push);
-                    let info = DpsMsg::GroupInfo {
-                        label: m.label.clone(),
-                        leader,
-                        co_leaders: m.co_leaders.clone(),
-                        owner: m.owner,
-                        owner_epoch: m.owner_epoch,
-                    };
+                    ctx.send(leader, m.view_push(Vec::new()));
+                    let info = group_info(m, leader);
                     let cohort: Vec<NodeId> = m
                         .members
                         .iter()
@@ -674,14 +635,7 @@ impl DpsNode {
                     }
                 } else {
                     // Reassert our leadership to the pretender.
-                    let info = DpsMsg::GroupInfo {
-                        label: m.label.clone(),
-                        leader: me,
-                        co_leaders: m.co_leaders.clone(),
-                        owner: m.owner,
-                        owner_epoch: m.owner_epoch,
-                    };
-                    ctx.send(leader, info);
+                    ctx.send(leader, group_info(m, me));
                 }
                 return;
             }
@@ -704,13 +658,8 @@ impl DpsNode {
             return;
         }
         // Not our group: it may be a neighbor group we point at.
-        let fresh: Vec<GroupRef> = std::iter::once(leader)
-            .chain(co_leaders.iter().copied())
-            .map(|n| GroupRef {
-                label: label.clone(),
-                node: n,
-            })
-            .collect();
+        let contacts = std::iter::once(leader).chain(co_leaders.iter().copied());
+        let fresh = GroupRef::all_in(&label, contacts);
         for m in &mut self.memberships {
             if let Some(b) = m.branch_mut(&label) {
                 // Refresh the in-group entries, keeping deeper levels.
@@ -834,11 +783,9 @@ impl DpsNode {
                 continue;
             }
             let m = &self.memberships[i];
-            let label = m.label.clone();
             // Down: each child receives our identity plus our own predecessors.
-            let mut chain = self.own_refs(m);
-            chain.extend(m.predview.iter().cloned());
-            chain.truncate(VIEW_DEPTH + CO_LEADERS + 2);
+            let mut chain = self.parent_chain(m);
+            chain.truncate(PREDVIEW_CAP);
             for b in &m.branches {
                 if let Some(n) = b.primary() {
                     if n != me {
@@ -853,42 +800,20 @@ impl DpsNode {
                 }
             }
             // Up: report ourselves and our children to the parent.
-            if let Some(parent) = m.predview.first().cloned() {
-                let mut refs = self.own_refs(m);
-                for b in &m.branches {
-                    refs.extend(
-                        b.refs
-                            .iter()
-                            .filter(|r| r.label == b.label)
-                            .take(1)
-                            .cloned(),
-                    );
-                }
-                if parent.node != me {
-                    ctx.send(
-                        parent.node,
-                        DpsMsg::ChildReport {
-                            parent_label: parent.label.clone(),
-                            branch: BranchInfo {
-                                label: label.clone(),
-                                refs,
-                            },
-                        },
-                    );
-                }
+            if let Some(parent) = m.predview.first().filter(|p| p.node != me) {
+                ctx.send(
+                    parent.node,
+                    DpsMsg::ChildReport {
+                        parent_label: parent.label.clone(),
+                        branch: self.child_report(m),
+                    },
+                );
             }
             // Mirror to co-leaders, built only when there is one to send to.
-            let m = &self.memberships[i];
             if m.co_leaders.iter().all(|c| *c == me) {
                 continue;
             }
-            let push = DpsMsg::ViewPush {
-                label,
-                members: m.members.clone(),
-                predview: m.predview.clone(),
-                branches: m.branches.iter().map(Branch::info).collect(),
-                recent: self.recent_digest(),
-            };
+            let push = m.view_push(self.recent_digest());
             for &c in &m.co_leaders {
                 if c != me {
                     ctx.send(c, push.clone());
@@ -904,13 +829,7 @@ impl DpsNode {
         let me = self.id;
         for i in 0..self.memberships.len() {
             let m = &self.memberships[i];
-            let push = DpsMsg::ViewPush {
-                label: m.label.clone(),
-                members: m.members.clone(),
-                predview: m.predview.clone(),
-                branches: m.branches.iter().map(Branch::info).collect(),
-                recent: self.recent_digest(),
-            };
+            let push = m.view_push(self.recent_digest());
             let mut targets: Vec<NodeId> = Vec::new();
             if let Some(n) = m
                 .members
@@ -949,31 +868,18 @@ impl DpsNode {
                 .cloned()
                 .collect();
             if !parents.is_empty() {
-                let mut refs = self.own_refs(m);
-                for b in &m.branches {
-                    refs.extend(
-                        b.refs
-                            .iter()
-                            .filter(|r| r.label == b.label)
-                            .take(1)
-                            .cloned(),
-                    );
-                }
+                let branch = self.child_report(m);
                 for parent in parents {
                     ctx.send(
                         parent.node,
                         DpsMsg::ChildReport {
-                            parent_label: parent.label.clone(),
-                            branch: BranchInfo {
-                                label: m.label.clone(),
-                                refs: refs.clone(),
-                            },
+                            parent_label: parent.label,
+                            branch: branch.clone(),
                         },
                     );
                 }
             }
-            let mut chain = self.own_refs(m);
-            chain.extend(m.predview.iter().cloned());
+            let mut chain = self.parent_chain(m);
             chain.truncate(VIEW_DEPTH + 3);
             for b in &m.branches {
                 if let Some(r) = b
@@ -1050,16 +956,7 @@ impl DpsNode {
         let Some(m) = self.membership(&label) else {
             return;
         };
-        ctx.send(
-            from,
-            DpsMsg::ViewPush {
-                label,
-                members: m.members.clone(),
-                predview: m.predview.clone(),
-                branches: m.branches.iter().map(Branch::info).collect(),
-                recent: self.recent_digest(),
-            },
-        );
+        ctx.send(from, m.view_push(self.recent_digest()));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1075,7 +972,6 @@ impl DpsNode {
     ) {
         let epidemic = self.cfg.comm == CommKind::Epidemic;
         let cap = if epidemic { GROUP_VIEW_CAP } else { usize::MAX };
-        let pv_cap = VIEW_DEPTH + CO_LEADERS + 2;
         let me = self.id;
         let Some(i) = self.membership_index(&label) else {
             return;
@@ -1087,7 +983,7 @@ impl DpsNode {
             }
         }
         m.evict_members_to_cap(cap, me, ctx.rng());
-        m.merge_predview(&predview, pv_cap);
+        m.merge_predview(&predview, PREDVIEW_CAP);
         for b in branches {
             if b.label != label {
                 m.upsert_branch(&b, VIEW_DEPTH);
@@ -1103,13 +999,7 @@ impl DpsNode {
             self.recruit_co_leaders(i);
             let m = &self.memberships[i];
             if m.co_leaders.len() != before {
-                let info = DpsMsg::GroupInfo {
-                    label: m.label.clone(),
-                    leader: me,
-                    co_leaders: m.co_leaders.clone(),
-                    owner: m.owner,
-                    owner_epoch: m.owner_epoch,
-                };
+                let info = group_info(m, me);
                 for &n in m.members.iter().filter(|n| **n != me) {
                     ctx.send(n, info.clone());
                 }

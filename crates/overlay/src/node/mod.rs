@@ -29,7 +29,7 @@ use std::sync::Arc;
 use dps_content::{AttrName, Filter, FilterIndex, MatchScratch, SharedEvent};
 use dps_sim::{Context, NodeId, Process, Step};
 
-use crate::config::{DpsConfig, CO_LEADERS, PEER_VIEW, REPUB_WINDOW, SEEN_CAP, VIEW_DEPTH};
+use crate::config::{DpsConfig, PEER_VIEW, PREDVIEW_CAP, REPUB_WINDOW, SEEN_CAP};
 use crate::label::GroupLabel;
 use crate::msg::{DpsMsg, GroupDescriptor, GroupRef, PubId, SubId};
 use crate::seen::SeenCache;
@@ -46,6 +46,19 @@ pub(crate) const RECENT_PUBS_CAP: usize = 32;
 /// the smaller node id wins (deterministic, symmetric tiebreak).
 pub(crate) fn claim_beats(a: (NodeId, u64), b: (NodeId, u64)) -> bool {
     a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
+}
+
+/// The `GroupInfo` announcing `leader` as the leader of `m`'s group, with
+/// `m`'s co-leaders and owner claim — every leadership announcement a node
+/// makes, whether it leads, hands over or steps down.
+pub(crate) fn group_info(m: &Membership, leader: NodeId) -> DpsMsg {
+    DpsMsg::GroupInfo {
+        label: m.label.clone(),
+        leader,
+        co_leaders: m.co_leaders.clone(),
+        owner: m.owner,
+        owner_epoch: m.owner_epoch,
+    }
 }
 
 /// Key of `suspected`: the dense node index as a `u32`, half the id's width
@@ -668,9 +681,8 @@ impl Process for DpsNode {
             }
             DpsMsg::LeaderGone { label, dead } => self.handle_leader_gone(label, dead, ctx),
             DpsMsg::ParentChain { child_label, chain } => {
-                let cap = VIEW_DEPTH + CO_LEADERS;
                 if let Some(m) = self.membership_mut(&child_label) {
-                    m.set_predview(chain, cap + 2);
+                    m.set_predview(chain, PREDVIEW_CAP);
                 }
             }
             DpsMsg::ChildReport {

@@ -8,8 +8,8 @@ use rand::seq::IteratorRandom;
 use rand::Rng;
 
 use crate::config::{
-    CommKind, TraversalKind, GOSSIP_P0, GOSSIP_ROUNDS, INTER_GROUP_FANOUT, REPUB_WINDOW,
-    REQUEST_TIMEOUT,
+    CommKind, TraversalKind, GOSSIP_P0, GOSSIP_ROUNDS, HOP_BACKSTOP, INTER_GROUP_FANOUT,
+    REPUB_WINDOW, REQUEST_TIMEOUT,
 };
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId, PubTicket};
@@ -19,6 +19,31 @@ use crate::node::{node_key, route_key, ActiveGossip, DpsNode, PendingPub, TreeLo
 /// trees are known (discovery gives up much sooner, at `FIND_TREE_RETRIES`),
 /// yet every contact tried stayed silent.
 const MAX_PUB_RETRIES: u32 = 12;
+
+/// The ticket carrying publication `id` through the tree of `attr` toward
+/// group `target` (`None` at the entry hop: the receiver picks one of its
+/// memberships), `ttl` hops left. As built it travels downstream and owes
+/// no acknowledgement; the entry hop and a generic climb adjust both.
+fn ticket(
+    id: PubId,
+    event: &SharedEvent,
+    attr: AttrName,
+    mode: TraversalKind,
+    target: Option<GroupLabel>,
+    ttl: u32,
+) -> PubTicket {
+    PubTicket {
+        id,
+        event: event.clone(),
+        attr,
+        mode,
+        target,
+        from_child: None,
+        downstream: true,
+        ack_to: None,
+        ttl,
+    }
+}
 
 impl DpsNode {
     /// Publishes an event: it is routed into the tree of **every** attribute it
@@ -90,19 +115,9 @@ impl DpsNode {
         ctx: &mut Context<'_, DpsMsg>,
     ) {
         let mode = self.cfg.traversal;
-        let ticket = PubTicket {
-            id,
-            event: event.clone(),
-            attr: attr.clone(),
-            mode,
-            target: None,
-            from_child: None,
-            downstream: mode == TraversalKind::Root,
-            ack_to: Some(self.id),
-            // Loop backstop only: per-group dedup already stops cycles, and deep
-            // chains legitimately take hundreds of hops.
-            ttl: 100_000,
-        };
+        let mut ticket = ticket(id, event, attr.clone(), mode, None, HOP_BACKSTOP);
+        ticket.downstream = mode == TraversalKind::Root;
+        ticket.ack_to = Some(self.id);
         let entry: Option<NodeId> = match mode {
             // Root-based entry goes to the owner — unless the owner is
             // suspected (dead or cut off), in which case a tree membership of
@@ -317,17 +332,10 @@ impl DpsNode {
                 None => m.predview.iter().find(|r| r.node != self.id),
             };
             for up in live.chain(last_resort) {
-                let up_ticket = PubTicket {
-                    id: t.id,
-                    event: t.event.clone(),
-                    attr: t.attr.clone(),
-                    mode: t.mode,
-                    target: Some(up.label.clone()),
-                    from_child: Some(m.label.clone()),
-                    downstream: false,
-                    ack_to: None,
-                    ttl: t.ttl,
-                };
+                let target = Some(up.label.clone());
+                let mut up_ticket = ticket(t.id, &t.event, t.attr.clone(), t.mode, target, t.ttl);
+                up_ticket.from_child = Some(m.label.clone());
+                up_ticket.downstream = false;
                 ctx.send(up.node, DpsMsg::Publish(up_ticket));
             }
         }
@@ -353,17 +361,8 @@ impl DpsNode {
             if Some(&b.label) == from_child || !b.label.matches_event(event) {
                 continue;
             }
-            let child_ticket = PubTicket {
-                id,
-                event: event.clone(),
-                attr: m.label.attr().clone(),
-                mode,
-                target: Some(b.label.clone()),
-                from_child: None,
-                downstream: true,
-                ack_to: None,
-                ttl,
-            };
+            let attr = m.label.attr().clone();
+            let child_ticket = ticket(id, event, attr, mode, Some(b.label.clone()), ttl);
             if b.blocked {
                 // Several members may buffer the same withheld event.
                 let buffered = &mut self.memberships[i].branches[bi].buffered;
@@ -577,7 +576,7 @@ impl DpsNode {
             if !self.memberships[i].branches.is_empty() {
                 let view = self.memberships[i].members.len().max(3);
                 if ctx.rng().random::<f64>() < 3.0 / view as f64 {
-                    self.forward_downstream(i, id, &event, None, 100_000, ctx);
+                    self.forward_downstream(i, id, &event, None, HOP_BACKSTOP, ctx);
                 }
             }
         }
@@ -599,19 +598,11 @@ impl DpsNode {
         let fresh = self.recent_pubs.iter().filter(|(_, ev, at)| {
             now.saturating_sub(*at) <= REPUB_WINDOW && b.label.matches_event(ev)
         });
+        let (attr, mode) = (self.memberships[i].label.attr(), self.cfg.traversal);
         for (id, event, _) in fresh {
-            let ticket = PubTicket {
-                id: *id,
-                event: event.clone(),
-                attr: self.memberships[i].label.attr().clone(),
-                mode: self.cfg.traversal,
-                target: Some(b.label.clone()),
-                from_child: None,
-                downstream: true,
-                ack_to: None,
-                ttl: 100_000,
-            };
-            self.send_to_branch(&b.label, &b.refs, ticket, ctx);
+            let target = Some(b.label.clone());
+            let t = ticket(*id, event, attr.clone(), mode, target, HOP_BACKSTOP);
+            self.send_to_branch(&b.label, &b.refs, t, ctx);
         }
     }
 }

@@ -9,11 +9,11 @@ use rand::Rng;
 
 use crate::config::{
     CommKind, TraversalKind, CO_LEADERS, FIND_TREE_RETRIES, GOSSIP_P0, GROUP_VIEW_CAP,
-    REQUEST_TIMEOUT, SUB_GOSSIP_FANOUT, TRAVERSAL_TIMEOUT, VIEW_DEPTH, WALK_TTL,
+    PREDVIEW_CAP, REQUEST_TIMEOUT, SUB_GOSSIP_FANOUT, TRAVERSAL_TIMEOUT, VIEW_DEPTH, WALK_TTL,
 };
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupDescriptor, GroupRef, SubId, Ticket};
-use crate::node::{node_key, DpsNode, PendingSub, SubPhase};
+use crate::node::{group_info, node_key, DpsNode, PendingSub, SubPhase};
 use crate::views::{Branch, Membership, Role};
 
 /// Maximum subscription retries before the node concludes no tree exists and
@@ -87,18 +87,9 @@ impl DpsNode {
             // Hand over to the first co-leader; otherwise the group dissolves and
             // neighbors clean up through failure detection.
             if let Some(&heir) = m.co_leaders.first() {
-                let info = DpsMsg::GroupInfo {
-                    label: label.clone(),
-                    leader: heir,
-                    co_leaders: m
-                        .co_leaders
-                        .iter()
-                        .copied()
-                        .filter(|c| *c != heir)
-                        .collect(),
-                    owner: m.owner,
-                    owner_epoch: m.owner_epoch,
-                };
+                // The heir leads from now on; the other co-leaders stay.
+                m.co_leaders.retain(|c| *c != heir);
+                let info = group_info(&m, heir);
                 for peer in m
                     .members
                     .iter()
@@ -112,16 +103,7 @@ impl DpsNode {
                 }
                 // The heir also needs our branch and parent state, and must drop
                 // us from its membership view.
-                ctx.send(
-                    heir,
-                    DpsMsg::ViewPush {
-                        label: label.clone(),
-                        members: m.members.clone(),
-                        predview: m.predview.clone(),
-                        branches: m.branches.iter().map(Branch::info).collect(),
-                        recent: self.recent_digest(),
-                    },
-                );
+                ctx.send(heir, m.view_push(self.recent_digest()));
                 ctx.send(
                     heir,
                     DpsMsg::Leave {
@@ -131,13 +113,7 @@ impl DpsNode {
                 );
                 // We may ourselves hold neighbor views of the group we just left
                 // (e.g. a branch in the parent root we own): refresh them too.
-                let co: Vec<_> = m
-                    .co_leaders
-                    .iter()
-                    .copied()
-                    .filter(|c| *c != heir)
-                    .collect();
-                self.handle_group_info(label.clone(), heir, co, m.owner, m.owner_epoch, ctx);
+                self.handle_group_info(label, heir, m.co_leaders, m.owner, m.owner_epoch, ctx);
             }
         } else {
             ctx.send(
@@ -318,33 +294,27 @@ impl DpsNode {
     /// for `pred`: the exact group if we are in it, else the deepest group on
     /// the designated path, else any group (we will route up).
     fn pick_routing_membership(&self, pred: &Predicate) -> Option<usize> {
-        let mut first = None;
-        let mut best: Option<usize> = None;
-        for i in self.memberships_in(pred.name()) {
-            let li = &self.memberships[i].label;
-            if li.predicate() == Some(pred) {
-                return Some(i);
-            }
-            first = first.or(Some(i));
-            if !li.on_path_to(pred) {
-                continue;
-            }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    // Prefer the deeper (more specific) label: a non-root label
-                    // beats the root; among predicates the included one is deeper.
-                    let lb = &self.memberships[b].label;
-                    let deeper = match (lb.predicate(), li.predicate()) {
-                        (None, Some(_)) => true,
-                        (Some(pb), Some(pi)) => pb.strictly_includes(pi),
-                        _ => false,
-                    };
-                    Some(if deeper { i } else { b })
-                }
-            };
-        }
-        best.or(first)
+        let in_tree = || self.memberships_in(pred.name());
+        in_tree()
+            .find(|&i| self.memberships[i].label.predicate() == Some(pred))
+            .or_else(|| self.deepest_on_path(pred))
+            .or_else(|| in_tree().next())
+    }
+
+    /// Among our memberships in the tree of `pred`'s attribute, the deepest
+    /// on the designated path to `pred` (a predicate lies below the root;
+    /// among predicates the included one is deeper); the first joined wins
+    /// a tie.
+    pub(crate) fn deepest_on_path(&self, pred: &Predicate) -> Option<usize> {
+        let label = |i: usize| &self.memberships[i].label;
+        let deeper = |i: usize, than: usize| match (label(than).predicate(), label(i).predicate()) {
+            (None, Some(_)) => true,
+            (Some(pt), Some(pi)) => pt.strictly_includes(pi),
+            _ => false,
+        };
+        self.memberships_in(pred.name())
+            .filter(|&i| label(i).on_path_to(pred))
+            .reduce(|b, i| if deeper(i, b) { i } else { b })
     }
 
     fn route_find_group_at(&mut self, i: usize, t: Ticket, ctx: &mut Context<'_, DpsMsg>) {
@@ -439,7 +409,8 @@ impl DpsNode {
         );
         // Epidemic mode: let the rest of the group learn the branch change.
         if self.cfg.comm == CommKind::Epidemic {
-            self.gossip_branches(i, ctx);
+            let branches = self.memberships[i].branches.iter().map(Branch::info);
+            self.gossip_sub(i, &[], Vec::new(), branches.collect(), 0, ctx);
         }
     }
 
@@ -555,18 +526,7 @@ impl DpsNode {
                 m.members
                     .iter()
                     .filter(|n| **n != me && **n != member)
-                    .map(|n| {
-                        (
-                            *n,
-                            DpsMsg::GroupInfo {
-                                label: m.label.clone(),
-                                leader: me,
-                                co_leaders: m.co_leaders.clone(),
-                                owner: m.owner,
-                                owner_epoch: m.owner_epoch,
-                            },
-                        )
-                    })
+                    .map(|n| (*n, group_info(m, me)))
                     .collect()
             } else {
                 let m = &self.memberships[i];
@@ -589,7 +549,7 @@ impl DpsNode {
             }
         } else {
             // GOSSIP_SUB: spread the view update within the group (§4.2.2).
-            self.gossip_members(i, vec![member], ctx);
+            self.gossip_sub(i, &[member], vec![member], Vec::new(), 0, ctx);
         }
     }
 
@@ -608,7 +568,6 @@ impl DpsNode {
             return;
         }
         self.pending_subs.retain(|p| p.sub_id != sub_id);
-        let cap = VIEW_DEPTH + CO_LEADERS + 2;
         if let Some(m) = self.membership_mut(&group.label) {
             m.sub_ids.push(sub_id);
             return;
@@ -627,7 +586,7 @@ impl DpsNode {
             m.add_member(n);
         }
         m.add_member(self.id);
-        m.set_predview(predview, cap);
+        m.set_predview(predview, PREDVIEW_CAP);
         for b in succviews {
             m.upsert_branch(&b, VIEW_DEPTH);
         }
@@ -647,7 +606,6 @@ impl DpsNode {
         let label = GroupLabel::Pred(ticket.pred.clone());
         let pending = self.pending_subs.iter().any(|p| p.sub_id == sub_id);
         self.pending_subs.retain(|p| p.sub_id != sub_id);
-        let cap = VIEW_DEPTH + CO_LEADERS + 2;
 
         if let Some(m) = self.membership_mut(&label) {
             // Already in (or leading) this group — e.g. duplicate answers from two
@@ -658,35 +616,14 @@ impl DpsNode {
         } else {
             let idx = self.new_led_membership(Some(sub_id), label.clone(), parent.owner);
             self.memberships[idx].owner_epoch = parent.owner_epoch;
-            let parent_refs: Vec<GroupRef> = parent
-                .contacts()
-                .map(|n| GroupRef {
-                    label: parent.label.clone(),
-                    node: n,
-                })
-                .collect();
-            self.memberships[idx].set_predview(parent_refs, cap);
+            let parent_refs = GroupRef::all_in(&parent.label, parent.contacts());
+            self.memberships[idx].set_predview(parent_refs, PREDVIEW_CAP);
             for b in adopted {
                 // Tell each adopted child who its new parent is.
-                let to = b
-                    .refs
-                    .iter()
-                    .filter(|r| r.label == b.label)
-                    .map(|r| r.node)
-                    .collect::<Vec<_>>();
                 self.memberships[idx].upsert_branch(&b, VIEW_DEPTH);
-                let parent_desc = self.descriptor(&self.memberships[idx]);
                 let chain = self.memberships[idx].predview.clone();
-                for n in to {
-                    ctx.send(
-                        n,
-                        DpsMsg::NewParent {
-                            child_label: b.label.clone(),
-                            parent: parent_desc.clone(),
-                            parent_chain: chain.clone(),
-                        },
-                    );
-                }
+                let to = b.refs.iter().filter(|r| r.label == b.label).map(|r| r.node);
+                self.send_new_parent(idx, &b.label, chain, to, ctx);
             }
             let attr = label.attr().clone();
             self.cache_tree(attr, self.id, Some(parent.owner), parent.owner_epoch);
@@ -760,82 +697,49 @@ impl DpsNode {
         parent: GroupDescriptor,
         parent_chain: Vec<GroupRef>,
     ) {
-        let cap = VIEW_DEPTH + CO_LEADERS + 2;
         let Some(m) = self.membership_mut(&child_label) else {
             return;
         };
-        let mut refs: Vec<GroupRef> = parent
-            .contacts()
-            .map(|n| GroupRef {
-                label: parent.label.clone(),
-                node: n,
-            })
-            .collect();
+        let mut refs = GroupRef::all_in(&parent.label, parent.contacts());
         for r in parent_chain {
             if !refs.contains(&r) && r.label != child_label {
                 refs.push(r);
             }
         }
-        m.set_predview(refs, cap);
+        m.set_predview(refs, PREDVIEW_CAP);
         m.owner = parent.owner;
         m.owner_epoch = parent.owner_epoch;
     }
 
     // ---- epidemic membership gossip ----
 
-    /// Gossips newly learned members within the group (`GOSSIP_SUB`).
-    pub(crate) fn gossip_members(
-        &mut self,
+    /// `GOSSIP_SUB` (§4.2.2): tells `SUB_GOSSIP_FANOUT` members of group
+    /// `i`, sampled from all but ourselves and `skip`, of `members` and
+    /// `branches`; `hops` counts the forwards so far.
+    fn gossip_sub(
+        &self,
         i: usize,
-        new_members: Vec<NodeId>,
+        skip: &[NodeId],
+        members: Vec<NodeId>,
+        branches: Vec<BranchInfo>,
+        hops: u32,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        let label = self.memberships[i].label.clone();
-        let me = self.id;
-        let targets: Vec<NodeId> = self.memberships[i]
+        let m = &self.memberships[i];
+        let targets: Vec<NodeId> = m
             .members
             .iter()
             .copied()
-            .filter(|n| *n != me && !new_members.contains(n))
+            .filter(|n| *n != self.id && !skip.contains(n))
             .choose_multiple(ctx.rng(), SUB_GOSSIP_FANOUT);
         for to in targets {
-            ctx.send(
-                to,
-                DpsMsg::GossipSub {
-                    label: label.clone(),
-                    members: new_members.clone(),
-                    branches: Vec::new(),
-                    hops: 0,
-                },
-            );
-        }
-    }
-
-    /// Gossips our branch set within the group (epidemic branch agreement).
-    pub(crate) fn gossip_branches(&mut self, i: usize, ctx: &mut Context<'_, DpsMsg>) {
-        let label = self.memberships[i].label.clone();
-        let branches: Vec<BranchInfo> = self.memberships[i]
-            .branches
-            .iter()
-            .map(Branch::info)
-            .collect();
-        let me = self.id;
-        let targets: Vec<NodeId> = self.memberships[i]
-            .members
-            .iter()
-            .copied()
-            .filter(|n| *n != me)
-            .choose_multiple(ctx.rng(), SUB_GOSSIP_FANOUT);
-        for to in targets {
-            ctx.send(
-                to,
-                DpsMsg::GossipSub {
-                    label: label.clone(),
-                    members: Vec::new(),
-                    branches: branches.clone(),
-                    hops: 0,
-                },
-            );
+            let msg = DpsMsg::GossipSub {
+                label: m.label.clone(),
+                members: members.clone(),
+                branches: branches.clone(),
+                hops,
+            };
+            ctx.send(to, msg);
         }
     }
 
@@ -873,22 +777,6 @@ impl DpsNode {
         if ctx.rng().random::<f64>() >= p {
             return;
         }
-        let targets: Vec<NodeId> = self.memberships[i]
-            .members
-            .iter()
-            .copied()
-            .filter(|n| *n != me && !newly.contains(n))
-            .choose_multiple(ctx.rng(), SUB_GOSSIP_FANOUT);
-        for to in targets {
-            ctx.send(
-                to,
-                DpsMsg::GossipSub {
-                    label: label.clone(),
-                    members: newly.clone(),
-                    branches: Vec::new(),
-                    hops: hops + 1,
-                },
-            );
-        }
+        self.gossip_sub(i, &newly, newly.clone(), Vec::new(), hops + 1, ctx);
     }
 }

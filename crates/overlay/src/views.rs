@@ -6,7 +6,7 @@ use dps_sim::NodeId;
 use serde::{Deserialize, Serialize};
 
 use crate::label::GroupLabel;
-use crate::msg::{BranchInfo, GroupRef, PubTicket, SubId};
+use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId, PubTicket, SubId};
 
 /// A node's role within one group (leader mode; epidemic groups are flat and all
 /// members behave like `Member`).
@@ -258,6 +258,19 @@ impl Membership {
     pub fn set_predview(&mut self, refs: Vec<GroupRef>, cap: usize) {
         self.predview = refs;
         self.predview.truncate(cap);
+    }
+
+    /// The `ViewPush` handing this view over — members, predview and branches
+    /// — with `recent` as the sender's publication digest (an empty digest
+    /// asks an epidemic receiver to replay its whole recent window).
+    pub(crate) fn view_push(&self, recent: Vec<PubId>) -> DpsMsg {
+        DpsMsg::ViewPush {
+            label: self.label.clone(),
+            members: self.members.clone(),
+            predview: self.predview.clone(),
+            branches: self.branches.iter().map(Branch::info).collect(),
+            recent,
+        }
     }
 
     /// The nodes a publication should be handed to when entering this group from

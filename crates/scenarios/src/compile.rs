@@ -9,7 +9,7 @@
 //! [`SpecError`] naming the offending phase instead of silently running
 //! something else.
 
-use dps::{CommKind, DpsConfig, Filter, JoinRule, NodeId, TraversalKind};
+use dps::{CommKind, DpsConfig, Filter, JoinRule, TraversalKind};
 use dps_sim::{ChurnPlan, FaultPlan, LatencyModel, Step};
 use dps_workload::{AttrSpec, Dist, SubShape, Workload};
 
@@ -393,42 +393,12 @@ fn lower_partitions(
     for PartitionWindowSpec { from, until, cut } in parts {
         let (f, u) = window(*from, *until, start, p.steps, ctx)?;
         spans.push((f, u));
-        match cut {
-            CutSpec::Split { boundary } | CutSpec::SplitOneWay { boundary, .. } => {
-                if *boundary == 0 || *boundary >= nodes {
-                    return err(format!(
-                        "{ctx}: split boundary {boundary} must sit strictly inside \
-                         the initial population (1..{nodes})"
-                    ));
-                }
-            }
-            CutSpec::Named { sides, oneway } => {
-                if sides.len() < 2 {
-                    return err(format!("{ctx}: a named cut needs at least two sides"));
-                }
-                for s in sides {
-                    if s.nodes.is_empty() {
-                        return err(format!("{ctx}: side {:?} has no nodes", s.name));
-                    }
-                    if let Some(bad) = s.nodes.iter().find(|i| **i >= nodes) {
-                        return err(format!(
-                            "{ctx}: side {:?} lists node {bad} outside the initial \
-                             population 0..{nodes}",
-                            s.name
-                        ));
-                    }
-                }
-                if let Some(ow) = oneway {
-                    for side in [&ow.from_side, &ow.to_side] {
-                        if !sides.iter().any(|s| s.name == *side) {
-                            return err(format!("{ctx}: unknown partition side {side:?}"));
-                        }
-                    }
-                    if ow.from_side == ow.to_side {
-                        return err(format!("{ctx}: a one-way cut needs two distinct sides"));
-                    }
-                }
-            }
+        let (CutSpec::Split { boundary } | CutSpec::SplitOneWay { boundary, .. }) = cut;
+        if *boundary == 0 || *boundary >= nodes {
+            return err(format!(
+                "{ctx}: split boundary {boundary} must sit strictly inside \
+                 the initial population (1..{nodes})"
+            ));
         }
         match cut {
             CutSpec::Split { boundary } => {
@@ -439,25 +409,6 @@ fn lower_partitions(
                 low_to_high,
             } => {
                 faults.add_split_oneway(f, u, *boundary, *low_to_high);
-            }
-            CutSpec::Named { sides, oneway } => {
-                let sides: Vec<(String, Vec<NodeId>)> = sides
-                    .iter()
-                    .map(|s| {
-                        (
-                            s.name.clone(),
-                            s.nodes.iter().map(|i| NodeId::from_index(*i)).collect(),
-                        )
-                    })
-                    .collect();
-                match oneway {
-                    None => {
-                        faults.add_partition(f, u, &sides);
-                    }
-                    Some(ow) => {
-                        faults.add_partition_oneway(f, u, &sides, &ow.from_side, &ow.to_side);
-                    }
-                }
             }
         }
     }

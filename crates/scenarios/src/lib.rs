@@ -58,6 +58,6 @@ pub mod spec;
 pub use compile::{compile, CompiledPhase, CompiledScenario, SpecError};
 pub use engine::{build_overlay, run_scenario, PhaseRow, ScenarioReport, ScenarioRun};
 pub use spec::{
-    ChurnSpec, ClassLatencySpec, CutSpec, ExpectSpec, LatencySpec, LossWindowSpec, OneWaySpec,
-    PartitionWindowSpec, PhaseSpec, ScenarioSpec, SideSpec, SubscribeSpec, TopologySpec,
+    ChurnSpec, ClassLatencySpec, CutSpec, ExpectSpec, LatencySpec, LossWindowSpec,
+    PartitionWindowSpec, PhaseSpec, ScenarioSpec, SubscribeSpec, TopologySpec,
 };

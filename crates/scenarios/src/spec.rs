@@ -154,7 +154,7 @@ pub struct PhaseSpec {
     pub churn: Option<ChurnSpec>,
     /// Partition windows within this phase. Windows are exclusive: they may
     /// not overlap in time (a composed double-cut is almost always a spec
-    /// bug; express separate sides with one `Named` cut instead).
+    /// bug).
     pub partitions: Option<Vec<PartitionWindowSpec>>,
     /// Loss windows within this phase (same exclusivity rule).
     pub loss: Option<Vec<LossWindowSpec>>,
@@ -216,31 +216,6 @@ pub enum CutSpec {
         /// Direction of the severed traffic.
         low_to_high: bool,
     },
-    /// Explicitly named sides; nodes listed in no side bridge the cut.
-    Named {
-        /// The sides, each naming its member node indices.
-        sides: Vec<SideSpec>,
-        /// Sever only `from_side → to_side` instead of all cross-side pairs.
-        oneway: Option<OneWaySpec>,
-    },
-}
-
-/// One named side of a [`CutSpec::Named`] partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SideSpec {
-    /// Side name (for reports).
-    pub name: String,
-    /// Member node indices.
-    pub nodes: Vec<usize>,
-}
-
-/// Direction selector of an asymmetric named cut.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OneWaySpec {
-    /// Side whose outbound cross-side traffic is severed.
-    pub from_side: String,
-    /// Side whose inbound cross-side traffic is severed.
-    pub to_side: String,
 }
 
 /// One scheduled loss window inside a phase: every link drops deliveries with

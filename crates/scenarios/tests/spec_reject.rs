@@ -251,6 +251,18 @@ fn rejects_unknown_fields_and_bad_json() {
         e.0.contains("unknown variant") && e.0.contains("Spilt"),
         "{e}"
     );
+    // Named cuts are gone from the spec language: no spec used them.
+    let e = ScenarioSpec::from_json_str(
+        r#"{"name": "probe", "seed": 1,
+            "topology": {"nodes": 10, "scheme": "epidemic"},
+            "phases": [{"name": "p", "steps": 50, "partitions": [{"cut": {"Named":
+                {"sides": [{"name": "a", "nodes": [0]}, {"name": "b", "nodes": [1]}]}}}]}]}"#,
+    )
+    .unwrap_err();
+    assert!(
+        e.0.contains("unknown variant") && e.0.contains("Named"),
+        "{e}"
+    );
     // Syntax errors carry positions.
     let e = ScenarioSpec::from_json_str("{\n  \"name\": \"x\",,\n}").unwrap_err();
     assert!(e.0.contains("line 2"), "{e}");

@@ -16,8 +16,8 @@ fn library_dir() -> PathBuf {
 }
 
 fn library_specs() -> Vec<(PathBuf, ScenarioSpec)> {
-    // The main library plus the metro tier (scenarios/metro/, swept by the
-    // `scenarios` bin under DPS_SCALE=metro), the latency tier
+    // The main library plus the metro tier (scenarios/metro/, swept by
+    // `scenarios scenarios/metro`), the latency tier
     // (scenarios/latency/, swept by the CI latency-matrix job) and the
     // regression reproducers (scenarios/regress/, run by the ignored
     // `regress` test). Metro specs are too big to *run* here, but they must

@@ -210,46 +210,6 @@ impl FaultPlan {
         until: Step,
         sides: &[(S, Vec<NodeId>)],
     ) -> &mut Self {
-        self.push_partition(from, until, sides, CutDir::Both)
-    }
-
-    /// Schedules an **asymmetric** named partition for `[from, until)`: only
-    /// messages from the side named `from_side` toward the side named
-    /// `to_side` are cut; everything else (including the reverse direction)
-    /// delivers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either name is not among `sides`, or if both name the same
-    /// side (which would cut that side's *internal* traffic, never the
-    /// intended cross-side direction).
-    pub fn add_partition_oneway<S: AsRef<str>>(
-        &mut self,
-        from: Step,
-        until: Step,
-        sides: &[(S, Vec<NodeId>)],
-        from_side: &str,
-        to_side: &str,
-    ) -> &mut Self {
-        let pos = |name: &str| {
-            sides
-                .iter()
-                .position(|(n, _)| n.as_ref() == name)
-                .unwrap_or_else(|| panic!("unknown partition side {name:?}")) as u8
-        };
-        let (from_side, to_side) = (pos(from_side), pos(to_side));
-        assert_ne!(from_side, to_side, "a one-way cut needs two distinct sides");
-        let dir = CutDir::OneWay { from_side, to_side };
-        self.push_partition(from, until, sides, dir)
-    }
-
-    fn push_partition<S: AsRef<str>>(
-        &mut self,
-        from: Step,
-        until: Step,
-        sides: &[(S, Vec<NodeId>)],
-        dir: CutDir,
-    ) -> &mut Self {
         assert!(sides.len() < NO_SIDE as usize, "too many partition sides");
         let mut map = Vec::new();
         for (s, (_, members)) in sides.iter().enumerate() {
@@ -268,7 +228,7 @@ impl FaultPlan {
             until,
             names: sides.iter().map(|(n, _)| n.as_ref().to_string()).collect(),
             assign: SideAssign::Explicit { map },
-            dir,
+            dir: CutDir::Both,
         });
         self
     }
@@ -421,46 +381,6 @@ mod tests {
         rev.add_split_oneway(0, 100, 3, false); // high -> low cut
         assert!(rev.severed(n(5), n(0), 50));
         assert!(!rev.severed(n(0), n(5), 50));
-    }
-
-    #[test]
-    fn oneway_named_partition_respects_direction_and_bridges() {
-        let mut plan = FaultPlan::none();
-        plan.add_partition_oneway(
-            0,
-            100,
-            &[("east", vec![n(0), n(1)]), ("west", vec![n(2)])],
-            "east",
-            "west",
-        );
-        assert!(plan.severed(n(0), n(2), 50));
-        assert!(!plan.severed(n(2), n(0), 50), "west -> east must stay open");
-        assert!(!plan.severed(n(0), n(1), 50)); // same side
-        assert!(!plan.severed(n(7), n(2), 50)); // unlisted bridges still talk
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown partition side")]
-    fn oneway_named_partition_rejects_unknown_side() {
-        FaultPlan::none().add_partition_oneway(
-            0,
-            100,
-            &[("east", vec![n(0)]), ("west", vec![n(1)])],
-            "east",
-            "north",
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "two distinct sides")]
-    fn oneway_named_partition_rejects_same_side_twice() {
-        FaultPlan::none().add_partition_oneway(
-            0,
-            100,
-            &[("east", vec![n(0)]), ("west", vec![n(1)])],
-            "east",
-            "east",
-        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!
 //! 1. an epidemic run under churn, a partition window and lossy links;
 //! 2. a leader-mode run with a crash before every publication;
-//! 3. the `Bimodal` latency run of `latency_determinism.rs`.
+//! 3. the `Bimodal` latency run of `latency_determinism.rs`;
+//! 4. a leader-mode run whose subscriptions race duplicate trees into being
+//!    and merge them, then a quarter of the subscribers, leaders included,
+//!    leave (the handover and merge paths).
 //!
 //! A refactor below the protocol must leave the file untouched. A change
 //! that moves the simulation on purpose re-blesses it and says why:
@@ -16,7 +19,8 @@ mod common;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use dps::{CommKind, DpsConfig, DpsNetwork, JoinRule, LatencyModel, TraversalKind};
+use dps::{CommKind, DpsConfig, DpsMsg, DpsNetwork, JoinRule, LatencyModel, TraversalKind};
+use dps_sim::Message;
 
 /// Thirty epidemic nodes: subscriptions, then publications while a partition
 /// opens and heals, loss sets in and a node crashes every 25 steps.
@@ -90,14 +94,75 @@ fn leader_mode_crashes() -> Vec<String> {
     common::digest(&net)
 }
 
+/// Twenty-four leader-root nodes subscribe in one step, so every node walks
+/// for the tree at once, several create one and the duplicates merge. After
+/// a few publications a deterministic quarter of the subscribers leave: the
+/// leaders of non-root groups first (each hands over to a co-leader, if it
+/// has one), then every fourth node. More publications follow, then a
+/// drain. Convergence is not asserted.
+fn leader_merge_then_leave() -> (Vec<String>, Vec<u64>) {
+    const N: usize = 24;
+    const FILTERS: [&str; 4] = ["temp > 5", "temp > 20", "temp < 40", "temp > 12"];
+    let mut cfg = DpsConfig::named(TraversalKind::Root, CommKind::Leader);
+    cfg.join_rule = JoinRule::First;
+    let mut net = DpsNetwork::new(cfg, 37);
+    let nodes = net.add_nodes(N);
+    net.run(30);
+    let subs: Vec<_> = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, n)| {
+            let filter = FILTERS[i % FILTERS.len()].parse::<dps::Filter>().unwrap();
+            (*n, net.try_subscribe(*n, filter).unwrap())
+        })
+        .collect();
+    net.run(400);
+    let publish = |net: &mut DpsNetwork, k: usize| {
+        let event = format!("temp = {}", 8 + 7 * (k % 5));
+        let _ = net.try_publish(nodes[(5 * k) % N], event.parse::<dps::Event>().unwrap());
+        net.run(15);
+    };
+    for k in 0..4 {
+        publish(&mut net, k);
+    }
+    net.run(50);
+
+    // Leaders of non-root groups first, then every fourth node, to N / 4.
+    let leaders = nodes.iter().copied().filter(|n| {
+        let node = net.sim().node(*n).unwrap();
+        node.memberships()
+            .iter()
+            .any(|m| m.is_leader() && !m.label.is_root() && !m.sub_ids.is_empty())
+    });
+    let mut leaving: Vec<_> = Vec::new();
+    for n in leaders.chain(nodes.iter().copied().step_by(4)) {
+        if leaving.len() < N / 4 && !leaving.contains(&n) {
+            leaving.push(n);
+        }
+    }
+    for n in leaving {
+        let (_, sub) = subs.iter().find(|(s, _)| *s == n).unwrap();
+        net.try_unsubscribe(n, *sub).unwrap();
+        net.run(3);
+    }
+    net.run(40);
+    for k in 4..10 {
+        publish(&mut net, k);
+    }
+    net.run(300);
+    let kinds = net.metrics().received_by_kind().to_vec();
+    (common::digest(&net), kinds)
+}
+
 /// The section headers of the golden file, in file order.
-const SECTIONS: [&str; 3] = [
+const SECTIONS: [&str; 4] = [
     "# epidemic: churn, partition, loss",
     "# leader: crash before every publication",
     "# bimodal latency: churn, partition, loss",
+    "# leader: merge then leave",
 ];
 
-/// Serialises blessing: the three tests rewrite sections of one file.
+/// Serialises blessing: the four tests rewrite sections of one file.
 static BLESS: Mutex<()> = Mutex::new(());
 
 fn golden_path() -> PathBuf {
@@ -196,4 +261,26 @@ fn bimodal_latency_run_matches_the_golden() {
     assert_ne!(field("n="), "0", "no latency samples: {tail}");
     assert_ne!(field("p50="), field("p99="), "p50 and p99 coincide: {tail}");
     check_section(SECTIONS[2], bimodal);
+}
+
+#[test]
+fn leader_merge_then_leave_run_matches_the_golden() {
+    let (digest, kinds) = leader_merge_then_leave();
+    // The run must reach the paths it pins: duplicate trees merging and
+    // regrafting, and leaders handing their groups over on the way out.
+    for kind in [
+        "GroupInfo",
+        "ViewPush",
+        "Leave",
+        "DissolveTree",
+        "Reattach",
+        "NewParent",
+    ] {
+        let i = <DpsMsg as Message>::KINDS
+            .iter()
+            .position(|k| *k == kind)
+            .unwrap();
+        assert!(kinds[i] > 0, "the run received no {kind}: {kinds:?}");
+    }
+    check_section(SECTIONS[3], digest);
 }
