@@ -33,7 +33,7 @@ impl DpsNode {
 
     pub(crate) fn merge_peers(&mut self, peers: &[NodeId]) {
         for p in peers {
-            if *p != self.id && !self.peers.contains(p) && !self.suspected.contains(&node_key(*p)) {
+            if *p != self.id && !self.peers.contains(p) && !self.suspects(*p) {
                 self.peers.push(*p);
             }
         }
@@ -71,23 +71,38 @@ impl DpsNode {
     /// before it.
     fn send_walk(&mut self, attr: AttrName, misses: u32, ctx: &mut Context<'_, DpsMsg>) {
         let deadline = ctx.now() + REQUEST_TIMEOUT;
-        let origin = self.id;
-        // Two parallel walks ("random walks", §4.1): a single walk dies
-        // whenever one hop lands on a crashed peer, which is common under churn.
-        for peer in self.peer_sample(ctx, 2) {
-            ctx.send(
-                peer,
-                DpsMsg::FindTree {
-                    attr: attr.clone(),
-                    origin,
-                    ttl: WALK_TTL,
-                },
-            );
-        }
+        self.walk_pair(&attr, ctx);
         // With no peers at all nothing is sent; the deadline expires and the
         // lookup ends like any other unanswered walk.
         self.lookups
             .push((attr, TreeLookup::Walking { misses, deadline }));
+    }
+
+    /// Sends a pair of walks for the tree of `attr`. Two parallel walks
+    /// ("random walks", §4.1): a single walk dies whenever one hop lands on
+    /// a crashed peer, which is common under churn.
+    fn walk_pair(&mut self, attr: &AttrName, ctx: &mut Context<'_, DpsMsg>) {
+        let origin = self.id;
+        for peer in self.peer_sample(ctx, 2) {
+            let attr = attr.clone();
+            let ttl = WALK_TTL;
+            ctx.send(peer, DpsMsg::FindTree { attr, origin, ttl });
+        }
+    }
+
+    /// Tells three random peers of the owner claim `(owner, epoch)` on the
+    /// tree of `attr`.
+    fn announce_owner(
+        &mut self,
+        attr: &AttrName,
+        claim: (NodeId, u64),
+        ctx: &mut Context<'_, DpsMsg>,
+    ) {
+        let (owner, epoch) = claim;
+        for p in self.peer_sample(ctx, 3) {
+            let attr = attr.clone();
+            ctx.send(p, DpsMsg::OwnerAnnounce { attr, owner, epoch });
+        }
     }
 
     /// Lookup timeouts, from `on_tick`: takes every walk pair that ended this
@@ -169,6 +184,20 @@ impl DpsNode {
         );
     }
 
+    /// Forgets the cached contact of the tree of `attr`; with `suspect`,
+    /// also suspects it and the owner it names, so stale caches elsewhere
+    /// cannot keep steering us back to them (a live node clears the
+    /// suspicion the moment it sends us anything).
+    pub(crate) fn drop_tree_contact(&mut self, attr: &AttrName, suspect: bool) {
+        let Some(c) = self.tree_cache.remove(attr).filter(|_| suspect) else {
+            return;
+        };
+        self.suspected.insert(node_key(c.contact));
+        if let Some(o) = c.owner {
+            self.suspected.insert(node_key(o));
+        }
+    }
+
     pub(crate) fn handle_find_tree(
         &mut self,
         attr: AttrName,
@@ -196,7 +225,7 @@ impl DpsNode {
         // Do I know a (live, as far as we can tell) contact?
         if let Some(c) = self.tree_cache.get(&attr) {
             let (contact, owner, epoch) = (c.contact, c.owner, c.epoch);
-            if !self.suspected.contains(&node_key(contact)) {
+            if !self.suspects(contact) {
                 ctx.send(
                     origin,
                     DpsMsg::TreeFound {
@@ -209,15 +238,8 @@ impl DpsNode {
                 return;
             }
         }
-        let next = {
-            let me = self.id;
-            let suspected = &self.suspected;
-            self.peers
-                .iter()
-                .copied()
-                .filter(|p| *p != origin && *p != me && !suspected.contains(&node_key(*p)))
-                .choose(ctx.rng())
-        };
+        let onward = |p: &NodeId| *p != origin && *p != self.id && !self.suspects(*p);
+        let next = self.peers.iter().copied().filter(onward).choose(ctx.rng());
         match next {
             Some(p) if ttl > 0 => ctx.send(
                 p,
@@ -252,7 +274,7 @@ impl DpsNode {
         epoch: u64,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        if self.suspected.contains(&node_key(contact)) {
+        if self.suspects(contact) {
             // Stale answer naming a contact we believe dead — but the belief
             // itself may be stale (a healed partition looks exactly like a
             // crash while it holds): verify instead of refusing forever. For
@@ -318,17 +340,7 @@ impl DpsNode {
         // few peers. Claims form a lattice (epoch, then min id), so every node
         // forwards at most once per improvement and the flood terminates.
         if improved {
-            let peers = self.peer_sample(ctx, 3);
-            for p in peers {
-                ctx.send(
-                    p,
-                    DpsMsg::OwnerAnnounce {
-                        attr: attr.clone(),
-                        owner: winner.0,
-                        epoch: winner.1,
-                    },
-                );
-            }
+            self.announce_owner(&attr, winner, ctx);
         }
         if let Some(l) = loser {
             ctx.send(
@@ -365,7 +377,7 @@ impl DpsNode {
         // let every racing duplicate creation trump the established tree,
         // triggering endless dissolve/re-subscribe wars.
         let epoch = match self.known_owner_claim(&attr) {
-            Some((o, e)) if self.suspected.contains(&node_key(o)) => e + 1,
+            Some((o, e)) if self.suspects(o) => e + 1,
             Some((_, e)) => e,
             None => 0,
         };
@@ -418,18 +430,8 @@ impl DpsNode {
     /// and a sparse single walk left healed partitions fragmented for hundreds
     /// of steps.
     pub(crate) fn owner_merge_walk(&mut self, ctx: &mut Context<'_, DpsMsg>) {
-        let origin = self.id;
         for attr in self.owned_attrs() {
-            for peer in self.peer_sample(ctx, 2) {
-                ctx.send(
-                    peer,
-                    DpsMsg::FindTree {
-                        attr: attr.clone(),
-                        origin,
-                        ttl: WALK_TTL,
-                    },
-                );
-            }
+            self.walk_pair(&attr, ctx);
             // Re-announce the claim alongside the walk. Announces flood only
             // while they improve someone's knowledge (the claim lattice), so
             // a steady-state re-flood is a few messages — but after a healed
@@ -440,15 +442,8 @@ impl DpsNode {
             let claim = self
                 .membership(&GroupLabel::Root(attr.clone()))
                 .map(|m| (m.owner, m.owner_epoch));
-            if let Some((owner, epoch)) = claim {
-                let announce = DpsMsg::OwnerAnnounce {
-                    attr: attr.clone(),
-                    owner,
-                    epoch,
-                };
-                for p in self.peer_sample(ctx, 3) {
-                    ctx.send(p, announce.clone());
-                }
+            if let Some(claim) = claim {
+                self.announce_owner(&attr, claim, ctx);
             }
         }
     }
@@ -468,7 +463,7 @@ impl DpsNode {
         if other_owner == self.id {
             return;
         }
-        if self.suspected.contains(&node_key(other_owner)) {
+        if self.suspects(other_owner) {
             // A claim naming a node we believe dead never wins — but when the
             // suspicion came from a partition (unreachability and crash are
             // indistinguishable while the cut holds), refusing forever
@@ -517,8 +512,8 @@ impl DpsNode {
         ctx.send(suspect, DpsMsg::Ping { nonce });
     }
 
-    /// Tears down our membership(s) in a duplicate tree and re-subscribes the
-    /// affected subscriptions through the surviving one. Leaders forward the
+    /// Moves our memberships in a duplicate tree over to the surviving one:
+    /// its groups re-attach there, its root dissolves. Leaders forward the
     /// dissolution down their branches and out to members first.
     pub(crate) fn handle_dissolve(
         &mut self,
@@ -528,7 +523,7 @@ impl DpsNode {
         epoch: u64,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        if self.suspected.contains(&node_key(new_owner)) {
+        if self.suspects(new_owner) {
             // Never dissolve toward a dead owner — but do challenge the
             // suspicion (see `maybe_dissolve_own_tree`) and re-walk so the
             // re-check happens promptly: if the owner is alive across a
@@ -564,7 +559,6 @@ impl DpsNode {
             epoch,
         };
         let epidemic = self.cfg.comm == CommKind::Epidemic;
-        let mut resubscribe: Vec<crate::msg::SubId> = Vec::new();
         let mut orphaned: Vec<GroupLabel> = Vec::new();
         // Walk in reverse so removal by index stays valid.
         for i in idxs.into_iter().rev() {
@@ -615,8 +609,11 @@ impl DpsNode {
             }
             // The duplicate tree's root group dissolves outright: the
             // surviving tree already has a root, so there is nothing to merge
-            // this one into — its subscriptions re-traverse from scratch.
+            // this one into. It holds no subscription to re-place:
+            // `create_tree` builds every root without one, and subscriptions
+            // only ever join predicate groups.
             let m = self.memberships.remove(i);
+            debug_assert!(m.sub_ids.is_empty(), "a root holds no subscription");
             if m.is_leader() {
                 for b in &m.branches {
                     if let Some(n) = b.primary() {
@@ -629,7 +626,6 @@ impl DpsNode {
                     }
                 }
             }
-            resubscribe.extend(m.sub_ids);
         }
         for label in orphaned {
             if let Some(i) = self.membership_index(&label) {
@@ -639,30 +635,27 @@ impl DpsNode {
                 self.reattach_or_promote(i, ctx);
             }
         }
-        for sub_id in resubscribe {
-            if let Some(filter) = self.subs.get(sub_id).cloned() {
-                let pred = filter
-                    .predicates()
-                    .iter()
-                    .find(|p| p.name() == &attr)
-                    .cloned();
-                if let Some(pred) = pred {
-                    self.enqueue_subscription(sub_id, pred, ctx);
-                }
-            }
-        }
     }
 
     /// Sends a `FIND_GROUP` toward the tree of the pending subscription's
     /// attribute using the configured traversal: to the owner for root-based
-    /// visits, to any contact for generic ones.
+    /// visits, to any contact for generic ones. Returns whether it knew where
+    /// to send it.
     pub(crate) fn send_find_group(
         &mut self,
         sub_id: crate::msg::SubId,
         pred: dps_content::Predicate,
         ctx: &mut Context<'_, DpsMsg>,
     ) -> bool {
-        let attr = pred.name().clone();
+        // Every membership names an owner: in root mode the fallback is only
+        // ever the cached contact.
+        let owner = match self.cfg.traversal {
+            TraversalKind::Root => self.known_owner(pred.name()),
+            TraversalKind::Generic => None,
+        };
+        let Some(to) = owner.or_else(|| self.tree_contact(pred.name())) else {
+            return false;
+        };
         let ticket = Ticket {
             origin: self.id,
             sub_id,
@@ -671,25 +664,7 @@ impl DpsNode {
             descending: false,
             ttl: HOP_BACKSTOP,
         };
-        let target = match self.cfg.traversal {
-            TraversalKind::Root => self
-                .known_owner(&attr)
-                .or_else(|| self.tree_cache.get(&attr).map(|c| c.contact)),
-            TraversalKind::Generic => {
-                // Any contact will do; prefer ourselves when we are in the tree.
-                if self.in_tree(&attr) {
-                    Some(self.id)
-                } else {
-                    self.tree_cache.get(&attr).map(|c| c.contact)
-                }
-            }
-        };
-        match target {
-            Some(t) => {
-                ctx.send(t, DpsMsg::FindGroup(ticket));
-                true
-            }
-            None => false,
-        }
+        ctx.send(to, DpsMsg::FindGroup(ticket));
+        true
     }
 }

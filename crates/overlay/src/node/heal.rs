@@ -211,7 +211,7 @@ impl DpsNode {
                     .co_leaders
                     .iter()
                     .copied()
-                    .find(|c| !self.suspected.contains(&node_key(*c)));
+                    .find(|c| !self.suspects(*c));
                 let me = self.id;
                 if first_alive == Some(me) || self.memberships[i].co_leaders.is_empty() {
                     self.promote_to_leader(i, ctx);
@@ -248,17 +248,24 @@ impl DpsNode {
         }
         self.recruit_co_leaders(i);
         let m = &self.memberships[i];
-        let info = group_info(m, me);
-        let audience: Vec<NodeId> = m
-            .members
-            .iter()
-            .copied()
-            .chain(m.predview.iter().map(|r| r.node))
-            .chain(m.branches.iter().filter_map(|b| b.primary()))
-            .filter(|n| *n != me)
-            .collect();
-        for n in audience {
-            ctx.send(n, info.clone());
+        self.tell_neighborhood(m, &group_info(m, me), ctx);
+    }
+
+    /// Sends `msg` to everyone who reaches the group through membership
+    /// `m`: its members, its predecessors and the primary entry of each of
+    /// its branches, ourselves excluded — the audience of a new leader.
+    pub(crate) fn tell_neighborhood(
+        &self,
+        m: &Membership,
+        msg: &DpsMsg,
+        ctx: &mut Context<'_, DpsMsg>,
+    ) {
+        let predecessors = m.predview.iter().map(|r| r.node);
+        let near = m.members.iter().copied().chain(predecessors);
+        for n in near.chain(m.branches.iter().filter_map(Branch::primary)) {
+            if n != self.id {
+                ctx.send(n, msg.clone());
+            }
         }
     }
 
@@ -358,25 +365,18 @@ impl DpsNode {
     /// via [`DpsMsg::Reattach`], or — when the whole upper tree is gone — take
     /// ownership of the attribute and rebuild the root above ourselves.
     pub(crate) fn reattach_or_promote(&mut self, i: usize, ctx: &mut Context<'_, DpsMsg>) {
-        let label = self.memberships[i].label.clone();
-        let attr = label.attr().clone();
-        if self.cfg.comm == CommKind::Leader && !self.memberships[i].is_leader() {
+        if self.defers_to_leader(i) {
             return; // the leader of our group is responsible
         }
+        let label = self.memberships[i].label.clone();
+        let attr = label.attr().clone();
         let branch = BranchInfo {
             label: label.clone(),
             refs: self.own_refs(&self.memberships[i]),
         };
-        let contact = self
-            .known_owner(&attr)
-            .filter(|o| *o != self.id && !self.suspected.contains(&node_key(*o)))
-            .or_else(|| {
-                self.tree_cache
-                    .get(&attr)
-                    .map(|c| c.contact)
-                    .filter(|c| *c != self.id && !self.suspected.contains(&node_key(*c)))
-            });
-        match contact {
+        let cached = self.tree_cache.get(&attr).map(|c| c.contact);
+        let reachable = |c: &NodeId| *c != self.id && !self.suspects(*c);
+        match self.root_entry(&attr).or_else(|| cached.filter(reachable)) {
             Some(n) => {
                 ctx.send(
                     n,
@@ -419,27 +419,15 @@ impl DpsNode {
         ttl: u32,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        if ttl == 0 {
+        let Some(ttl) = ttl.checked_sub(1) else {
             return;
-        }
+        };
         let Some(pred) = branch.label.predicate().cloned() else {
             return;
         };
-        let attr = pred.name();
-        if !self.in_tree(attr) {
-            if let Some(c) = self.tree_cache.get(attr) {
-                let to = c.contact;
-                if to != self.id {
-                    ctx.send(
-                        to,
-                        DpsMsg::Reattach {
-                            branch,
-                            ttl: ttl - 1,
-                        },
-                    );
-                }
-            }
-            return;
+        let reattach = |branch| DpsMsg::Reattach { branch, ttl };
+        if !self.in_tree(pred.name()) {
+            return self.relay_off_tree(branch, |b| b.label.attr(), reattach, ctx);
         }
         if let Some(i) = self.membership_index(&branch.label) {
             // Duplicate of our own group: merge their contacts in.
@@ -456,98 +444,61 @@ impl DpsNode {
         let Some(i) = self.deepest_on_path(&pred) else {
             return;
         };
-        if self.cfg.comm == CommKind::Leader && !self.memberships[i].is_leader() {
-            let leader = self.memberships[i].leader;
-            if leader != self.id {
-                ctx.send(
-                    leader,
-                    DpsMsg::Reattach {
-                        branch,
-                        ttl: ttl - 1,
-                    },
-                );
-            }
+        let Some(branch) = self.defer_to_leader(i, branch, reattach, ctx) else {
             return;
-        }
-        // Descend if a branch is on the designated path.
+        };
+        // Descend if no branch of that label hangs here but one lies on the
+        // designated path; else we are the designated predecessor.
         let m = &self.memberships[i];
-        if let Some(b) = m.branch(&branch.label) {
-            // The branch already exists here: merge refs and re-point the orphan.
-            let was_live = b.primary().is_some();
-            // Two same-label cohorts are meeting (e.g. a dissolved duplicate
-            // tree's group grafting next to the survivor's): introduce their
-            // contacts to each other so the epidemic view merge can unify the
-            // member views — otherwise publications entering via one cohort's
-            // refs never reach the other.
-            if self.cfg.comm == CommKind::Epidemic {
-                let incumbents: Vec<NodeId> = b
-                    .refs
-                    .iter()
-                    .filter(|r| r.label == branch.label)
-                    .map(|r| r.node)
-                    .collect();
-                let newcomers: Vec<NodeId> = branch
-                    .refs
-                    .iter()
-                    .filter(|r| r.label == branch.label)
-                    .map(|r| r.node)
-                    .collect();
-                let fresh: Vec<NodeId> = newcomers
-                    .iter()
-                    .copied()
-                    .filter(|n| !incumbents.contains(n))
-                    .collect();
-                if !incumbents.is_empty() && !fresh.is_empty() {
-                    let intro = |members: Vec<NodeId>| DpsMsg::ViewPush {
-                        label: branch.label.clone(),
-                        members,
-                        predview: Vec::new(),
-                        branches: Vec::new(),
-                        // Empty digest: the receiving cohort replays its whole
-                        // recent window to the other side.
-                        recent: Vec::new(),
-                    };
-                    ctx.send(incumbents[0], intro(fresh.clone()));
-                    ctx.send(fresh[0], intro(incumbents.clone()));
-                }
+        if m.branch(&branch.label).is_none() {
+            if let Some(n) = m.branch_toward(&pred, None).and_then(Branch::entry) {
+                ctx.send(n, reattach(branch));
+                return;
             }
-            self.memberships[i].upsert_branch(&branch, VIEW_DEPTH);
-            self.regraft(i, &branch, ctx);
-            if !was_live {
-                self.flush_recent_to_branch(i, &branch, ctx);
-            }
-            return;
         }
-        if let Some(n) = m.branch_toward(&pred, None).and_then(Branch::entry) {
-            ctx.send(
-                n,
-                DpsMsg::Reattach {
-                    branch,
-                    ttl: ttl - 1,
-                },
-            );
-            return;
-        }
-        // We are the designated predecessor: graft the orphan here.
-        let was_live = self.memberships[i]
-            .branch(&branch.label)
-            .and_then(Branch::primary)
-            .is_some();
-        self.memberships[i].upsert_branch(&branch, VIEW_DEPTH);
-        self.regraft(i, &branch, ctx);
-        if !was_live {
-            self.flush_recent_to_branch(i, &branch, ctx);
-        }
+        self.graft(i, &branch, ctx);
     }
 
-    /// Tells the nodes of the grafted `branch`'s own group that membership
-    /// `i` is their parent now.
-    fn regraft(&self, i: usize, branch: &BranchInfo, ctx: &mut Context<'_, DpsMsg>) {
+    /// The graft: membership `i` tells the nodes of `branch`'s own group that
+    /// it is their parent now, and [keeps](Self::keep_branch) the branch.
+    ///
+    /// Where a branch of that label already hangs, two same-label cohorts
+    /// are meeting (e.g. a dissolved duplicate tree's group grafting next to
+    /// the survivor's): their refs merge into one branch, and epidemic mode
+    /// introduces their contacts to each other so the view merge can unify
+    /// the member views — otherwise publications entering via one cohort's
+    /// refs never reach the other.
+    pub(crate) fn graft(&mut self, i: usize, branch: &BranchInfo, ctx: &mut Context<'_, DpsMsg>) {
+        let incumbent = self.memberships[i].branch(&branch.label);
+        if let (Some(b), CommKind::Epidemic) = (incumbent, self.cfg.comm) {
+            let in_group = |refs: &[GroupRef]| -> Vec<NodeId> {
+                let refs = refs.iter().filter(|r| r.label == branch.label);
+                refs.map(|r| r.node).collect()
+            };
+            let incumbents = in_group(&b.refs);
+            let mut fresh = in_group(&branch.refs);
+            fresh.retain(|n| !incumbents.contains(n));
+            if let (Some(&old), Some(&new)) = (incumbents.first(), fresh.first()) {
+                let intro = |members: Vec<NodeId>| DpsMsg::ViewPush {
+                    label: branch.label.clone(),
+                    members,
+                    predview: Vec::new(),
+                    branches: Vec::new(),
+                    // Empty digest: the receiving cohort replays its whole
+                    // recent window to the other side.
+                    recent: Vec::new(),
+                };
+                ctx.send(old, intro(fresh));
+                ctx.send(new, intro(incumbents));
+            }
+        }
+        // What a child is told depends on the parent group, not its branches.
         let me = self.id;
         let chain = self.parent_chain(&self.memberships[i]);
         let in_group = branch.refs.iter().filter(|r| r.label == branch.label);
         let to = in_group.map(|r| r.node).filter(|n| *n != me);
         self.send_new_parent(i, &branch.label, chain, to, ctx);
+        self.keep_branch(i, branch, ctx);
     }
 
     /// Sends `to` the `NewParent` naming membership `i` the parent of their
@@ -747,14 +698,9 @@ impl DpsNode {
             let limit = 2 * REQUEST_TIMEOUT;
             for i in 0..self.memberships.len() {
                 for bi in 0..self.memberships[i].branches.len() {
-                    let b = &mut self.memberships[i].branches[bi];
+                    let b = &self.memberships[i].branches[bi];
                     if b.blocked && now.saturating_sub(b.blocked_since) > limit {
-                        b.blocked = false;
-                        let tickets = std::mem::take(&mut b.buffered);
-                        let b = &self.memberships[i].branches[bi];
-                        for t in tickets {
-                            self.send_to_branch(&b.label, &b.refs, t, ctx);
-                        }
+                        self.unblock(i, bi, ctx);
                     }
                 }
             }
@@ -835,17 +781,13 @@ impl DpsNode {
                 .members
                 .iter()
                 .copied()
-                .filter(|n| *n != me && !self.suspected.contains(&node_key(*n)))
+                .filter(|n| *n != me && !self.suspects(*n))
                 .choose(ctx.rng())
             {
                 targets.push(n);
             }
             for b in &m.branches {
-                if let Some(r) = b
-                    .refs
-                    .iter()
-                    .find(|r| !self.suspected.contains(&node_key(r.node)))
-                {
+                if let Some(r) = b.refs.iter().find(|r| !self.suspects(r.node)) {
                     if r.node != me {
                         targets.push(r.node);
                     }
@@ -863,7 +805,7 @@ impl DpsNode {
             let parents: Vec<GroupRef> = m
                 .predview
                 .iter()
-                .filter(|r| r.node != me && !self.suspected.contains(&node_key(r.node)))
+                .filter(|r| r.node != me && !self.suspects(r.node))
                 .take(2)
                 .cloned()
                 .collect();
@@ -885,7 +827,7 @@ impl DpsNode {
                 if let Some(r) = b
                     .refs
                     .iter()
-                    .find(|r| r.label == b.label && !self.suspected.contains(&node_key(r.node)))
+                    .find(|r| r.label == b.label && !self.suspects(r.node))
                 {
                     if r.node != me {
                         ctx.send(
@@ -901,11 +843,9 @@ impl DpsNode {
         }
     }
 
-    /// A child refreshed its branch entry. Before accepting it we re-check
-    /// constraint C2: if another of our branches lies on the child's designated
-    /// path (it was re-parented while this report was in flight), the child
-    /// belongs below that branch — route it down instead of resurrecting a stale
-    /// direct edge.
+    /// A child refreshed its branch entry, unless [the C2
+    /// re-route](Self::reroute_below) sends it down instead of resurrecting a
+    /// stale direct edge.
     pub(crate) fn handle_child_report(
         &mut self,
         parent_label: GroupLabel,
@@ -915,35 +855,65 @@ impl DpsNode {
         let Some(i) = self.membership_index(&parent_label) else {
             return;
         };
-        let m = &self.memberships[i];
-        let via = branch
-            .label
-            .predicate()
-            .and_then(|pred| m.branch_toward(pred, Some(&branch.label)));
-        if let Some(via) = via {
-            let next = via.entry();
-            self.memberships[i].remove_branch(&branch.label);
-            if let Some(n) = next {
-                ctx.send(
-                    n,
-                    DpsMsg::Reattach {
-                        branch,
-                        ttl: WALK_TTL,
-                    },
-                );
-            }
-            return;
+        if let Some(branch) = self.reroute_below(i, branch, ctx) {
+            self.keep_branch(i, &branch, ctx);
         }
-        let was_live = self.memberships[i]
-            .branch(&branch.label)
-            .and_then(Branch::primary)
-            .is_some();
-        self.memberships[i].upsert_branch(&branch, VIEW_DEPTH);
+    }
+
+    /// Keeps `branch` as a child of membership `i`, its refs merged into any
+    /// branch of that label. A child that had no live entry here went silent
+    /// long enough to lose it (or was never attached here): besides
+    /// restoring the pointer, it gets what it may have missed replayed.
+    fn keep_branch(&mut self, i: usize, branch: &BranchInfo, ctx: &mut Context<'_, DpsMsg>) {
+        let b = self.memberships[i].branch(&branch.label);
+        let was_live = b.and_then(Branch::primary).is_some();
+        self.memberships[i].upsert_branch(branch, VIEW_DEPTH);
         if !was_live {
-            // The child went silent long enough to lose its direct entry (or
-            // was never attached here): besides restoring the pointer, replay
-            // what it may have missed.
-            self.flush_recent_to_branch(i, &branch, ctx);
+            self.flush_recent_to_branch(i, branch, ctx);
+        }
+    }
+
+    /// The C2 re-route (constraint C2: a group hangs below the deepest group
+    /// on its designated path). When another branch of membership `i` lies
+    /// on `branch`'s designated path — it was re-parented while `branch`'s
+    /// report or `CreateDone` was in flight — `branch` belongs below it: it
+    /// leaves membership `i`, the publications withheld for it go straight
+    /// to it, a `Reattach` routes it down, and `None` comes back. Otherwise
+    /// `branch` comes back for membership `i` to keep.
+    pub(crate) fn reroute_below(
+        &mut self,
+        i: usize,
+        branch: BranchInfo,
+        ctx: &mut Context<'_, DpsMsg>,
+    ) -> Option<BranchInfo> {
+        let m = &self.memberships[i];
+        let pred = branch.label.predicate();
+        let Some(via) = pred.and_then(|p| m.branch_toward(p, Some(&branch.label))) else {
+            return Some(branch);
+        };
+        let next = via.entry();
+        if let Some(stale) = self.memberships[i].remove_branch(&branch.label) {
+            for t in stale.buffered {
+                self.send_to_branch(&branch.label, &branch.refs, t, ctx);
+            }
+        }
+        if let Some(n) = next {
+            let ttl = WALK_TTL;
+            ctx.send(n, DpsMsg::Reattach { branch, ttl });
+        }
+        None
+    }
+
+    /// Lifts the block on branch `bi` of membership `i` (§4.1: creating a
+    /// group blocks propagation in its predecessor) and sends it the
+    /// publications withheld meanwhile.
+    pub(crate) fn unblock(&mut self, i: usize, bi: usize, ctx: &mut Context<'_, DpsMsg>) {
+        let b = &mut self.memberships[i].branches[bi];
+        b.blocked = false;
+        let withheld = std::mem::take(&mut b.buffered);
+        let b = &self.memberships[i].branches[bi];
+        for t in withheld {
+            self.send_to_branch(&b.label, &b.refs, t, ctx);
         }
     }
 

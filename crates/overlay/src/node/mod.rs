@@ -29,7 +29,7 @@ use std::sync::Arc;
 use dps_content::{AttrName, Filter, FilterIndex, MatchScratch, SharedEvent};
 use dps_sim::{Context, NodeId, Process, Step};
 
-use crate::config::{DpsConfig, PEER_VIEW, PREDVIEW_CAP, REPUB_WINDOW, SEEN_CAP};
+use crate::config::{CommKind, DpsConfig, PEER_VIEW, PREDVIEW_CAP, REPUB_WINDOW, SEEN_CAP};
 use crate::label::GroupLabel;
 use crate::msg::{DpsMsg, GroupDescriptor, GroupRef, PubId, SubId};
 use crate::seen::SeenCache;
@@ -394,19 +394,14 @@ impl DpsNode {
     /// member can serve joins and entries, we advertise ourselves, with a few
     /// live-believed members as backup contacts.
     pub(crate) fn descriptor(&self, m: &Membership) -> GroupDescriptor {
-        let epidemic = self.cfg.comm == crate::config::CommKind::Epidemic;
+        let epidemic = self.cfg.comm == CommKind::Epidemic;
         let leader = if m.is_leader() || epidemic {
             self.id
         } else {
             m.leader
         };
         let co_leaders = if epidemic {
-            m.members
-                .iter()
-                .copied()
-                .filter(|n| *n != self.id && !self.suspected.contains(&node_key(*n)))
-                .take(2)
-                .collect()
+            self.backup_contacts(m).collect()
         } else {
             m.co_leaders.clone()
         };
@@ -428,16 +423,9 @@ impl DpsNode {
             label: m.label.clone(),
             node,
         };
-        let mut v = if self.cfg.comm == crate::config::CommKind::Epidemic {
+        let mut v = if self.cfg.comm == CommKind::Epidemic {
             let mut v = vec![gref(self.id)];
-            v.extend(
-                m.members
-                    .iter()
-                    .copied()
-                    .filter(|n| *n != self.id && !self.suspected.contains(&node_key(*n)))
-                    .take(2)
-                    .map(gref),
-            );
+            v.extend(self.backup_contacts(m).map(gref));
             v
         } else {
             vec![gref(if m.is_leader() { self.id } else { m.leader })]
@@ -449,6 +437,25 @@ impl DpsNode {
             v.push(gref(self.id));
         }
         v
+    }
+
+    /// The backup contacts an epidemic group advertises beside this node:
+    /// up to two other members of `m`'s group it believes alive.
+    fn backup_contacts<'a>(&'a self, m: &'a Membership) -> impl Iterator<Item = NodeId> + 'a {
+        let live = move |n: &NodeId| *n != self.id && !self.suspects(*n);
+        m.members.iter().copied().filter(live).take(2)
+    }
+
+    /// Whether we believe `node` dead (or cut off): see `suspected`.
+    pub(crate) fn suspects(&self, node: NodeId) -> bool {
+        self.suspected.contains(&node_key(node))
+    }
+
+    /// A contact of the tree of `attr`: ourselves when we are in it, else the
+    /// cached one, if any.
+    pub(crate) fn tree_contact(&self, attr: &AttrName) -> Option<NodeId> {
+        let cached = || self.tree_cache.get(attr).map(|c| c.contact);
+        self.in_tree(attr).then_some(self.id).or_else(cached)
     }
 
     /// The owner of the tree of `attr`, as far as this node knows: the claim with
@@ -560,6 +567,68 @@ impl DpsNode {
         m.leader = self.id;
         m.members = vec![self.id];
         self.adopt(m)
+    }
+
+    // ---- the hop rule (ARCHITECTURE.md "The hop rule") ----
+
+    /// The off-tree relay: `hop` reached a node holding no membership in the
+    /// tree of its attribute (`attr` reads it) — the sender's pointer or
+    /// cache went stale — and goes on, wrapped by `wrap`, to this node's
+    /// cached contact of that tree; it is dropped when there is none but
+    /// ourselves, and the originator's retry covers it.
+    pub(crate) fn relay_off_tree<T>(
+        &self,
+        hop: T,
+        attr: impl FnOnce(&T) -> &AttrName,
+        wrap: impl FnOnce(T) -> DpsMsg,
+        ctx: &mut Context<'_, DpsMsg>,
+    ) {
+        if let Some(c) = self
+            .tree_cache
+            .get(attr(&hop))
+            .filter(|c| c.contact != self.id)
+        {
+            ctx.send(c.contact, wrap(hop));
+        }
+    }
+
+    /// The root entry (§4.1: a root-based traversal starts at the root): the
+    /// owner of the tree of `attr` that a visit not yet past the root goes to.
+    /// `None` when the owner is unknown, ourselves, or suspected — a suspected
+    /// owner is as good as an unknown one: forwarding to it would kill the
+    /// visit.
+    pub(crate) fn root_entry(&self, attr: &AttrName) -> Option<NodeId> {
+        let reachable = |o: &NodeId| *o != self.id && !self.suspects(*o);
+        self.known_owner(attr).filter(reachable)
+    }
+
+    /// Whether membership `i` leaves the group's inter-group decisions to
+    /// its leader: leader mode, and we do not lead the group.
+    pub(crate) fn defers_to_leader(&self, i: usize) -> bool {
+        self.cfg.comm == CommKind::Leader && !self.memberships[i].is_leader()
+    }
+
+    /// The leader deferral (§4.2.1: "an event received by a group ... is
+    /// always redirected to the group leader"): when membership `i`
+    /// [defers to its leader](Self::defers_to_leader), `hop` goes there
+    /// wrapped by `wrap` — or is dropped when the leader we know is
+    /// ourselves — and `None` comes back; otherwise `hop` comes back for
+    /// this node to handle.
+    pub(crate) fn defer_to_leader<T>(
+        &self,
+        i: usize,
+        hop: T,
+        wrap: impl FnOnce(T) -> DpsMsg,
+        ctx: &mut Context<'_, DpsMsg>,
+    ) -> Option<T> {
+        if !self.defers_to_leader(i) {
+            return Some(hop);
+        }
+        let leader = self.memberships[i].leader;
+        if leader != self.id {
+            ctx.send(leader, wrap(hop));
+        }
+        None
     }
 }
 

@@ -13,7 +13,7 @@ use crate::config::{
 };
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupRef, PubId, PubTicket};
-use crate::node::{node_key, route_key, ActiveGossip, DpsNode, PendingPub, TreeLookup};
+use crate::node::{route_key, ActiveGossip, DpsNode, PendingPub, TreeLookup};
 
 /// Timeouts a publication may spend unacknowledged before it is dropped: its
 /// trees are known (discovery gives up much sooner, at `FIND_TREE_RETRIES`),
@@ -75,7 +75,7 @@ impl DpsNode {
             .cloned()
             .collect();
         for attr in &attrs {
-            if self.in_tree(attr) || self.tree_cache.contains_key(attr) {
+            if self.tree_contact(attr).is_some() {
                 self.send_publication(id, &event, attr.clone(), ctx);
             } else {
                 self.start_walk(attr.clone(), ctx);
@@ -118,25 +118,16 @@ impl DpsNode {
         let mut ticket = ticket(id, event, attr.clone(), mode, None, HOP_BACKSTOP);
         ticket.downstream = mode == TraversalKind::Root;
         ticket.ack_to = Some(self.id);
-        let entry: Option<NodeId> = match mode {
-            // Root-based entry goes to the owner — unless the owner is
-            // suspected (dead or cut off), in which case a tree membership of
-            // our own is a far better entry than a black hole: the event at
-            // least reaches our reachable part of the tree.
-            TraversalKind::Root => self
-                .known_owner(&attr)
-                .filter(|o| !self.suspected.contains(&node_key(*o)))
-                .or_else(|| self.in_tree(&attr).then_some(self.id))
-                .or_else(|| self.tree_cache.get(&attr).map(|c| c.contact)),
-            TraversalKind::Generic => {
-                if self.in_tree(&attr) {
-                    Some(self.id)
-                } else {
-                    self.tree_cache.get(&attr).map(|c| c.contact)
-                }
-            }
+        // Root-based entry goes to the owner — unless the owner is suspected
+        // (dead or cut off), in which case a tree membership of our own is a
+        // far better entry than a black hole: the event at least reaches our
+        // reachable part of the tree.
+        let owner = match mode {
+            TraversalKind::Root => self.known_owner(&attr),
+            TraversalKind::Generic => None,
         };
-        match entry {
+        let owner = owner.filter(|o| !self.suspects(*o));
+        match owner.or_else(|| self.tree_contact(&attr)) {
             Some(n) if n == self.id => self.handle_publish(ticket, ctx),
             Some(n) => ctx.send(n, DpsMsg::Publish(ticket)),
             None => {}
@@ -189,14 +180,7 @@ impl DpsNode {
             .flat_map(|p| p.attrs.iter().cloned())
             .collect();
         for attr in &silent {
-            if let Some(c) = self.tree_cache.remove(attr) {
-                if stubborn.contains(attr) {
-                    self.suspected.insert(node_key(c.contact));
-                    if let Some(o) = c.owner {
-                        self.suspected.insert(node_key(o));
-                    }
-                }
-            }
+            self.drop_tree_contact(attr, stubborn.contains(attr));
         }
         for attr in silent {
             self.start_walk(attr, ctx);
@@ -217,24 +201,15 @@ impl DpsNode {
         }
         t.ttl -= 1;
         let Some(first) = self.memberships_in(&t.attr).next() else {
-            // Not in the tree: relay toward a contact (entry hop from a publisher
-            // with a stale cache).
-            if let Some(c) = self.tree_cache.get(&t.attr) {
-                let to = c.contact;
-                if to != self.id {
-                    ctx.send(to, DpsMsg::Publish(t));
-                }
-            }
-            return;
+            // Not in the tree (an entry hop from a publisher with a stale cache).
+            return self.relay_off_tree(t, |t| &t.attr, DpsMsg::Publish, ctx);
         };
         // Root-based dissemination must enter at the root (unless the owner is
         // suspected dead — then inject here rather than lose the event).
         if t.target.is_none() && t.mode == TraversalKind::Root && !self.owns_tree(&t.attr) {
-            if let Some(owner) = self.known_owner(&t.attr) {
-                if owner != self.id && !self.suspected.contains(&node_key(owner)) {
-                    ctx.send(owner, DpsMsg::Publish(t));
-                    return;
-                }
+            if let Some(owner) = self.root_entry(&t.attr) {
+                ctx.send(owner, DpsMsg::Publish(t));
+                return;
             }
         }
         let i = match &t.target {
@@ -266,17 +241,16 @@ impl DpsNode {
         self.process_publish_at(i, t, ctx);
     }
 
-    fn process_publish_at(&mut self, i: usize, mut t: PubTicket, ctx: &mut Context<'_, DpsMsg>) {
-        // Leader mode: "an event received by a group ... is always redirected to
-        // the group leader" (§4.2.1).
-        if self.cfg.comm == CommKind::Leader && !self.memberships[i].is_leader() {
-            let leader = self.memberships[i].leader;
-            if leader != self.id {
-                t.target = Some(self.memberships[i].label.clone());
-                ctx.send(leader, DpsMsg::Publish(t));
-            }
+    fn process_publish_at(&mut self, i: usize, t: PubTicket, ctx: &mut Context<'_, DpsMsg>) {
+        // Leader mode: the leader processes it, addressed to this group.
+        let label = &self.memberships[i].label;
+        let to_leader = |mut t: PubTicket| {
+            t.target = Some(label.clone());
+            DpsMsg::Publish(t)
+        };
+        let Some(mut t) = self.defer_to_leader(i, t, to_leader, ctx) else {
             return;
-        }
+        };
 
         // Acknowledge the publisher (resends after the ack are deduplicated).
         if let Some(origin) = t.ack_to.take() {
@@ -322,7 +296,7 @@ impl DpsNode {
             let mut live = m
                 .predview
                 .iter()
-                .filter(|r| r.node != self.id && !self.suspected.contains(&node_key(r.node)))
+                .filter(|r| r.node != self.id && !self.suspects(r.node))
                 .take(fanout)
                 .peekable();
             // Every known parent is suspect: try the first anyway rather than
@@ -402,17 +376,16 @@ impl DpsNode {
                 // `k'` random live-believed entries of the child group (random,
                 // not first-k: under churn the head of the ref list is exactly
                 // the stalest part), deeper refs as a fallback bridge.
-                let suspected = &self.suspected;
                 let in_group: Vec<NodeId> = refs
                     .iter()
                     .filter(|r| r.label == *label)
                     .map(|r| r.node)
-                    .filter(|n| !suspected.contains(&node_key(*n)))
+                    .filter(|n| !self.suspects(*n))
                     .choose_multiple(ctx.rng(), INTER_GROUP_FANOUT);
                 let bridge = if in_group.is_empty() {
                     refs.iter()
                         .map(|r| r.node)
-                        .find(|n| !suspected.contains(&node_key(*n)))
+                        .find(|n| !self.suspects(*n))
                         .or_else(|| refs.first().map(|r| r.node))
                 } else {
                     None
@@ -426,7 +399,7 @@ impl DpsNode {
                 // absorbs the overlap with the level-by-level flow.
                 let deeper = refs
                     .iter()
-                    .filter(|r| r.label != *label && !suspected.contains(&node_key(r.node)))
+                    .filter(|r| r.label != *label && !self.suspects(r.node))
                     .filter(|r| r.label.matches_event(&t.event))
                     .take(INTER_GROUP_FANOUT);
                 for r in deeper {
@@ -506,7 +479,7 @@ impl DpsNode {
             .members
             .iter()
             .copied()
-            .filter(|n| *n != self.id && !self.suspected.contains(&node_key(*n)))
+            .filter(|n| *n != self.id && !self.suspects(*n))
             .choose_multiple(ctx.rng(), k);
         for n in targets {
             ctx.send(
@@ -540,10 +513,9 @@ impl DpsNode {
             g.rounds += 1;
             g.rounds < GOSSIP_ROUNDS
         });
-        // `items` was detached while rounds ran; anything pushed meanwhile
-        // (there is nothing today) would sit in `active_gossip` — keep both.
-        let fresh = std::mem::replace(&mut self.active_gossip, items);
-        self.active_gossip.extend(fresh);
+        // `items` was detached while rounds ran; a round starts no gossip.
+        debug_assert!(self.active_gossip.is_empty(), "a round started gossip");
+        self.active_gossip = items;
     }
 
     /// Receipt of an intra-group publication.

@@ -9,11 +9,11 @@ use rand::Rng;
 
 use crate::config::{
     CommKind, TraversalKind, CO_LEADERS, FIND_TREE_RETRIES, GOSSIP_P0, GROUP_VIEW_CAP,
-    PREDVIEW_CAP, REQUEST_TIMEOUT, SUB_GOSSIP_FANOUT, TRAVERSAL_TIMEOUT, VIEW_DEPTH, WALK_TTL,
+    PREDVIEW_CAP, REQUEST_TIMEOUT, SUB_GOSSIP_FANOUT, TRAVERSAL_TIMEOUT, VIEW_DEPTH,
 };
 use crate::label::GroupLabel;
 use crate::msg::{BranchInfo, DpsMsg, GroupDescriptor, GroupRef, SubId, Ticket};
-use crate::node::{group_info, node_key, DpsNode, PendingSub, SubPhase};
+use crate::node::{group_info, DpsNode, PendingSub, SubPhase};
 use crate::views::{Branch, Membership, Role};
 
 /// Maximum subscription retries before the node concludes no tree exists and
@@ -55,7 +55,14 @@ impl DpsNode {
         let sub_id = SubId(self.id, self.next_sub);
         self.next_sub += 1;
         self.subs.insert(sub_id, filter);
-        self.enqueue_subscription(sub_id, pred, ctx);
+        self.pending_subs.push(PendingSub {
+            sub_id,
+            pred,
+            phase: SubPhase::FindingTree,
+            deadline: ctx.now() + REQUEST_TIMEOUT,
+            retries: 0,
+        });
+        self.drive_subscription(sub_id, ctx);
         sub_id
     }
 
@@ -72,10 +79,12 @@ impl DpsNode {
             return;
         };
         self.memberships[i].sub_ids.retain(|s| *s != sub_id);
-        if !self.memberships[i].sub_ids.is_empty() || self.memberships[i].label.is_root() {
+        if !self.memberships[i].sub_ids.is_empty() {
             return;
         }
         let mut m = self.memberships.remove(i);
+        // It held a subscription, so it is no root (see `handle_dissolve`).
+        debug_assert!(!m.label.is_root(), "a root holds no subscription");
         // Leaving: scrub ourselves from the group state we hand over (but not from
         // the pred/succ views — we may legitimately appear there in other roles,
         // e.g. as the owner of the parent root).
@@ -89,18 +98,7 @@ impl DpsNode {
             if let Some(&heir) = m.co_leaders.first() {
                 // The heir leads from now on; the other co-leaders stay.
                 m.co_leaders.retain(|c| *c != heir);
-                let info = group_info(&m, heir);
-                for peer in m
-                    .members
-                    .iter()
-                    .copied()
-                    .chain(m.predview.iter().map(|r| r.node))
-                    .chain(m.branches.iter().filter_map(|b| b.primary()))
-                {
-                    if peer != self.id {
-                        ctx.send(peer, info.clone());
-                    }
-                }
+                self.tell_neighborhood(&m, &group_info(&m, heir), ctx);
                 // The heir also needs our branch and parent state, and must drop
                 // us from its membership view.
                 ctx.send(heir, m.view_push(self.recent_digest()));
@@ -126,23 +124,6 @@ impl DpsNode {
         }
     }
 
-    /// Registers a pending subscription and starts driving it.
-    pub(crate) fn enqueue_subscription(
-        &mut self,
-        sub_id: SubId,
-        pred: Predicate,
-        ctx: &mut Context<'_, DpsMsg>,
-    ) {
-        self.pending_subs.push(PendingSub {
-            sub_id,
-            pred,
-            phase: SubPhase::FindingTree,
-            deadline: ctx.now() + REQUEST_TIMEOUT,
-            retries: 0,
-        });
-        self.drive_subscription(sub_id, ctx);
-    }
-
     /// Advances a pending subscription as far as current knowledge allows.
     pub(crate) fn drive_subscription(&mut self, sub_id: SubId, ctx: &mut Context<'_, DpsMsg>) {
         let Some(p) = self.pending_subs.iter().find(|p| p.sub_id == sub_id) else {
@@ -157,8 +138,7 @@ impl DpsNode {
             return;
         }
         let attr = pred.name().clone();
-        let has_contact = self.in_tree(&attr) || self.tree_cache.contains_key(&attr);
-        if has_contact && self.send_find_group(sub_id, pred, ctx) {
+        if self.send_find_group(sub_id, pred, ctx) {
             let deadline = ctx.now() + TRAVERSAL_TIMEOUT;
             if let Some(p) = self.pending_subs.iter_mut().find(|p| p.sub_id == sub_id) {
                 p.phase = SubPhase::Traversing;
@@ -196,8 +176,7 @@ impl DpsNode {
                 };
             let retries = p.retries;
             let phase = p.phase.clone();
-            let pred = p.pred.clone();
-            let attr = pred.name().clone();
+            let attr = p.pred.name().clone();
             match phase {
                 SubPhase::FindingTree => {
                     if retries > FIND_TREE_RETRIES {
@@ -213,19 +192,11 @@ impl DpsNode {
                 SubPhase::Traversing | SubPhase::Joining(_) => {
                     if retries >= 2 {
                         // The contact or owner we keep talking to never answers:
-                        // suspect it so walks stop returning it (a live node
-                        // clears the suspicion by sending us anything).
-                        if let Some(c) = self.tree_cache.get(&attr) {
-                            self.suspected.insert(node_key(c.contact));
-                            if let Some(o) = c.owner {
-                                self.suspected.insert(node_key(o));
-                            }
-                        }
-                        self.tree_cache.remove(&attr);
+                        // suspect it so walks stop returning it.
+                        self.drop_tree_contact(&attr, true);
                     }
                     if retries > MAX_SUB_RETRIES {
                         // The tree may have collapsed entirely; start over.
-                        self.tree_cache.remove(&attr);
                         if let Some(p) = self.pending_subs.iter_mut().find(|p| p.sub_id == sub_id) {
                             p.phase = SubPhase::FindingTree;
                             p.retries = 0;
@@ -253,26 +224,16 @@ impl DpsNode {
         t.ttl -= 1;
         let attr = t.pred.name();
         let Some(i) = self.pick_routing_membership(&t.pred) else {
-            // Not in this tree: relay toward a known contact, if any.
-            if let Some(c) = self.tree_cache.get(attr) {
-                let to = c.contact;
-                if to != self.id {
-                    ctx.send(to, DpsMsg::FindGroup(t));
-                }
-            }
-            return;
+            return self.relay_off_tree(t, |t| t.pred.name(), DpsMsg::FindGroup, ctx);
         };
         // Root-based traversal starts at the root: route to the owner first —
         // but only before the visit has passed through the root, or descents
-        // would bounce straight back up. A suspected owner is as good as an
-        // unknown one: forwarding to it would kill the visit.
+        // would bounce straight back up.
         let owns_tree = self.owns_tree(attr);
         if t.mode == TraversalKind::Root && !t.descending && !owns_tree {
-            if let Some(owner) = self.known_owner(attr) {
-                if owner != self.id && !self.suspected.contains(&node_key(owner)) {
-                    ctx.send(owner, DpsMsg::FindGroup(t));
-                    return;
-                }
+            if let Some(owner) = self.root_entry(attr) {
+                ctx.send(owner, DpsMsg::FindGroup(t));
+                return;
             }
             // Owner unknown (or suspected): behave like a generic visit.
         }
@@ -318,16 +279,11 @@ impl DpsNode {
     }
 
     fn route_find_group_at(&mut self, i: usize, t: Ticket, ctx: &mut Context<'_, DpsMsg>) {
-        let m = &self.memberships[i];
-
         // Inter-group decisions are serialized at the leader in leader mode.
-        if self.cfg.comm == CommKind::Leader && !m.is_leader() {
-            if m.leader != self.id {
-                ctx.send(m.leader, DpsMsg::FindGroup(t));
-            }
+        let Some(t) = self.defer_to_leader(i, t, DpsMsg::FindGroup, ctx) else {
             return;
-        }
-
+        };
+        let m = &self.memberships[i];
         if m.label.predicate() == Some(&t.pred) {
             // SUBSCRIBE_TO: the group exists and we speak for it.
             let group = self.descriptor(m);
@@ -456,18 +412,12 @@ impl DpsNode {
         let Some(i) = self.membership_index(&label) else {
             return; // stale; the joiner retries
         };
-        if self.cfg.comm == CommKind::Leader && !self.memberships[i].is_leader() {
-            let leader = self.memberships[i].leader;
-            if leader != self.id {
-                ctx.send(
-                    leader,
-                    DpsMsg::JoinGroup {
-                        sub_id,
-                        label,
-                        member,
-                    },
-                );
-            }
+        let join = |label| DpsMsg::JoinGroup {
+            sub_id,
+            label,
+            member,
+        };
+        if self.defer_to_leader(i, label, join, ctx).is_none() {
             return;
         }
         let epidemic = self.cfg.comm == CommKind::Epidemic;
@@ -656,39 +606,11 @@ impl DpsNode {
         };
         // Concurrent creations may have re-parented this child while its ack was
         // in flight (e.g. `a > 3` adopting an `a > 5` created in the same step).
-        // Re-check constraint C2 before accepting the branch back.
-        let via = child
-            .label
-            .predicate()
-            .and_then(|pred| self.memberships[i].branch_toward(pred, Some(&child.label)));
-        if let Some(via) = via {
-            let next = via.entry();
-            // Flush anything we withheld for the child straight to it, then
-            // route the branch down to its designated predecessor.
-            if let Some(stale) = self.memberships[i].remove_branch(&child.label) {
-                for t in stale.buffered {
-                    self.send_to_branch(&child.label, &child.refs, t, ctx);
-                }
-            }
-            if let Some(n) = next {
-                ctx.send(
-                    n,
-                    DpsMsg::Reattach {
-                        branch: child,
-                        ttl: WALK_TTL,
-                    },
-                );
-            }
+        let Some(child) = self.reroute_below(i, child, ctx) else {
             return;
-        }
-        let m = &mut self.memberships[i];
-        let bi = m.upsert_branch(&child, VIEW_DEPTH);
-        m.branches[bi].blocked = false;
-        let buffered = std::mem::take(&mut m.branches[bi].buffered);
-        let b = &self.memberships[i].branches[bi];
-        for t in buffered {
-            self.send_to_branch(&b.label, &b.refs, t, ctx);
-        }
+        };
+        let bi = self.memberships[i].upsert_branch(&child, VIEW_DEPTH);
+        self.unblock(i, bi, ctx);
     }
 
     pub(crate) fn handle_new_parent(

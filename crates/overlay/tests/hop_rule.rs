@@ -1,0 +1,439 @@
+//! The hop rule (ARCHITECTURE.md "The hop rule"), one decision at a time: one
+//! protocol node among peers that only record what reaches them, driven by
+//! hand-built messages, so each test sees exactly the sends one hop makes.
+
+use dps_content::{Event, Filter, Predicate, SharedEvent};
+use dps_overlay::{
+    BranchInfo, CommKind, DpsConfig, DpsMsg, DpsNode, GroupDescriptor, GroupLabel, GroupRef, PubId,
+    PubTicket, SubId, Ticket, TraversalKind,
+};
+use dps_sim::{Context, NodeId, Process, Sim};
+
+/// The node under test, or a peer that records what it receives. Neither
+/// ticks: every send a test sees comes from the handler it drove.
+enum Peer {
+    Node(Box<DpsNode>),
+    Recorder(Vec<DpsMsg>),
+}
+
+impl Process for Peer {
+    type Msg = DpsMsg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, DpsMsg>) {
+        if let Peer::Node(n) = self {
+            n.on_start(ctx);
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: DpsMsg, ctx: &mut Context<'_, DpsMsg>) {
+        match self {
+            Peer::Node(n) => n.on_message(from, msg, ctx),
+            Peer::Recorder(log) => log.push(msg),
+        }
+    }
+}
+
+/// One node (`node`) and five recorders (`peers`).
+struct Bench {
+    sim: Sim<Peer>,
+    node: NodeId,
+    peers: Vec<NodeId>,
+}
+
+impl Bench {
+    /// Root traversal, leader mode: the configuration with every rule.
+    fn new() -> Bench {
+        let mut sim = Sim::new(1);
+        let cfg = DpsConfig::named(TraversalKind::Root, CommKind::Leader);
+        let node = sim.add_node(Peer::Node(Box::new(DpsNode::new(cfg))));
+        let peers = (0..5)
+            .map(|_| sim.add_node(Peer::Recorder(Vec::new())))
+            .collect();
+        Bench { sim, node, peers }
+    }
+
+    /// Runs `f` on the node under test within the current step.
+    fn with_node(&mut self, f: impl FnOnce(&mut DpsNode, &mut Context<'_, DpsMsg>)) {
+        self.sim.invoke(self.node, |p, ctx| match p {
+            Peer::Node(n) => f(n, ctx),
+            Peer::Recorder(_) => unreachable!("the node under test records nothing"),
+        });
+    }
+
+    fn node(&self) -> &DpsNode {
+        match self.sim.node(self.node) {
+            Some(Peer::Node(n)) => n,
+            _ => unreachable!("the node under test is a node"),
+        }
+    }
+
+    /// Hands `msg` to the node under test as if `from` had sent it, and
+    /// returns what the recorders received from it, as `(recipient, msg)`.
+    fn deliver(&mut self, from: NodeId, msg: DpsMsg) -> Vec<(NodeId, DpsMsg)> {
+        self.with_node(|n, ctx| n.on_message(from, msg, ctx));
+        self.sim.step();
+        let mut sent = Vec::new();
+        for &p in &self.peers {
+            if let Some(Peer::Recorder(log)) = self.sim.node_mut(p) {
+                sent.extend(log.drain(..).map(|m| (p, m)));
+            }
+        }
+        sent
+    }
+
+    /// Makes the node a plain member of group `label` led by `leader`, in a
+    /// tree owned by `owner`: a pending subscription answered by a `JoinAck`.
+    fn join(&mut self, label: &str, leader: NodeId, owner: NodeId) {
+        let filter: Filter = label.parse().unwrap();
+        self.with_node(|n, ctx| {
+            n.subscribe(filter, ctx);
+        });
+        let group = GroupDescriptor {
+            label: pred_label(label),
+            leader,
+            co_leaders: Vec::new(),
+            owner,
+            owner_epoch: 0,
+        };
+        let ack = DpsMsg::JoinAck {
+            sub_id: SubId(self.node, 0),
+            group,
+            co_leader: false,
+            members: vec![leader],
+            predview: Vec::new(),
+            succviews: Vec::new(),
+        };
+        assert_eq!(self.deliver(leader, ack), []);
+        assert_eq!(self.node().memberships().len(), 1);
+    }
+
+    /// Makes the node believe `suspect` dead: a `LeaderGone` naming it, for a
+    /// group the node is not in, from a peer other than `suspect`.
+    fn suspect(&mut self, suspect: NodeId, via: NodeId) {
+        let alarm = DpsMsg::LeaderGone {
+            label: pred_label("z > 0"),
+            dead: suspect,
+        };
+        assert_eq!(self.deliver(via, alarm), []);
+    }
+}
+
+fn pred(s: &str) -> Predicate {
+    s.parse().unwrap()
+}
+
+fn pred_label(s: &str) -> GroupLabel {
+    GroupLabel::Pred(pred(s))
+}
+
+fn find_group(origin: NodeId, p: &str, mode: TraversalKind, descending: bool) -> Ticket {
+    Ticket {
+        origin,
+        sub_id: SubId(origin, 0),
+        pred: pred(p),
+        mode,
+        descending,
+        ttl: 10,
+    }
+}
+
+fn publication(origin: NodeId, event: &str, target: Option<&str>) -> PubTicket {
+    let event: Event = event.parse().unwrap();
+    PubTicket {
+        id: PubId(origin, 0),
+        event: SharedEvent::new(event),
+        attr: "a".into(),
+        mode: TraversalKind::Root,
+        target: target.map(pred_label),
+        from_child: None,
+        downstream: true,
+        ack_to: None,
+        ttl: 10,
+    }
+}
+
+fn branch(label: &str, node: NodeId) -> BranchInfo {
+    let label = pred_label(label);
+    let refs = vec![GroupRef {
+        label: label.clone(),
+        node,
+    }];
+    BranchInfo { label, refs }
+}
+
+#[test]
+fn a_node_outside_the_tree_relays_to_its_cached_contact() {
+    let mut b = Bench::new();
+    let [contact, owner, from, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    let found = DpsMsg::TreeFound {
+        attr: "a".into(),
+        contact,
+        owner: Some(owner),
+        epoch: 0,
+    };
+    assert_eq!(b.deliver(from, found), []);
+
+    // Each tree-travelling message goes on to the contact, one hop spent.
+    let t = find_group(from, "a > 3", TraversalKind::Root, false);
+    let relayed = Ticket {
+        ttl: 9,
+        ..t.clone()
+    };
+    assert_eq!(
+        b.deliver(from, DpsMsg::FindGroup(t)),
+        [(contact, DpsMsg::FindGroup(relayed))]
+    );
+    let p = publication(from, "a = 7", None);
+    let relayed = PubTicket {
+        ttl: 9,
+        ..p.clone()
+    };
+    assert_eq!(
+        b.deliver(from, DpsMsg::Publish(p)),
+        [(contact, DpsMsg::Publish(relayed))]
+    );
+    let orphan = branch("a > 3", from);
+    let sent = b.deliver(
+        from,
+        DpsMsg::Reattach {
+            branch: orphan.clone(),
+            ttl: 5,
+        },
+    );
+    assert_eq!(
+        sent,
+        [(
+            contact,
+            DpsMsg::Reattach {
+                branch: orphan,
+                ttl: 4
+            }
+        )]
+    );
+}
+
+#[test]
+fn a_node_outside_the_tree_without_a_contact_drops_the_hop() {
+    let mut b = Bench::new();
+    let from = b.peers[0];
+    let t = find_group(from, "a > 3", TraversalKind::Root, false);
+    assert_eq!(b.deliver(from, DpsMsg::FindGroup(t.clone())), []);
+
+    // A cached contact naming the node itself is no contact either.
+    let me = b.node;
+    let found = DpsMsg::TreeFound {
+        attr: "a".into(),
+        contact: me,
+        owner: Some(me),
+        epoch: 0,
+    };
+    assert_eq!(b.deliver(from, found), []);
+    assert_eq!(b.deliver(from, DpsMsg::FindGroup(t)), []);
+    let p = publication(from, "a = 7", None);
+    assert_eq!(b.deliver(from, DpsMsg::Publish(p)), []);
+}
+
+#[test]
+fn a_root_mode_entry_hop_goes_to_an_unsuspected_owner() {
+    let mut b = Bench::new();
+    let [leader, owner, from, other, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    b.join("a > 1", leader, owner);
+
+    let t = find_group(from, "a > 5", TraversalKind::Root, false);
+    assert_eq!(
+        b.deliver(from, DpsMsg::FindGroup(t.clone())),
+        [(
+            owner,
+            DpsMsg::FindGroup(Ticket {
+                ttl: 9,
+                ..t.clone()
+            })
+        )]
+    );
+    let p = publication(from, "a = 7", None);
+    let entered = PubTicket {
+        ttl: 9,
+        ..p.clone()
+    };
+    assert_eq!(
+        b.deliver(from, DpsMsg::Publish(p)),
+        [(owner, DpsMsg::Publish(entered))]
+    );
+
+    // A suspected owner is as good as an unknown one: the visit goes on
+    // here, to the next rule (the leader deferral).
+    b.suspect(owner, other);
+    let sent = b.deliver(from, DpsMsg::FindGroup(t.clone()));
+    assert_eq!(sent, [(leader, DpsMsg::FindGroup(Ticket { ttl: 9, ..t }))]);
+}
+
+#[test]
+fn a_root_mode_entry_hop_at_the_owner_itself_goes_on_here() {
+    let mut b = Bench::new();
+    let [leader, from, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    let me = b.node;
+    b.join("a > 1", leader, me);
+    let t = find_group(from, "a > 5", TraversalKind::Root, false);
+    let sent = b.deliver(from, DpsMsg::FindGroup(t.clone()));
+    assert_eq!(sent, [(leader, DpsMsg::FindGroup(Ticket { ttl: 9, ..t }))]);
+}
+
+#[test]
+fn a_leader_mode_non_leader_defers_to_its_leader() {
+    let mut b = Bench::new();
+    let [leader, from, joiner, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    // The node claims the tree itself, so no hop below is a root entry.
+    let me = b.node;
+    b.join("a > 1", leader, me);
+
+    let t = find_group(from, "a > 5", TraversalKind::Root, true);
+    let sent = b.deliver(from, DpsMsg::FindGroup(t.clone()));
+    assert_eq!(sent, [(leader, DpsMsg::FindGroup(Ticket { ttl: 9, ..t }))]);
+
+    // A publication is addressed to the group it was received in.
+    let p = publication(from, "a = 7", None);
+    let deferred = PubTicket {
+        ttl: 9,
+        target: Some(pred_label("a > 1")),
+        ..p.clone()
+    };
+    assert_eq!(
+        b.deliver(from, DpsMsg::Publish(p)),
+        [(leader, DpsMsg::Publish(deferred))]
+    );
+
+    let join = DpsMsg::JoinGroup {
+        sub_id: SubId(joiner, 0),
+        label: pred_label("a > 1"),
+        member: joiner,
+    };
+    assert_eq!(b.deliver(joiner, join.clone()), [(leader, join)]);
+
+    let orphan = branch("a > 3", from);
+    let sent = b.deliver(
+        from,
+        DpsMsg::Reattach {
+            branch: orphan.clone(),
+            ttl: 5,
+        },
+    );
+    assert_eq!(
+        sent,
+        [(
+            leader,
+            DpsMsg::Reattach {
+                branch: orphan,
+                ttl: 4
+            }
+        )]
+    );
+}
+
+#[test]
+fn a_leader_mode_non_leader_whose_leader_is_itself_stops() {
+    let mut b = Bench::new();
+    let from = b.peers[0];
+    let me = b.node;
+    b.join("a > 1", me, me);
+    assert!(!b.node().memberships()[0].is_leader());
+
+    let t = find_group(from, "a > 5", TraversalKind::Root, true);
+    assert_eq!(b.deliver(from, DpsMsg::FindGroup(t)), []);
+    let p = publication(from, "a = 7", Some("a > 1"));
+    assert_eq!(b.deliver(from, DpsMsg::Publish(p)), []);
+}
+
+/// Leaves the node leading `a > 1` under the root (held by `parent`), with
+/// a blocked branch `a > 5` (being created by `creator`) holding one
+/// withheld publication, and a branch `a > 3` (reached at `via`) that lies
+/// on `a > 5`'s designated path: what a child report or `CreateDone` for
+/// `a > 5` meets when `a > 3` was created while it was in flight.
+fn reroute_setup(b: &mut Bench, parent: NodeId, creator: NodeId, via: NodeId) -> PubId {
+    let me = b.node;
+    let filter: Filter = "a > 1".parse().unwrap();
+    b.with_node(|n, ctx| {
+        n.subscribe(filter, ctx);
+    });
+    let create = DpsMsg::CreateGroup {
+        ticket: find_group(me, "a > 1", TraversalKind::Root, true),
+        parent: GroupDescriptor {
+            label: GroupLabel::Root("a".into()),
+            leader: parent,
+            co_leaders: Vec::new(),
+            owner: parent,
+            owner_epoch: 0,
+        },
+        adopted: Vec::new(),
+    };
+    b.deliver(parent, create);
+    let t = find_group(creator, "a > 5", TraversalKind::Root, true);
+    let sent = b.deliver(creator, DpsMsg::FindGroup(t));
+    assert!(matches!(sent[..], [(to, DpsMsg::CreateGroup { .. })] if to == creator));
+    let p = publication(parent, "a = 7", Some("a > 1"));
+    let id = p.id;
+    assert_eq!(b.deliver(parent, DpsMsg::Publish(p)), []);
+    let report = DpsMsg::ChildReport {
+        parent_label: pred_label("a > 1"),
+        branch: branch("a > 3", via),
+    };
+    b.deliver(via, report);
+
+    let group = &b.node().memberships()[0];
+    let blocked = group.branch(&pred_label("a > 5")).unwrap();
+    assert!(blocked.blocked);
+    assert_eq!(blocked.buffered.len(), 1, "the publication is withheld");
+    assert!(group.branch(&pred_label("a > 3")).is_some());
+    id
+}
+
+/// What the C2 re-route of `a > 5` must send: the withheld publication
+/// straight to the branch, and the branch down to `a > 3`.
+fn assert_rerouted(b: &Bench, sent: &[(NodeId, DpsMsg)], id: PubId, creator: NodeId, via: NodeId) {
+    let a5 = pred_label("a > 5");
+    assert_eq!(sent.len(), 2, "{sent:?}");
+    assert!(sent.iter().any(|(to, m)| *to == creator
+        && matches!(m, DpsMsg::Publish(t) if t.id == id && t.target.as_ref() == Some(&a5))));
+    assert!(sent
+        .iter()
+        .any(|(to, m)| *to == via
+            && matches!(m, DpsMsg::Reattach { branch, .. } if branch.label == a5)));
+    assert!(b.node().memberships()[0].branch(&a5).is_none());
+}
+
+#[test]
+fn a_child_report_across_a_deeper_branch_is_rerouted_down() {
+    let mut b = Bench::new();
+    let [parent, creator, via, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    let id = reroute_setup(&mut b, parent, creator, via);
+    let report = DpsMsg::ChildReport {
+        parent_label: pred_label("a > 1"),
+        branch: branch("a > 5", creator),
+    };
+    let sent = b.deliver(creator, report);
+    assert_rerouted(&b, &sent, id, creator, via);
+}
+
+#[test]
+fn a_create_done_across_a_deeper_branch_is_rerouted_down() {
+    let mut b = Bench::new();
+    let [parent, creator, via, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    let id = reroute_setup(&mut b, parent, creator, via);
+    let done = DpsMsg::CreateDone {
+        parent_label: pred_label("a > 1"),
+        child: branch("a > 5", creator),
+    };
+    let sent = b.deliver(creator, done);
+    assert_rerouted(&b, &sent, id, creator, via);
+}
