@@ -280,15 +280,10 @@ pub enum DpsMsg {
 
     // ---- management: views, heartbeats, healing ----
     /// Heartbeat probe.
-    Ping {
-        /// Echoed nonce.
-        nonce: u64,
-    },
-    /// Heartbeat answer.
-    Pong {
-        /// Echoed nonce.
-        nonce: u64,
-    },
+    Ping,
+    /// Heartbeat answer. Like every message, it settles the receiver's probe
+    /// of its sender on arrival.
+    Pong,
     /// Leader-mode group announcement: current leader and co-leaders. Sent to
     /// members on changes, and to adjacent groups after leader takeover.
     GroupInfo {
@@ -308,13 +303,6 @@ pub enum DpsMsg {
         /// Group concerned.
         label: GroupLabel,
         /// The new member.
-        member: NodeId,
-    },
-    /// Leader-mode: membership removal (graceful leave or detected crash).
-    MemberLeft {
-        /// Group concerned.
-        label: GroupLabel,
-        /// The departed member.
         member: NodeId,
     },
     /// A member signals the leader looks dead (triggers co-leader takeover).
@@ -345,7 +333,10 @@ pub enum DpsMsg {
         /// Hop budget for routing the reattachment down the tree.
         ttl: u32,
     },
-    /// Graceful departure notice for one membership.
+    /// Graceful departure from one group: the member tells its leader (a
+    /// leaving leader its heir), and the leader relays it to its co-leaders.
+    /// The receivers drop `member` from that group only; it may live on in
+    /// the tree in other roles.
     Leave {
         /// Group concerned.
         label: GroupLabel,
@@ -413,7 +404,6 @@ impl Message for DpsMsg {
         "Pong",
         "GroupInfo",
         "MemberJoined",
-        "MemberLeft",
         "LeaderGone",
         "ParentChain",
         "ChildReport",
@@ -443,19 +433,18 @@ impl Message for DpsMsg {
             DpsMsg::Publish(_) => 14,
             DpsMsg::PubAck { .. } => 15,
             DpsMsg::PublishGroup { .. } => 16,
-            DpsMsg::Ping { .. } => 17,
-            DpsMsg::Pong { .. } => 18,
+            DpsMsg::Ping => 17,
+            DpsMsg::Pong => 18,
             DpsMsg::GroupInfo { .. } => 19,
             DpsMsg::MemberJoined { .. } => 20,
-            DpsMsg::MemberLeft { .. } => 21,
-            DpsMsg::LeaderGone { .. } => 22,
-            DpsMsg::ParentChain { .. } => 23,
-            DpsMsg::ChildReport { .. } => 24,
-            DpsMsg::Reattach { .. } => 25,
-            DpsMsg::Leave { .. } => 26,
-            DpsMsg::ViewPull { .. } => 27,
-            DpsMsg::ViewPush { .. } => 28,
-            DpsMsg::DissolveTree { .. } => 29,
+            DpsMsg::LeaderGone { .. } => 21,
+            DpsMsg::ParentChain { .. } => 22,
+            DpsMsg::ChildReport { .. } => 23,
+            DpsMsg::Reattach { .. } => 24,
+            DpsMsg::Leave { .. } => 25,
+            DpsMsg::ViewPull { .. } => 26,
+            DpsMsg::ViewPush { .. } => 27,
+            DpsMsg::DissolveTree { .. } => 28,
         }
     }
 
@@ -480,7 +469,7 @@ mod tests {
 
     #[test]
     fn classes_match_paper_accounting() {
-        let ping = DpsMsg::Ping { nonce: 1 };
+        let ping = DpsMsg::Ping;
         assert_eq!(ping.class(), MsgClass::Management);
         let pt = PubTicket {
             id: PubId(NodeId::from_index(0), 0),
@@ -563,11 +552,10 @@ mod tests {
             DpsMsg::Publish(pub_ticket),
             DpsMsg::PubAck { id, attr: attr.clone() },
             DpsMsg::PublishGroup { id, event, label: label.clone() },
-            DpsMsg::Ping { nonce: 1 },
-            DpsMsg::Pong { nonce: 1 },
+            DpsMsg::Ping,
+            DpsMsg::Pong,
             DpsMsg::GroupInfo { label: label.clone(), leader: n, co_leaders: vec![], owner: n, owner_epoch: 0 },
             DpsMsg::MemberJoined { label: label.clone(), member: n },
-            DpsMsg::MemberLeft { label: label.clone(), member: n },
             DpsMsg::LeaderGone { label: label.clone(), dead: n },
             DpsMsg::ParentChain { child_label: label.clone(), chain: vec![] },
             DpsMsg::ChildReport { parent_label: label.clone(), branch: branch.clone() },

@@ -388,9 +388,8 @@ impl DpsNode {
             owner: self.id,
             epoch,
         };
-        let peers = self.peers.clone();
-        for p in peers {
-            ctx.send(p, announce.clone());
+        for p in &self.peers {
+            ctx.send(*p, announce.clone());
         }
         self.lookups.retain(|(a, _)| *a != attr);
         self.cache_tree(attr, self.id, Some(self.id), epoch);
@@ -508,8 +507,7 @@ impl DpsNode {
             self.verify_at
                 .retain(|_, at| now.saturating_sub(*at) < window);
         }
-        let nonce = self.fresh_nonce();
-        ctx.send(suspect, DpsMsg::Ping { nonce });
+        ctx.send(suspect, DpsMsg::Ping);
     }
 
     /// Moves our memberships in a duplicate tree over to the surviving one:

@@ -84,50 +84,26 @@ impl DpsNode {
         }
         self.monitor_buf = targets;
         let mut dead: Vec<NodeId> = Vec::new();
-        let mut pings: Vec<(NodeId, u64)> = Vec::new();
         for (t, p) in self.probes.iter_mut() {
             match p.outstanding {
-                Some((_, sent)) if now.saturating_sub(sent) > PROBE_TIMEOUT => {
+                Some(sent) if now.saturating_sub(sent) > PROBE_TIMEOUT => {
                     if p.misses >= PROBE_RETRIES {
                         dead.push(*t);
-                    } else {
-                        // Re-probe before condemning: a single lost pong must
-                        // not look like a crash (nonce assigned below).
-                        p.misses += 1;
-                        pings.push((*t, 0));
-                        p.outstanding = Some((0, now));
+                        continue;
                     }
+                    // Re-probe before condemning: a single lost pong must
+                    // not look like a crash.
+                    p.misses += 1;
                 }
-                Some(_) => {}
-                None if p.next_at <= now => {
-                    pings.push((*t, 0)); // nonce assigned below (needs &mut self)
-                    p.next_at = now + p.every;
-                    p.outstanding = Some((0, now));
-                }
-                None => {}
+                None if p.next_at <= now => p.next_at = now + p.every,
+                _ => continue,
             }
-        }
-        for (t, _) in &pings {
-            let nonce = self.fresh_nonce();
-            if let Some(p) = self.probes.get_mut(t) {
-                if let Some((_, sent)) = p.outstanding {
-                    p.outstanding = Some((nonce, sent));
-                }
-            }
-            ctx.send(*t, DpsMsg::Ping { nonce });
+            p.outstanding = Some(now);
+            ctx.send(*t, DpsMsg::Ping);
         }
         for d in dead {
             self.probes.remove(&d);
             self.on_dead(d, ctx);
-        }
-    }
-
-    pub(crate) fn handle_pong(&mut self, from: NodeId, nonce: u64) {
-        if let Some(p) = self.probes.get_mut(&from) {
-            if matches!(p.outstanding, Some((n, _)) if n == nonce) {
-                p.outstanding = None;
-            }
-            p.misses = 0; // any pong proves liveness, even a late one
         }
     }
 
@@ -150,8 +126,8 @@ impl DpsNode {
             let was_leader_dead = self.memberships[i].leader == dead;
             let was_my_lead = self.memberships[i].is_leader();
 
-            // Scrub the views first.
-            self.memberships[i].forget_node(dead);
+            // Scrub the views first: the node is gone from every group.
+            self.memberships[i].forget(dead, None);
 
             match self.cfg.comm {
                 CommKind::Leader => {
@@ -220,15 +196,12 @@ impl DpsNode {
                 }
             }
             Role::Member => {
-                let cos = self.memberships[i].co_leaders.clone();
-                for c in cos {
-                    ctx.send(
-                        c,
-                        DpsMsg::LeaderGone {
-                            label: label.clone(),
-                            dead,
-                        },
-                    );
+                for c in &self.memberships[i].co_leaders {
+                    let gone = DpsMsg::LeaderGone {
+                        label: label.clone(),
+                        dead,
+                    };
+                    ctx.send(*c, gone);
                 }
             }
             Role::Leader => {}
@@ -299,9 +272,8 @@ impl DpsNode {
         if changed {
             let m = &self.memberships[i];
             let info = group_info(m, me);
-            let members: Vec<NodeId> = m.members.iter().copied().filter(|n| *n != me).collect();
-            for n in members {
-                ctx.send(n, info.clone());
+            for n in m.members.iter().filter(|n| **n != me) {
+                ctx.send(*n, info.clone());
             }
         }
         self.bridge_dead_branches(i, dead, ctx);
@@ -644,30 +616,31 @@ impl DpsNode {
         if self.memberships[i].leader != dead || self.memberships[i].is_leader() {
             return; // stale alarm
         }
-        self.memberships[i].forget_node(dead);
+        self.memberships[i].forget(dead, None);
         self.leader_takeover(i, dead, ctx);
     }
 
+    /// `member` left group `label`: it drops out of that group's views
+    /// only, for it may still be a node of the tree in other roles (say, the
+    /// owner of the root above). The leader hears it from the leaver itself
+    /// and relays the same `Leave` to its co-leaders.
     pub(crate) fn handle_leave(
         &mut self,
+        from: NodeId,
         label: GroupLabel,
         member: NodeId,
         ctx: &mut Context<'_, DpsMsg>,
     ) {
-        let Some(m) = self.membership_mut(&label) else {
+        let Some(i) = self.membership_index(&label) else {
             return;
         };
-        m.forget_node(member);
-        if m.is_leader() {
-            let msg = DpsMsg::MemberLeft {
-                label: label.clone(),
-                member,
-            };
-            let cos = m.co_leaders.clone();
-            for c in cos {
-                ctx.send(c, msg.clone());
+        let m = &mut self.memberships[i];
+        m.forget(member, Some(&label));
+        if m.is_leader() && from == member {
+            let leave = DpsMsg::Leave { label, member };
+            for c in &m.co_leaders {
+                ctx.send(*c, leave.clone());
             }
-            let i = self.membership_index(&label).unwrap();
             self.recruit_co_leaders(i);
         }
     }

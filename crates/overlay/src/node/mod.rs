@@ -150,9 +150,10 @@ pub(crate) struct Probe {
     pub every: Step,
     /// Next step at which to send a ping.
     pub next_at: Step,
-    /// Outstanding ping: (nonce, sent_at).
-    pub outstanding: Option<(u64, Step)>,
-    /// Consecutive unanswered pings (a pong resets it); the neighbor is
+    /// Step the outstanding ping was sent at. Any message from the neighbor
+    /// settles it (`on_message`), a `Pong` included.
+    pub outstanding: Option<Step>,
+    /// Consecutive unanswered pings (any message resets it); the neighbor is
     /// declared dead only past `PROBE_RETRIES`.
     pub misses: u32,
 }
@@ -222,7 +223,6 @@ pub struct DpsNode {
     /// Scratch for `tick_probes`' monitor-target list, kept so an idle tick
     /// allocates nothing.
     pub(crate) monitor_buf: Vec<NodeId>,
-    pub(crate) nonce_counter: u64,
     /// Recently declared-dead nodes (bounded memory), used to rank co-leaders
     /// during takeover and to avoid re-adding dead nodes from stale gossip.
     pub(crate) suspected: SeenCache<u32>,
@@ -274,7 +274,6 @@ impl DpsNode {
             pubs_notified: 0,
             probes: BTreeMap::new(),
             monitor_buf: Vec::new(),
-            nonce_counter: 0,
             suspected: SeenCache::new(128),
             verify_at: HashMap::new(),
         }
@@ -501,11 +500,6 @@ impl DpsNode {
         true
     }
 
-    pub(crate) fn fresh_nonce(&mut self) -> u64 {
-        self.nonce_counter += 1;
-        self.nonce_counter
-    }
-
     /// The interned id of `label` for [`seen_route`](Self::seen_route) keys,
     /// assigned on first sight and kept for good: a group left and joined
     /// again dedups against what its first membership already routed. The id
@@ -729,8 +723,8 @@ impl Process for DpsNode {
             }
 
             // Management & healing.
-            DpsMsg::Ping { nonce } => ctx.send(from, DpsMsg::Pong { nonce }),
-            DpsMsg::Pong { nonce } => self.handle_pong(from, nonce),
+            DpsMsg::Ping => ctx.send(from, DpsMsg::Pong),
+            DpsMsg::Pong => {} // settled above, as every message is
             DpsMsg::GroupInfo {
                 label,
                 leader,
@@ -741,11 +735,6 @@ impl Process for DpsNode {
             DpsMsg::MemberJoined { label, member } => {
                 if let Some(m) = self.membership_mut(&label) {
                     m.add_member(member);
-                }
-            }
-            DpsMsg::MemberLeft { label, member } => {
-                if let Some(m) = self.membership_mut(&label) {
-                    m.forget_node(member);
                 }
             }
             DpsMsg::LeaderGone { label, dead } => self.handle_leader_gone(label, dead, ctx),
@@ -759,7 +748,7 @@ impl Process for DpsNode {
                 branch,
             } => self.handle_child_report(parent_label, branch, ctx),
             DpsMsg::Reattach { branch, ttl } => self.handle_reattach(branch, ttl, ctx),
-            DpsMsg::Leave { label, member } => self.handle_leave(label, member, ctx),
+            DpsMsg::Leave { label, member } => self.handle_leave(from, label, member, ctx),
             DpsMsg::ViewPull { label } => self.handle_view_pull(from, label, ctx),
             DpsMsg::ViewPush {
                 label,

@@ -85,16 +85,14 @@ impl DpsNode {
         let mut m = self.memberships.remove(i);
         // It held a subscription, so it is no root (see `handle_dissolve`).
         debug_assert!(!m.label.is_root(), "a root holds no subscription");
-        // Leaving: scrub ourselves from the group state we hand over (but not from
-        // the pred/succ views — we may legitimately appear there in other roles,
-        // e.g. as the owner of the parent root).
-        let me = self.id;
-        m.members.retain(|n| *n != me);
-        m.co_leaders.retain(|n| *n != me);
+        // Leaving: scrub ourselves from the group state we hand over, as a
+        // receiver of our `Leave` does.
         let label = m.label.clone();
+        m.forget(self.id, Some(&label));
         if m.is_leader() {
-            // Hand over to the first co-leader; otherwise the group dissolves and
-            // neighbors clean up through failure detection.
+            // Hand over to the first co-leader. A sole leader tells nobody:
+            // failure detection never fires for a live node, so its parent's
+            // branch and its children's predviews keep naming it (ROADMAP B).
             if let Some(&heir) = m.co_leaders.first() {
                 // The heir leads from now on; the other co-leaders stay.
                 m.co_leaders.retain(|c| *c != heir);
@@ -471,31 +469,19 @@ impl DpsNode {
         );
         if !epidemic {
             // Mirror the join to co-leaders; announce a leadership change to all.
-            let info: Vec<(NodeId, DpsMsg)> = if co_leader {
-                let m = &self.memberships[i];
-                m.members
-                    .iter()
-                    .filter(|n| **n != me && **n != member)
-                    .map(|n| (*n, group_info(m, me)))
-                    .collect()
+            let m = &self.memberships[i];
+            if co_leader {
+                for n in m.members.iter().filter(|n| **n != me && **n != member) {
+                    ctx.send(*n, group_info(m, me));
+                }
             } else {
-                let m = &self.memberships[i];
-                m.co_leaders
-                    .iter()
-                    .filter(|n| **n != member)
-                    .map(|n| {
-                        (
-                            *n,
-                            DpsMsg::MemberJoined {
-                                label: m.label.clone(),
-                                member,
-                            },
-                        )
-                    })
-                    .collect()
-            };
-            for (to, msg) in info {
-                ctx.send(to, msg);
+                for n in m.co_leaders.iter().filter(|n| **n != member) {
+                    let joined = DpsMsg::MemberJoined {
+                        label: m.label.clone(),
+                        member,
+                    };
+                    ctx.send(*n, joined);
+                }
             }
         } else {
             // GOSSIP_SUB: spread the view update within the group (§4.2.2).

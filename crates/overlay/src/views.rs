@@ -94,11 +94,6 @@ impl Branch {
         self.refs
             .truncate(in_group.max(1).min(self.refs.len()) + depth);
     }
-
-    /// Drops a dead node from the branch pointers.
-    pub fn remove_node(&mut self, node: NodeId) {
-        self.refs.retain(|r| r.node != node);
-    }
 }
 
 /// Everything a node keeps about one group it belongs to.
@@ -233,13 +228,21 @@ impl Membership {
         }
     }
 
-    /// Removes `node` from every view of this membership.
-    pub fn forget_node(&mut self, node: NodeId) {
-        self.members.retain(|m| *m != node);
-        self.co_leaders.retain(|m| *m != node);
-        self.predview.retain(|r| r.node != node);
+    /// Removes `node` from the views of this membership. `left: None` means
+    /// the node is gone (it crashed): every view drops it. `left: Some(l)`
+    /// means it left group `l` and lives on in its other roles: only `l`'s
+    /// member and co-leader views drop it, and only the pointers naming it
+    /// as a node of `l` — a leaving leader may still own the parent root.
+    pub fn forget(&mut self, node: NodeId, left: Option<&GroupLabel>) {
+        let scoped = |label: &GroupLabel| left.is_none_or(|l| l == label);
+        if scoped(&self.label) {
+            self.members.retain(|m| *m != node);
+            self.co_leaders.retain(|m| *m != node);
+        }
+        let named = |r: &GroupRef| r.node == node && scoped(&r.label);
+        self.predview.retain(|r| !named(r));
         for b in &mut self.branches {
-            b.remove_node(node);
+            b.refs.retain(|r| !named(r));
         }
     }
 
@@ -317,8 +320,6 @@ mod tests {
         b.merge_refs(&[gr("a > 9", 2), gr("a > 9", 3), gr("a > 12", 4)], 2);
         // 1 in-group entry + at most 2 deeper entries.
         assert_eq!(b.refs.len(), 3);
-        b.remove_node(NodeId::from_index(1));
-        assert_eq!(b.primary(), None);
     }
 
     #[test]
@@ -348,27 +349,53 @@ mod tests {
         assert!(m.branches.is_empty());
     }
 
-    #[test]
-    fn forget_node_scrubs_everything() {
-        let me = NodeId::from_index(0);
-        let dead = NodeId::from_index(9);
-        let mut m = Membership::new(None, gl("a > 2"), Role::Member, me);
-        m.add_member(dead);
-        m.add_member(dead); // idempotent
+    /// A membership of `a > 2` whose every view names `node`: as member,
+    /// co-leader, predecessor in the root and child-group entry of `a > 5`.
+    fn naming_everywhere(node: usize) -> Membership {
+        let mut m = Membership::new(None, gl("a > 2"), Role::Member, NodeId::from_index(0));
+        m.add_member(NodeId::from_index(node));
+        m.add_member(NodeId::from_index(node)); // idempotent
         assert_eq!(m.members.len(), 1);
-        m.co_leaders.push(dead);
-        m.merge_predview(&[gr("a > 1", 9)], 4);
+        m.co_leaders.push(NodeId::from_index(node));
+        let root = GroupRef {
+            label: GroupLabel::Root("a".into()),
+            node: NodeId::from_index(node),
+        };
+        m.merge_predview(&[root], 4);
         m.upsert_branch(
             &BranchInfo {
                 label: gl("a > 5"),
-                refs: vec![gr("a > 5", 9)],
+                refs: vec![gr("a > 5", node)],
             },
             2,
         );
-        m.forget_node(dead);
+        m
+    }
+
+    #[test]
+    fn forget_node_scrubs_everything() {
+        let mut m = naming_everywhere(9);
+        m.forget(NodeId::from_index(9), None);
         assert!(m.members.is_empty());
         assert!(m.co_leaders.is_empty());
         assert!(m.predview.is_empty());
+        assert!(m.branch(&gl("a > 5")).unwrap().refs.is_empty());
+
+        // Leaving this group drops the node from its member and co-leader
+        // views only: the pointers naming it in other groups stay.
+        let mut m = naming_everywhere(9);
+        m.forget(NodeId::from_index(9), Some(&gl("a > 2")));
+        assert!(m.members.is_empty());
+        assert!(m.co_leaders.is_empty());
+        assert_eq!(m.predview.len(), 1);
+        assert_eq!(m.branch(&gl("a > 5")).unwrap().refs.len(), 1);
+
+        // Leaving the child group drops only its entry in the branch.
+        let mut m = naming_everywhere(9);
+        m.forget(NodeId::from_index(9), Some(&gl("a > 5")));
+        assert_eq!(m.members.len(), 1);
+        assert_eq!(m.co_leaders.len(), 1);
+        assert_eq!(m.predview.len(), 1);
         assert!(m.branch(&gl("a > 5")).unwrap().refs.is_empty());
     }
 

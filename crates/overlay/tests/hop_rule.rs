@@ -1,6 +1,7 @@
-//! The hop rule (ARCHITECTURE.md "The hop rule"), one decision at a time: one
-//! protocol node among peers that only record what reaches them, driven by
-//! hand-built messages, so each test sees exactly the sends one hop makes.
+//! The hop rule (ARCHITECTURE.md "The hop rule") and the leave rule ("Who
+//! says who owns and who leads"), one decision at a time: one protocol node
+//! among peers that only record what reaches them, driven by hand-built
+//! messages, so each test sees exactly the sends one hop makes.
 
 use dps_content::{Event, Filter, Predicate, SharedEvent};
 use dps_overlay::{
@@ -84,27 +85,62 @@ impl Bench {
     /// Makes the node a plain member of group `label` led by `leader`, in a
     /// tree owned by `owner`: a pending subscription answered by a `JoinAck`.
     fn join(&mut self, label: &str, leader: NodeId, owner: NodeId) {
+        self.join_knowing(label, leader, owner, Vec::new(), Vec::new());
+    }
+
+    /// As [`join`](Self::join), with `co_leaders` as the group's co-leaders
+    /// (also known as members) and `predview` as the node's predview.
+    fn join_knowing(
+        &mut self,
+        label: &str,
+        leader: NodeId,
+        owner: NodeId,
+        co_leaders: Vec<NodeId>,
+        predview: Vec<GroupRef>,
+    ) {
         let filter: Filter = label.parse().unwrap();
         self.with_node(|n, ctx| {
             n.subscribe(filter, ctx);
         });
-        let group = GroupDescriptor {
-            label: pred_label(label),
-            leader,
-            co_leaders: Vec::new(),
-            owner,
-            owner_epoch: 0,
-        };
+        let members = std::iter::once(leader).chain(co_leaders.iter().copied());
         let ack = DpsMsg::JoinAck {
             sub_id: SubId(self.node, 0),
-            group,
+            members: members.collect(),
+            group: GroupDescriptor {
+                label: pred_label(label),
+                leader,
+                co_leaders,
+                owner,
+                owner_epoch: 0,
+            },
             co_leader: false,
-            members: vec![leader],
-            predview: Vec::new(),
+            predview,
             succviews: Vec::new(),
         };
         assert_eq!(self.deliver(leader, ack), []);
         assert_eq!(self.node().memberships().len(), 1);
+    }
+
+    /// Makes the node the leader of group `label`, which it creates below
+    /// the root held by `parent`: a pending subscription answered by a
+    /// `CreateGroup`.
+    fn lead(&mut self, label: &str, parent: NodeId) {
+        let filter: Filter = label.parse().unwrap();
+        self.with_node(|n, ctx| {
+            n.subscribe(filter, ctx);
+        });
+        let create = DpsMsg::CreateGroup {
+            ticket: find_group(self.node, label, TraversalKind::Root, true),
+            parent: GroupDescriptor {
+                label: GroupLabel::Root("a".into()),
+                leader: parent,
+                co_leaders: Vec::new(),
+                owner: parent,
+                owner_epoch: 0,
+            },
+            adopted: Vec::new(),
+        };
+        self.deliver(parent, create);
     }
 
     /// Makes the node believe `suspect` dead: a `LeaderGone` naming it, for a
@@ -357,23 +393,7 @@ fn a_leader_mode_non_leader_whose_leader_is_itself_stops() {
 /// on `a > 5`'s designated path: what a child report or `CreateDone` for
 /// `a > 5` meets when `a > 3` was created while it was in flight.
 fn reroute_setup(b: &mut Bench, parent: NodeId, creator: NodeId, via: NodeId) -> PubId {
-    let me = b.node;
-    let filter: Filter = "a > 1".parse().unwrap();
-    b.with_node(|n, ctx| {
-        n.subscribe(filter, ctx);
-    });
-    let create = DpsMsg::CreateGroup {
-        ticket: find_group(me, "a > 1", TraversalKind::Root, true),
-        parent: GroupDescriptor {
-            label: GroupLabel::Root("a".into()),
-            leader: parent,
-            co_leaders: Vec::new(),
-            owner: parent,
-            owner_epoch: 0,
-        },
-        adopted: Vec::new(),
-    };
-    b.deliver(parent, create);
+    b.lead("a > 1", parent);
     let t = find_group(creator, "a > 5", TraversalKind::Root, true);
     let sent = b.deliver(creator, DpsMsg::FindGroup(t));
     assert!(matches!(sent[..], [(to, DpsMsg::CreateGroup { .. })] if to == creator));
@@ -436,4 +456,70 @@ fn a_create_done_across_a_deeper_branch_is_rerouted_down() {
     };
     let sent = b.deliver(creator, done);
     assert_rerouted(&b, &sent, id, creator, via);
+}
+
+/// A `Leave` for group `a > 5` from `member`.
+fn leave(member: NodeId) -> DpsMsg {
+    DpsMsg::Leave {
+        label: pred_label("a > 5"),
+        member,
+    }
+}
+
+#[test]
+fn a_member_drops_a_leaver_from_its_group_and_keeps_it_elsewhere() {
+    let mut b = Bench::new();
+    let [leader, x, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    // `x` co-leads `a > 5` and also holds the root above it, as a leader
+    // who owns the tree does.
+    let root = GroupRef {
+        label: GroupLabel::Root("a".into()),
+        node: x,
+    };
+    b.join_knowing("a > 5", leader, x, vec![x], vec![root.clone()]);
+    let group = &b.node().memberships()[0];
+    assert!(group.members.contains(&x) && group.co_leaders == [x]);
+
+    assert_eq!(b.deliver(x, leave(x)), []);
+    let group = &b.node().memberships()[0];
+    assert!(!group.members.contains(&x));
+    assert!(group.co_leaders.is_empty());
+    assert_eq!(group.predview, [root], "x still holds the root above");
+}
+
+#[test]
+fn a_leader_relays_a_leave_to_each_co_leader() {
+    let mut b = Bench::new();
+    let [parent, x, c, y, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    // The node creates and leads `a > 5`; `x` and then `c` join it as its
+    // two co-leaders, `y` as a plain member.
+    b.lead("a > 5", parent);
+    for joiner in [x, c, y] {
+        let join = DpsMsg::JoinGroup {
+            sub_id: SubId(joiner, 0),
+            label: pred_label("a > 5"),
+            member: joiner,
+        };
+        b.deliver(joiner, join);
+    }
+    let group = &b.node().memberships()[0];
+    assert!(group.is_leader());
+    assert_eq!(group.co_leaders, [x, c]);
+
+    // The leaver's own `Leave` goes on, unchanged, to the co-leader left;
+    // then `y` is recruited in `x`'s place.
+    assert_eq!(b.deliver(x, leave(x)), [(c, leave(x))]);
+    let group = &b.node().memberships()[0];
+    assert_eq!(group.co_leaders, [c, y]);
+    assert!(!group.members.contains(&x));
+
+    // A `Leave` heard from anyone but the leaver is a relay (a co-leader
+    // that also believes it leads, in a promotion race): it goes no
+    // further, or the two leaders would bounce it for ever.
+    assert_eq!(b.deliver(c, leave(y)), []);
+    assert_eq!(b.node().memberships()[0].co_leaders, [c]);
 }

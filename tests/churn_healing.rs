@@ -310,3 +310,51 @@ fn epidemic_overlay_survives_a_storm() {
         "post-storm delivery ratio {ratio} below the paper's floor of 0.8"
     );
 }
+
+/// A sole leader leaving a mid-tree group tells nobody: its parent's branch
+/// and its child's predview keep naming it, no heartbeat ever condemns a
+/// live node, and the subtree below stays cut off (ROADMAP B).
+#[test]
+#[ignore = "a sole leader leaving a mid-tree group cuts its subtree off (ROADMAP B)"]
+fn a_sole_leader_leaving_a_mid_tree_group_keeps_its_subtree_reachable() {
+    let mut short = Vec::new();
+    for traversal in [TraversalKind::Root, TraversalKind::Generic] {
+        let mut cfg = DpsConfig::named(traversal, CommKind::Leader);
+        cfg.join_rule = JoinRule::First;
+        let mut net = DpsNetwork::new(cfg, 5);
+        let nodes = net.add_nodes(12);
+        net.run(30);
+        // A chain of groups, one subscriber each: node 1 leads `temp > 5`
+        // alone, between node 4's `temp > 1` and node 2's `temp > 10`.
+        let mut leaving = None;
+        for (i, filter) in [
+            (4, "temp > 1"),
+            (1, "temp > 5"),
+            (2, "temp > 10"),
+            (3, "temp > 20"),
+        ] {
+            let sub = net.try_subscribe(nodes[i], filter.parse::<dps::Filter>().unwrap());
+            if i == 1 {
+                leaving = sub.ok();
+            }
+            net.run(150);
+        }
+        net.try_unsubscribe(nodes[1], leaving.unwrap()).unwrap();
+        net.run(1000);
+        let at = net.sim().now();
+        let id = net
+            .try_publish(nodes[0], "temp = 30".parse::<dps::Event>().unwrap())
+            .unwrap();
+        net.run(100);
+        let report = net.reports().into_iter().find(|r| r.id == id).unwrap();
+        if report.delivered != report.expected.len() {
+            short.push(format!(
+                "{traversal:?}: {} of {}, {:?}",
+                report.delivered,
+                report.expected.len(),
+                net.misses_between(at, at + 1)
+            ));
+        }
+    }
+    assert!(short.is_empty(), "{short:#?}");
+}

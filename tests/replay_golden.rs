@@ -19,7 +19,9 @@ mod common;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use dps::{CommKind, DpsConfig, DpsMsg, DpsNetwork, JoinRule, LatencyModel, TraversalKind};
+use dps::{
+    CommKind, DeliveryReport, DpsConfig, DpsMsg, DpsNetwork, JoinRule, LatencyModel, TraversalKind,
+};
 use dps_sim::Message;
 
 /// Thirty epidemic nodes: subscriptions, then publications while a partition
@@ -99,8 +101,9 @@ fn leader_mode_crashes() -> Vec<String> {
 /// a few publications a deterministic quarter of the subscribers leave: the
 /// leaders of non-root groups first (each hands over to a co-leader, if it
 /// has one), then every fourth node. More publications follow, then a
-/// drain. Convergence is not asserted.
-fn leader_merge_then_leave() -> (Vec<String>, Vec<u64>) {
+/// drain. Convergence is not asserted. Returns the digest, the receipts per
+/// message kind and the reports of the publications after the leave wave.
+fn leader_merge_then_leave() -> (Vec<String>, Vec<u64>, Vec<DeliveryReport>) {
     const N: usize = 24;
     const FILTERS: [&str; 4] = ["temp > 5", "temp > 20", "temp < 40", "temp > 12"];
     let mut cfg = DpsConfig::named(TraversalKind::Root, CommKind::Leader);
@@ -146,12 +149,15 @@ fn leader_merge_then_leave() -> (Vec<String>, Vec<u64>) {
         net.run(3);
     }
     net.run(40);
+    let left_at = net.sim().now();
     for k in 4..10 {
         publish(&mut net, k);
     }
     net.run(300);
     let kinds = net.metrics().received_by_kind().to_vec();
-    (common::digest(&net), kinds)
+    let mut after = net.reports();
+    after.retain(|r| r.published_at >= left_at);
+    (common::digest(&net), kinds, after)
 }
 
 /// The section headers of the golden file, in file order.
@@ -265,7 +271,7 @@ fn bimodal_latency_run_matches_the_golden() {
 
 #[test]
 fn leader_merge_then_leave_run_matches_the_golden() {
-    let (digest, kinds) = leader_merge_then_leave();
+    let (digest, kinds, after_leave) = leader_merge_then_leave();
     // The run must reach the paths it pins: duplicate trees merging and
     // regrafting, and leaders handing their groups over on the way out.
     for kind in [
@@ -281,6 +287,18 @@ fn leader_merge_then_leave_run_matches_the_golden() {
             .position(|k| *k == kind)
             .unwrap();
         assert!(kinds[i] > 0, "the run received no {kind}: {kinds:?}");
+    }
+    // Leaving costs nobody else: every publication after the leave wave
+    // reaches every subscriber it should.
+    assert_eq!(after_leave.len(), 6);
+    for r in &after_leave {
+        assert_eq!(
+            r.delivered,
+            r.expected.len(),
+            "{:?}@{}",
+            r.id,
+            r.published_at
+        );
     }
     check_section(SECTIONS[3], digest);
 }
