@@ -75,11 +75,12 @@ fn fault_free_cells_deliver_nearly_everything() {
 
 /// With no faults at all every cell must deliver every matching event: the
 /// six figure configurations × 60 seeds at the smoke cell size. It fails
-/// today (fault-free cells lose deliveries) and is ignored until that is
-/// found and fixed; run it with
+/// today: 188 of the 360 cells lose deliveries (leader root 22, leader
+/// generic 50, epidemic root 11 + 12, epidemic generic 45 + 48), and it is
+/// ignored until that is found and fixed; run it with
 /// `cargo test --release -p dps-experiments --test fig3a_shape -- --ignored`.
 #[test]
-#[ignore = "fault-free cells still lose deliveries"]
+#[ignore = "188 of 360 fault-free cells still lose deliveries"]
 fn fault_free_cells_deliver_everything() {
     let n = 60;
     let steps = 3 * n as u64;

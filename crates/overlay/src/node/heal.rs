@@ -3,7 +3,7 @@
 //! reattachment of orphaned branches, and the periodic view-exchange / merge
 //! processes that keep the overlay consistent under churn.
 
-use dps_content::SharedEvent;
+use dps_content::{Predicate, SharedEvent};
 use dps_sim::{Context, NodeId};
 use rand::seq::IteratorRandom;
 use rand::Rng;
@@ -346,6 +346,15 @@ impl DpsNode {
             label: label.clone(),
             refs: self.own_refs(&self.memberships[i]),
         };
+        // Leader mode: when our own node holds a group on the designated
+        // path, the reattach starts there; from the root it would come home
+        // to this very group and stop.
+        let pred = label
+            .predicate()
+            .filter(|_| self.cfg.comm == CommKind::Leader);
+        if let Some((j, pred)) = pred.and_then(|p| Some((self.deepest_on_path(p)?, p))) {
+            return self.reattach_at(j, pred, branch, HOP_BACKSTOP, ctx);
+        }
         let cached = self.tree_cache.get(&attr).map(|c| c.contact);
         let reachable = |c: &NodeId| *c != self.id && !self.suspects(*c);
         match self.root_entry(&attr).or_else(|| cached.filter(reachable)) {
@@ -387,6 +396,7 @@ impl DpsNode {
     /// grafts it there (the descent mirrors `FIND_GROUP`).
     pub(crate) fn handle_reattach(
         &mut self,
+        from: NodeId,
         branch: BranchInfo,
         ttl: u32,
         ctx: &mut Context<'_, DpsMsg>,
@@ -397,33 +407,60 @@ impl DpsNode {
         let Some(pred) = branch.label.predicate().cloned() else {
             return;
         };
-        let reattach = |branch| DpsMsg::Reattach { branch, ttl };
-        if !self.in_tree(pred.name()) {
+        let Some(i) = self.pick_routing_membership(&pred) else {
+            let reattach = |branch| DpsMsg::Reattach { branch, ttl };
             return self.relay_off_tree(branch, |b| b.label.attr(), reattach, ctx);
-        }
-        if let Some(i) = self.membership_index(&branch.label) {
-            // Duplicate of our own group: merge their contacts in.
-            let me = self.id;
-            let m = &self.memberships[i];
-            let info = group_info(m, if m.is_leader() { me } else { m.leader });
-            for r in &branch.refs {
-                if r.node != me {
-                    ctx.send(r.node, info.clone());
-                }
-            }
-            return;
-        }
-        let Some(i) = self.deepest_on_path(&pred) else {
-            return;
         };
+        let me = self.id;
+        let m = &self.memberships[i];
+        if m.label != branch.label {
+            return self.reattach_at(i, &pred, branch, ttl, ctx);
+        }
+        // Our own group: two cohorts of one label meet. Each contact of the
+        // branch hears who leads here, so a second leader meets ours in
+        // `handle_group_info`'s smaller-id rule. When the branch's leader
+        // already leads us, the parent that sent it here hears it too and
+        // re-points its branch.
+        let info = group_info(m, if m.is_leader() { me } else { m.leader });
+        for r in &branch.refs {
+            if r.node != me {
+                ctx.send(r.node, info.clone());
+            }
+        }
+        let reporter = branch.refs.iter().find(|r| r.label == branch.label);
+        if self.defers_to_leader(i) && reporter.is_some_and(|r| r.node == m.leader) && from != me {
+            ctx.send(from, info);
+        }
+    }
+
+    /// Carries orphan `branch` (looking for its designated predecessor, on
+    /// the path to `pred`) on from membership `i`: to the group's leader,
+    /// down toward the predecessor, up when `i` lies off the path, or into
+    /// a graft when `i` is the predecessor.
+    fn reattach_at(
+        &mut self,
+        i: usize,
+        pred: &Predicate,
+        branch: BranchInfo,
+        ttl: u32,
+        ctx: &mut Context<'_, DpsMsg>,
+    ) {
+        let reattach = |branch| DpsMsg::Reattach { branch, ttl };
         let Some(branch) = self.defer_to_leader(i, branch, reattach, ctx) else {
             return;
         };
+        let m = &self.memberships[i];
+        if !m.label.on_path_to(pred) {
+            // Leader mode climbs, as a `FindGroup` does; epidemic drops.
+            if self.cfg.comm == CommKind::Leader {
+                self.climb(i, reattach(branch), ctx);
+            }
+            return;
+        }
         // Descend if no branch of that label hangs here but one lies on the
         // designated path; else we are the designated predecessor.
-        let m = &self.memberships[i];
         if m.branch(&branch.label).is_none() {
-            if let Some(n) = m.branch_toward(&pred, None).and_then(Branch::entry) {
+            if let Some(n) = m.branch_toward(pred, None).and_then(Branch::entry) {
                 ctx.send(n, reattach(branch));
                 return;
             }
@@ -465,10 +502,11 @@ impl DpsNode {
             }
         }
         // What a child is told depends on the parent group, not its branches.
-        let me = self.id;
+        // Ourselves included: an orphan group of this very node, grafted
+        // here by `reattach_or_promote`, learns its parent the same way.
         let chain = self.parent_chain(&self.memberships[i]);
         let in_group = branch.refs.iter().filter(|r| r.label == branch.label);
-        let to = in_group.map(|r| r.node).filter(|n| *n != me);
+        let to = in_group.map(|r| r.node);
         self.send_new_parent(i, &branch.label, chain, to, ctx);
         self.keep_branch(i, branch, ctx);
     }
@@ -547,13 +585,7 @@ impl DpsNode {
                     // learns our side existed and its forwards skip them.
                     ctx.send(leader, m.view_push(Vec::new()));
                     let info = group_info(m, leader);
-                    let cohort: Vec<NodeId> = m
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|n| *n != me && *n != leader)
-                        .collect();
-                    for n in cohort {
+                    for &n in m.members.iter().filter(|n| **n != me && **n != leader) {
                         ctx.send(n, info.clone());
                     }
                 } else {
@@ -719,7 +751,8 @@ impl DpsNode {
                 }
             }
             // Up: report ourselves and our children to the parent.
-            if let Some(parent) = m.predview.first().filter(|p| p.node != me) {
+            let up = m.predview.first();
+            if let Some(parent) = up.filter(|p| p.node != me) {
                 ctx.send(
                     parent.node,
                     DpsMsg::ChildReport {
@@ -728,7 +761,20 @@ impl DpsNode {
                     },
                 );
             }
+            // A parent group on this node needs no report, only its C2
+            // re-route: it moves a group grafted here below a deeper one.
+            let here = up.filter(|p| p.node == me);
+            let here = here.and_then(|p| self.membership_index(&p.label));
+            let below = |j: usize| {
+                let pred = m.label.predicate();
+                pred.and_then(|p| self.memberships[j].branch_toward(p, Some(&m.label)))
+            };
+            if let Some(j) = here.filter(|&j| below(j).is_some()) {
+                let branch = self.child_report(m);
+                self.reroute_below(j, branch, ctx);
+            }
             // Mirror to co-leaders, built only when there is one to send to.
+            let m = &self.memberships[i];
             if m.co_leaders.iter().all(|c| *c == me) {
                 continue;
             }
@@ -828,6 +874,13 @@ impl DpsNode {
         let Some(i) = self.membership_index(&parent_label) else {
             return;
         };
+        let report = |branch| DpsMsg::ChildReport {
+            parent_label,
+            branch,
+        };
+        let Some(branch) = self.defer_to_leader(i, branch, report, ctx) else {
+            return;
+        };
         if let Some(branch) = self.reroute_below(i, branch, ctx) {
             self.keep_branch(i, &branch, ctx);
         }
@@ -837,11 +890,23 @@ impl DpsNode {
     /// branch of that label. A child that had no live entry here went silent
     /// long enough to lose it (or was never attached here): besides
     /// restoring the pointer, it gets what it may have missed replayed.
+    ///
+    /// In leader mode, a branch led by another node than the live entry
+    /// here is a second leader of one label: the parent introduces it to
+    /// that entry with a `Reattach`, which the entry's node answers
+    /// ([`handle_reattach`](Self::handle_reattach)).
     fn keep_branch(&mut self, i: usize, branch: &BranchInfo, ctx: &mut Context<'_, DpsMsg>) {
         let b = self.memberships[i].branch(&branch.label);
-        let was_live = b.and_then(Branch::primary).is_some();
+        let live = b.and_then(Branch::primary);
+        if let (Some(primary), CommKind::Leader) = (live, self.cfg.comm) {
+            let leader = branch.refs.iter().find(|r| r.label == branch.label);
+            if leader.is_some_and(|r| r.node != primary) {
+                let (branch, ttl) = (branch.clone(), WALK_TTL);
+                ctx.send(primary, DpsMsg::Reattach { branch, ttl });
+            }
+        }
         self.memberships[i].upsert_branch(branch, VIEW_DEPTH);
-        if !was_live {
+        if live.is_none() {
             self.flush_recent_to_branch(i, branch, ctx);
         }
     }

@@ -624,6 +624,17 @@ impl DpsNode {
         }
         None
     }
+
+    /// The climb (generic traversal): `hop`, at membership `i` that lies off
+    /// its designated path, goes up to the nearest predecessor; an orphaned
+    /// or self-parented membership drops it, and the originator's retry
+    /// covers it.
+    pub(crate) fn climb(&self, i: usize, hop: DpsMsg, ctx: &mut Context<'_, DpsMsg>) {
+        let up = self.memberships[i].predview.first();
+        if let Some(up) = up.filter(|up| up.node != self.id) {
+            ctx.send(up.node, hop);
+        }
+    }
 }
 
 impl Process for DpsNode {
@@ -747,9 +758,21 @@ impl Process for DpsNode {
                 parent_label,
                 branch,
             } => self.handle_child_report(parent_label, branch, ctx),
-            DpsMsg::Reattach { branch, ttl } => self.handle_reattach(branch, ttl, ctx),
+            DpsMsg::Reattach { branch, ttl } => self.handle_reattach(from, branch, ttl, ctx),
             DpsMsg::Leave { label, member } => self.handle_leave(from, label, member, ctx),
             DpsMsg::ViewPull { label } => self.handle_view_pull(from, label, ctx),
+            // A cohort's hand-over from anyone but our leader goes on to the
+            // leader unchanged (the hop rule's leader deferral): a chained
+            // yield must reach the leader that finally won.
+            DpsMsg::ViewPush { ref label, .. }
+                if self.membership_index(label).is_some_and(|i| {
+                    self.memberships[i].leader != from && self.defers_to_leader(i)
+                }) =>
+            {
+                if let Some(i) = self.membership_index(label) {
+                    self.defer_to_leader(i, msg, |push| push, ctx);
+                }
+            }
             DpsMsg::ViewPush {
                 label,
                 members,

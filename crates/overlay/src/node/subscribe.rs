@@ -252,7 +252,7 @@ impl DpsNode {
     /// there is none), picks the best starting point for a traversal looking
     /// for `pred`: the exact group if we are in it, else the deepest group on
     /// the designated path, else any group (we will route up).
-    fn pick_routing_membership(&self, pred: &Predicate) -> Option<usize> {
+    pub(crate) fn pick_routing_membership(&self, pred: &Predicate) -> Option<usize> {
         let in_tree = || self.memberships_in(pred.name());
         in_tree()
             .find(|&i| self.memberships[i].label.predicate() == Some(pred))
@@ -319,12 +319,7 @@ impl DpsNode {
         }
 
         // Not on the designated path: route upwards (generic traversal).
-        match m.predview.first() {
-            Some(up) if up.node != self.id => ctx.send(up.node, DpsMsg::FindGroup(t)),
-            _ => {
-                // Orphaned or self-parented: give up; the origin retries later.
-            }
-        }
+        self.climb(i, DpsMsg::FindGroup(t), ctx);
     }
 
     /// The `CREATE_GROUP` authorization at the designated predecessor: splice in a

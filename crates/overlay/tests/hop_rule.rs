@@ -1,9 +1,11 @@
-//! The hop rule (ARCHITECTURE.md "The hop rule") and the leave rule ("Who
-//! says who owns and who leads"), one decision at a time: one protocol node
-//! among peers that only record what reaches them, driven by hand-built
-//! messages, so each test sees exactly the sends one hop makes.
+//! The hop rule (ARCHITECTURE.md "The hop rule"), the leave rule and the
+//! rules for two leaders of one label ("Who says who owns and who leads"),
+//! one decision at a time: one protocol node among peers that only record
+//! what reaches them, driven by hand-built messages, so each test sees
+//! exactly the sends one hop makes.
 
 use dps_content::{Event, Filter, Predicate, SharedEvent};
+use dps_overlay::config::{VIEW_EXCHANGE_EVERY, WALK_TTL};
 use dps_overlay::{
     BranchInfo, CommKind, DpsConfig, DpsMsg, DpsNode, GroupDescriptor, GroupLabel, GroupRef, PubId,
     PubTicket, SubId, Ticket, TraversalKind,
@@ -11,7 +13,8 @@ use dps_overlay::{
 use dps_sim::{Context, NodeId, Process, Sim};
 
 /// The node under test, or a peer that records what it receives. Neither
-/// ticks: every send a test sees comes from the handler it drove.
+/// ticks on its own: every send a test sees comes from the handler it
+/// drove, or from the one tick [`Bench::exchange`] runs.
 enum Peer {
     Node(Box<DpsNode>),
     Recorder(Vec<DpsMsg>),
@@ -72,6 +75,23 @@ impl Bench {
     /// returns what the recorders received from it, as `(recipient, msg)`.
     fn deliver(&mut self, from: NodeId, msg: DpsMsg) -> Vec<(NodeId, DpsMsg)> {
         self.with_node(|n, ctx| n.on_message(from, msg, ctx));
+        self.drain()
+    }
+
+    /// Runs the node's tick at the next step of the periodic view exchange
+    /// and returns what the recorders received from it.
+    fn exchange(&mut self) -> Vec<(NodeId, DpsMsg)> {
+        let phase = self.node.index() as u64;
+        while !(self.sim.now() + phase).is_multiple_of(VIEW_EXCHANGE_EVERY) {
+            self.sim.step();
+        }
+        self.with_node(|n, ctx| n.on_tick(ctx));
+        self.drain()
+    }
+
+    /// Steps once and returns what the recorders received, as
+    /// `(recipient, msg)`.
+    fn drain(&mut self) -> Vec<(NodeId, DpsMsg)> {
         self.sim.step();
         let mut sent = Vec::new();
         for &p in &self.peers {
@@ -522,4 +542,203 @@ fn a_leader_relays_a_leave_to_each_co_leader() {
     // further, or the two leaders would bounce it for ever.
     assert_eq!(b.deliver(c, leave(y)), []);
     assert_eq!(b.node().memberships()[0].co_leaders, [c]);
+}
+
+// ---- when two leaders of one label meet (ARCHITECTURE.md "Who says who
+// owns and who leads") ----
+
+/// A `ChildReport` to group `a > 1` for `child`.
+fn report(child: BranchInfo) -> DpsMsg {
+    DpsMsg::ChildReport {
+        parent_label: pred_label("a > 1"),
+        branch: child,
+    }
+}
+
+/// A `ViewPush` of group `a > 1` naming `members`.
+fn view_push(members: Vec<NodeId>) -> DpsMsg {
+    DpsMsg::ViewPush {
+        label: pred_label("a > 1"),
+        members,
+        predview: Vec::new(),
+        branches: Vec::new(),
+        recent: Vec::new(),
+    }
+}
+
+#[test]
+fn a_child_report_at_a_non_leader_goes_to_its_leader() {
+    let mut b = Bench::new();
+    let [leader, child, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    let me = b.node;
+    b.join("a > 1", leader, me);
+    let r = report(branch("a > 3", child));
+    assert_eq!(b.deliver(child, r.clone()), [(leader, r)]);
+    let group = &b.node().memberships()[0];
+    assert!(group.branch(&pred_label("a > 3")).is_none());
+}
+
+#[test]
+fn a_cohorts_hand_over_at_a_non_leader_goes_on_to_its_leader() {
+    let mut b = Bench::new();
+    let [leader, loser, x, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    let me = b.node;
+    b.join("a > 1", leader, me);
+    // `loser` yielded to us before we yielded to `leader`: its cohort must
+    // reach the leader that finally won, unchanged.
+    let push = view_push(vec![loser, x]);
+    assert_eq!(b.deliver(loser, push.clone()), [(leader, push)]);
+    assert!(!b.node().memberships()[0].members.contains(&x));
+}
+
+#[test]
+fn the_leaders_own_mirror_is_absorbed() {
+    let mut b = Bench::new();
+    let [leader, x, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    let me = b.node;
+    b.join("a > 1", leader, me);
+    assert_eq!(b.deliver(leader, view_push(vec![leader, x])), []);
+    assert!(b.node().memberships()[0].members.contains(&x));
+}
+
+#[test]
+fn a_parent_introduces_a_second_leader_of_one_label_to_the_first() {
+    let mut b = Bench::new();
+    let [parent, x, y, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    b.lead("a > 1", parent);
+    assert_eq!(b.deliver(x, report(branch("a > 3", x))), []);
+    // `y` also leads `a > 3`: the parent hands its branch to `x`, whose
+    // node answers both leaders with who leads there.
+    let second = branch("a > 3", y);
+    let intro = DpsMsg::Reattach {
+        branch: second.clone(),
+        ttl: WALK_TTL,
+    };
+    assert_eq!(b.deliver(y, report(second)), [(x, intro)]);
+}
+
+#[test]
+fn a_parent_hearing_the_same_leader_again_sends_nothing() {
+    let mut b = Bench::new();
+    let [parent, x, z, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    b.lead("a > 1", parent);
+    assert_eq!(b.deliver(x, report(branch("a > 3", x))), []);
+    let mut again = branch("a > 3", x);
+    again.refs.push(GroupRef {
+        label: pred_label("a > 3"),
+        node: z,
+    });
+    assert_eq!(b.deliver(x, report(again)), []);
+    let kept = b.node().memberships()[0].branch(&pred_label("a > 3"));
+    assert_eq!(kept.map(|k| k.refs.len()), Some(2));
+}
+
+#[test]
+fn a_reattach_off_its_designated_path_climbs() {
+    let mut b = Bench::new();
+    let [parent, from, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    // `a < 5` does not lie on the path to `a > 3`: the orphan goes up, as
+    // a `FindGroup` would.
+    b.lead("a < 5", parent);
+    let orphan = branch("a > 3", from);
+    let climbed = DpsMsg::Reattach {
+        branch: orphan.clone(),
+        ttl: 4,
+    };
+    let sent = b.deliver(
+        from,
+        DpsMsg::Reattach {
+            branch: orphan,
+            ttl: 5,
+        },
+    );
+    assert_eq!(sent, [(parent, climbed)]);
+}
+
+#[test]
+fn a_member_tells_the_parent_that_its_leader_leads_the_reattached_branch() {
+    let mut b = Bench::new();
+    let [leader, owner, parent, y, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    b.join("a > 5", leader, owner);
+    let info = DpsMsg::GroupInfo {
+        label: pred_label("a > 5"),
+        leader,
+        co_leaders: Vec::new(),
+        owner,
+        owner_epoch: 0,
+    };
+    let reattach = |node| DpsMsg::Reattach {
+        branch: branch("a > 5", node),
+        ttl: 5,
+    };
+    // Our leader leads the branch too: the parent's pointer to us is stale.
+    let sent = b.deliver(parent, reattach(leader));
+    assert_eq!(sent, [(leader, info.clone()), (parent, info.clone())]);
+    // A second leader `y`: only `y` hears who leads here.
+    assert_eq!(b.deliver(parent, reattach(y)), [(y, info)]);
+}
+
+#[test]
+fn an_orphan_under_its_own_nodes_group_grafts_and_reports_locally() {
+    let mut b = Bench::new();
+    let [parent, contact, winner, deeper, ..] = b.peers[..] else {
+        unreachable!()
+    };
+    let me = b.node;
+    b.lead("a > 1", parent);
+    b.lead("a > 5", parent);
+    // A better tree claim dissolves ours: both groups are orphans, and
+    // `a > 5`'s designated parent is our own `a > 1`.
+    let dissolve = DpsMsg::DissolveTree {
+        attr: "a".into(),
+        contact,
+        new_owner: winner,
+        epoch: 1,
+    };
+    let sent = b.deliver(contact, dissolve);
+    assert!(
+        sent.iter().all(|(_, m)| !matches!(m,
+            DpsMsg::Reattach { branch, .. } if branch.label == pred_label("a > 5"))),
+        "{sent:?}"
+    );
+    assert!(sent.iter().any(|(to, m)| *to == winner
+        && matches!(m, DpsMsg::Reattach { branch, .. } if branch.label == pred_label("a > 1"))));
+    let groups = b.node().memberships();
+    assert!(groups[0].branch(&pred_label("a > 5")).is_some());
+    let up = groups[1].predview.first();
+    assert_eq!(
+        up,
+        Some(&GroupRef {
+            label: pred_label("a > 1"),
+            node: me
+        })
+    );
+
+    // A deeper group `a > 3` hangs below `a > 1` now. Our `a > 5` reports
+    // to its parent on this node in place, and the C2 re-route moves it
+    // down to `a > 3`.
+    assert_eq!(b.deliver(deeper, report(branch("a > 3", deeper))), []);
+    let sent = b.exchange();
+    assert!(
+        sent.iter().any(|(to, m)| *to == deeper
+            && matches!(m, DpsMsg::Reattach { branch, .. } if branch.label == pred_label("a > 5"))),
+        "{sent:?}"
+    );
+    assert!(b.node().memberships()[0]
+        .branch(&pred_label("a > 5"))
+        .is_none());
 }

@@ -102,8 +102,9 @@ fn leader_mode_crashes() -> Vec<String> {
 /// leaders of non-root groups first (each hands over to a co-leader, if it
 /// has one), then every fourth node. More publications follow, then a
 /// drain. Convergence is not asserted. Returns the digest, the receipts per
-/// message kind and the reports of the publications after the leave wave.
-fn leader_merge_then_leave() -> (Vec<String>, Vec<u64>, Vec<DeliveryReport>) {
+/// message kind and the reports of every publication, with the step the
+/// leave wave ended at.
+fn leader_merge_then_leave() -> (Vec<String>, Vec<u64>, Vec<DeliveryReport>, u64) {
     const N: usize = 24;
     const FILTERS: [&str; 4] = ["temp > 5", "temp > 20", "temp < 40", "temp > 12"];
     let mut cfg = DpsConfig::named(TraversalKind::Root, CommKind::Leader);
@@ -155,9 +156,7 @@ fn leader_merge_then_leave() -> (Vec<String>, Vec<u64>, Vec<DeliveryReport>) {
     }
     net.run(300);
     let kinds = net.metrics().received_by_kind().to_vec();
-    let mut after = net.reports();
-    after.retain(|r| r.published_at >= left_at);
-    (common::digest(&net), kinds, after)
+    (common::digest(&net), kinds, net.reports(), left_at)
 }
 
 /// The section headers of the golden file, in file order.
@@ -271,7 +270,7 @@ fn bimodal_latency_run_matches_the_golden() {
 
 #[test]
 fn leader_merge_then_leave_run_matches_the_golden() {
-    let (digest, kinds, after_leave) = leader_merge_then_leave();
+    let (digest, kinds, reports, left_at) = leader_merge_then_leave();
     // The run must reach the paths it pins: duplicate trees merging and
     // regrafting, and leaders handing their groups over on the way out.
     for kind in [
@@ -288,10 +287,13 @@ fn leader_merge_then_leave_run_matches_the_golden() {
             .unwrap();
         assert!(kinds[i] > 0, "the run received no {kind}: {kinds:?}");
     }
-    // Leaving costs nobody else: every publication after the leave wave
-    // reaches every subscriber it should.
-    assert_eq!(after_leave.len(), 6);
-    for r in &after_leave {
+    // The merged groups lose nothing, and leaving costs nobody else: every
+    // publication, before the leave wave and after it, reaches every
+    // subscriber it should.
+    assert_eq!(reports.len(), 10);
+    let after_leave = reports.iter().filter(|r| r.published_at >= left_at);
+    assert_eq!(after_leave.count(), 6);
+    for r in &reports {
         assert_eq!(
             r.delivered,
             r.expected.len(),
